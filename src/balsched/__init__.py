@@ -22,7 +22,6 @@ JSON persistence, CSV exports, and text rendering live in
 
 from .balance import (
     BalanceVerdict,
-    balance_index,
     balance_verdict,
     count_vector,
     dominance_leq,
@@ -143,7 +142,6 @@ __all__ = [
     "WindowJob",
     "WindowScheduleResult",
     "apply_selection",
-    "balance_index",
     "balance_verdict",
     "build_fixture",
     "building_requirement_table",

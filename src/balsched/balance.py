@@ -112,20 +112,6 @@ def balance_verdict(
     )
 
 
-def balance_index(
-    instance: Instance,
-    schedule: SlotSchedule,
-    e0: Sequence[float],
-    grid: TimeGrid | None = None,
-) -> float:
-    """Worst per-interval proximity to the reference profile."""
-    grid = grid or instance.grid
-    return max(
-        proximity(e0, count_vector(bag, instance.universe))
-        for bag in interval_bags(instance, schedule, grid)
-    )
-
-
 def dominance_leq(gamma: Sequence[float], cap: Sequence[float]) -> bool:
     """True iff gamma <= cap component-wise.
 

@@ -41,16 +41,23 @@ from .improve import (
 from .jit import penalty_max, penalty_sum, schedule_windows
 
 
+def _echo(message: str = "", err: bool = False, nl: bool = True) -> None:
+    """click.echo to the current sys.stdout or sys.stderr, passed
+    explicitly: click's default-stream cache would keep every redirected
+    io.StringIO (and all its captured output) alive."""
+    click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
+
+
 def _load(path) -> InstanceFile:
     """Load an instance file, translating failures into exit codes."""
     try:
         return load_instance(path)
     except SchemaError as exc:
         for issue in exc.issues:
-            click.echo(f"error: {issue}", err=True)
+            _echo(f"error: {issue}", err=True)
         sys.exit(1)
     except OSError as exc:
-        click.echo(f"error: cannot read {path}: {exc.strerror}", err=True)
+        _echo(f"error: cannot read {path}: {exc.strerror}", err=True)
         sys.exit(2)
 
 
@@ -75,7 +82,7 @@ def _validated(instance: InstanceFile) -> None:
     violations = _instance_violations(instance)
     if violations:
         for v in violations:
-            click.echo(f"invalid: {v}", err=True)
+            _echo(f"invalid: {v}", err=True)
         sys.exit(1)
 
 
@@ -90,7 +97,7 @@ def validate(file):
     """Check an instance file against all structural rules."""
     instance = _load(file)
     _validated(instance)
-    click.echo("OK")
+    _echo("OK")
 
 
 @main.command()
@@ -99,21 +106,21 @@ def evaluate(file):
     """Makespan, window penalties, or the monthly requirement table."""
     instance = _load(file)
     _validated(instance)
-    click.echo(f"mode: {instance.mode}")
+    _echo(f"mode: {instance.mode}")
     if instance.mode == "modular":
         validated = validate_instance(
             instance.universe, instance.jobs, instance.processors, instance.grid
         )
-        click.echo(f"makespan: {makespan(validated, instance.schedule)}")
+        _echo(f"makespan: {makespan(validated, instance.schedule)}")
         if instance.window_jobs:
             result = schedule_windows(instance.window_jobs)
             weights = instance.penalty_weights
-            click.echo(
+            _echo(
                 "window jobs: "
                 + ("feasible" if result.feasible else "infeasible")
             )
             if result.infeasible_jobs:
-                click.echo(
+                _echo(
                     "outside window: " + " ".join(result.infeasible_jobs)
                 )
             by_machine: dict[int, list] = {}
@@ -124,24 +131,24 @@ def evaluate(file):
                 cells = "  ".join(
                     f"{j.id} C={result.completions[j.id]:.2f}" for j in jobs
                 )
-                click.echo(f"machine {machine}: {cells}")
+                _echo(f"machine {machine}: {cells}")
             if weights:
-                click.echo(
+                _echo(
                     "penalty sum: "
                     f"{penalty_sum(instance.window_jobs, result.completions, weights):.2f}"
                 )
-                click.echo(
+                _echo(
                     "penalty max: "
                     f"{penalty_max(instance.window_jobs, result.completions, weights):.2f}"
                 )
     else:
         table = horizon_requirement_table(instance.project, instance.team_schedule)
-        click.echo(f"months: {len(table.months)}")
-        click.echo("peak requirements:")
+        _echo(f"months: {len(table.months)}")
+        _echo("peak requirements:")
         for detail in DETAIL_TYPES:
             month, value = table.peak(detail)
-            click.echo(f"  {detail}: {value:.2f} (month {month})")
-        click.echo(render_gantt(instance.project, instance.team_schedule), nl=False)
+            _echo(f"  {detail}: {value:.2f} (month {month})")
+        _echo(render_gantt(instance.project, instance.team_schedule), nl=False)
 
 
 @main.command()
@@ -152,7 +159,7 @@ def balance(file):
     _validated(instance)
     if instance.mode == "modular":
         if instance.reference_profile is None or instance.proximity_threshold is None:
-            click.echo(
+            _echo(
                 "error: instance has no reference profile / threshold", err=True
             )
             sys.exit(1)
@@ -165,37 +172,37 @@ def balance(file):
             instance.reference_profile,
             instance.proximity_threshold,
         )
-        click.echo(
+        _echo(
             "interval deltas: " + " ".join(str(d) for d in verdict.deltas)
         )
-        click.echo(f"max delta: {verdict.max_delta}")
-        click.echo(f"threshold: {verdict.threshold}")
+        _echo(f"max delta: {verdict.max_delta}")
+        _echo(f"threshold: {verdict.threshold}")
         if verdict.satisfied:
-            click.echo("balance: satisfied")
+            _echo("balance: satisfied")
         else:
-            click.echo(
+            _echo(
                 "violating intervals: "
                 + " ".join(str(i) for i in verdict.violating)
             )
-            click.echo("balance: violated")
+            _echo("balance: violated")
     else:
         if not instance.capacity:
-            click.echo("error: instance has no capacity profile", err=True)
+            _echo("error: instance has no capacity profile", err=True)
             sys.exit(1)
         table = horizon_requirement_table(instance.project, instance.team_schedule)
         cap = capacity_vector(dict(instance.capacity))
         months = violated_months(table.to_array(), cap, table.months)
         for detail in sorted(instance.capacity):
             month, value = table.peak(detail)
-            click.echo(
+            _echo(
                 f"peak {detail}: {value:.2f} (month {month}) "
                 f"capacity {instance.capacity[detail]:.2f}"
             )
         if months:
-            click.echo("violated months: " + " ".join(str(m) for m in months))
-            click.echo("balance: violated")
+            _echo("violated months: " + " ".join(str(m) for m in months))
+            _echo("balance: violated")
         else:
-            click.echo("balance: satisfied")
+            _echo("balance: satisfied")
 
 
 @main.command()
@@ -209,10 +216,10 @@ def improve(file, budget, max_iters, out):
     instance = _load(file)
     _validated(instance)
     if instance.mode != "homebuilding":
-        click.echo("error: improve needs a homebuilding instance", err=True)
+        _echo("error: improve needs a homebuilding instance", err=True)
         sys.exit(1)
     if not instance.capacity:
-        click.echo("error: instance has no capacity profile", err=True)
+        _echo("error: instance has no capacity profile", err=True)
         sys.exit(1)
     params = instance.improve_params or ImproveParams()
     params = ImproveParams(
@@ -230,17 +237,17 @@ def improve(file, budget, max_iters, out):
                 moves.append(variant.describe(group.targets[0]))
         chosen = ", ".join(moves) if moves else "none"
         status = "accepted" if record.accepted else "rejected"
-        click.echo(
+        _echo(
             f"iteration {record.iteration}: V {record.v_before:.4f} -> "
             f"{record.v_after:.4f} {status}; chosen: {chosen} "
             f"(profit {record.selection.total_profit:.4f}, "
             f"cost {record.selection.total_cost:.2f})"
         )
-    click.echo(f"stop: {result.stop_reason}")
+    _echo(f"stop: {result.stop_reason}")
     table = horizon_requirement_table(instance.project, result.schedule)
     for detail in sorted(instance.capacity):
         month, value = table.peak(detail)
-        click.echo(f"final peak {detail}: {value:.2f} (month {month})")
+        _echo(f"final peak {detail}: {value:.2f} (month {month})")
     if out:
         updated = InstanceFile(
             mode=instance.mode,
@@ -254,9 +261,9 @@ def improve(file, budget, max_iters, out):
         try:
             save_instance(updated, out)
         except OSError as exc:
-            click.echo(f"error: cannot write {out}: {exc.strerror}", err=True)
+            _echo(f"error: cannot write {out}: {exc.strerror}", err=True)
             sys.exit(2)
-        click.echo(f"wrote {out}")
+        _echo(f"wrote {out}")
 
 
 @main.command()
@@ -271,20 +278,20 @@ def report(file, detail, capacity, csv_path):
     instance = _load(file)
     _validated(instance)
     if instance.mode != "homebuilding":
-        click.echo("error: report needs a homebuilding instance", err=True)
+        _echo("error: report needs a homebuilding instance", err=True)
         sys.exit(1)
     table = horizon_requirement_table(instance.project, instance.team_schedule)
     try:
         export_balance_curve(table, capacity, detail, csv_path)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         sys.exit(1)
     except OSError as exc:
-        click.echo(f"error: cannot write {csv_path}: {exc.strerror}", err=True)
+        _echo(f"error: cannot write {csv_path}: {exc.strerror}", err=True)
         sys.exit(2)
     month, value = table.peak(detail)
-    click.echo(f"peak {detail}: {value:.2f} (month {month})")
-    click.echo(f"wrote {csv_path}")
+    _echo(f"peak {detail}: {value:.2f} (month {month})")
+    _echo(f"wrote {csv_path}")
 
 
 @main.group()
@@ -296,7 +303,7 @@ def fixtures():
 def fixtures_list():
     """Names of all bundled instances."""
     for name in fixtures_mod.list_fixtures():
-        click.echo(name)
+        _echo(name)
 
 
 @fixtures.command(name="emit")
@@ -313,9 +320,9 @@ def fixtures_emit(name, out):
     try:
         save_instance(instance, path)
     except OSError as exc:
-        click.echo(f"error: cannot write {path}: {exc.strerror}", err=True)
+        _echo(f"error: cannot write {path}: {exc.strerror}", err=True)
         sys.exit(2)
-    click.echo(f"wrote {path}")
+    _echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

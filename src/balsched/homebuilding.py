@@ -18,7 +18,7 @@ at 30 days per month.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -101,15 +101,6 @@ def floor_sequence(building_type: BuildingType) -> list[tuple[str, int]]:
         for floor in FLOOR_TYPES
         if building_type.floor_counts.get(floor, 0) > 0
     ]
-
-
-def _unit_layout(building_type: BuildingType) -> list[str]:
-    """The ladder expanded unit by unit: element j is the floor type of
-    the j-th floor-unit a section passes through."""
-    layout: list[str] = []
-    for floor, count in floor_sequence(building_type):
-        layout.extend([floor] * count)
-    return layout
 
 
 @dataclass(frozen=True)
@@ -285,6 +276,35 @@ def _progress_cap(project: Project, building_type: BuildingType) -> int:
     return u - 1 if project.rate_basis == "U-1" else u
 
 
+def _floor_output(
+    project: Project, building: Building, start: float, months: Sequence[int]
+) -> np.ndarray:
+    """Floor-units one section of ``building`` completes in each month.
+
+    The whole progress model: a section placed at ``start`` has completed
+    c(t) = clamp(rate * (t - start), 0, cap) floor-units at time t, with
+    rate = cap / assembly duration. Floor type f occupies the ladder range
+    [lo_f, hi_f) and month m covers [m-1, m), so the month's f-output is
+    clip(c(m), lo_f, hi_f) - clip(c(m-1), lo_f, hi_f). Progress never
+    passes cap, so units above it (the terminal unit under "U-1") add
+    exactly zero.
+
+    Returns a (len(months) x 8) array in FLOOR_TYPES order.
+    """
+    building_type = project.building_type_of(building)
+    cap = _progress_cap(project, building_type)
+    rate = cap / building.assembly_duration
+    counts = np.array(
+        [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
+    )
+    hi = np.cumsum(counts).astype(float)
+    lo = hi - counts
+    t = np.asarray(months, dtype=float)[:, None]
+    c1 = np.clip(rate * (t - start), 0.0, cap)
+    c0 = np.clip(rate * (t - 1.0 - start), 0.0, cap)
+    return np.clip(c1, lo, hi) - np.clip(c0, lo, hi)
+
+
 def section_progress(
     project: Project,
     building: Building,
@@ -299,24 +319,8 @@ def section_progress(
     """
     if start is None:
         start = building.start
-    building_type = project.building_type_of(building)
-    cap = _progress_cap(project, building_type)
-    rate = cap / building.assembly_duration
-
-    def cumulative(t: float) -> float:
-        return min(max(rate * (t - start), 0.0), float(cap))
-
-    c0 = cumulative(float(month - 1))
-    c1 = cumulative(float(month))
-    profile = {floor: 0.0 for floor in FLOOR_TYPES}
-    if c1 <= c0:
-        return profile
-    layout = _unit_layout(building_type)
-    for unit in range(int(c0), min(int(np.ceil(c1)), cap)):
-        overlap = min(c1, unit + 1.0) - max(c0, float(unit))
-        if overlap > 0:
-            profile[layout[unit]] += overlap
-    return profile
+    units = _floor_output(project, building, start, [month])[0]
+    return {floor: float(u) for floor, u in zip(FLOOR_TYPES, units)}
 
 
 def monthly_floor_requirements(
@@ -327,18 +331,17 @@ def monthly_floor_requirements(
     Every section of a building progresses in parallel, so a building
     contributes its per-section progress multiplied by its section counts.
     """
-    sections: dict[str, dict[str, float]] = {
-        s: {floor: 0.0 for floor in FLOOR_TYPES} for s in project.section_types
-    }
+    totals = {s: np.zeros(len(FLOOR_TYPES)) for s in project.section_types}
     for _team, building_id, start in schedule.placements():
         building = project.buildings[building_id]
-        progress = section_progress(project, building, month, start)
+        units = _floor_output(project, building, start, [month])[0]
         for section, count in building.section_counts.items():
-            if count == 0:
-                continue
-            row = sections[section]
-            for floor, units in progress.items():
-                row[floor] += count * units
+            if count:
+                totals[section] += count * units
+    sections = {
+        s: {floor: float(u) for floor, u in zip(FLOOR_TYPES, row)}
+        for s, row in totals.items()
+    }
     return MonthlyFloorProfile(month=month, sections=sections)
 
 
@@ -351,13 +354,6 @@ def _combined_section_matrix(project: Project, building: Building) -> np.ndarray
     return combined
 
 
-def _floor_vector(
-    project: Project, building: Building, month: int, start: float
-) -> np.ndarray:
-    progress = section_progress(project, building, month, start)
-    return np.array([progress[floor] for floor in FLOOR_TYPES])
-
-
 def building_requirement_table(
     project: Project, building: Building, start: float | None = None
 ) -> np.ndarray:
@@ -368,12 +364,10 @@ def building_requirement_table(
     """
     if start is None:
         start = building.start
-    combined = _combined_section_matrix(project, building)
-    rows = [
-        _floor_vector(project, building, month, start) @ combined
-        for month in range(1, project.horizon_months + 1)
-    ]
-    return np.vstack(rows)
+    months = range(1, project.horizon_months + 1)
+    return _floor_output(project, building, start, months) @ (
+        _combined_section_matrix(project, building)
+    )
 
 
 def monthly_detail_requirements(
@@ -383,8 +377,9 @@ def monthly_detail_requirements(
     gamma = np.zeros(len(DETAIL_TYPES))
     for _team, building_id, start in schedule.placements():
         building = project.buildings[building_id]
-        combined = _combined_section_matrix(project, building)
-        gamma += _floor_vector(project, building, month, start) @ combined
+        gamma += _floor_output(project, building, start, [month])[0] @ (
+            _combined_section_matrix(project, building)
+        )
     return tuple(float(v) for v in gamma)
 
 

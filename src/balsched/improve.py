@@ -12,7 +12,7 @@ falling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -122,12 +122,18 @@ def _selection(problem: BudgetedMCKP, chosen: Sequence[int]) -> Selection:
     return Selection(chosen=tuple(chosen), total_profit=profit, total_cost=cost)
 
 
+#: mckp_greedy compares profit/cost ratios rounded to this many decimals,
+#: so ratios that are equal up to float noise tie.
+RATIO_DIGITS = 9
+
+
 def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     """Ratio-greedy selection: pack variants by profit/cost until budget.
 
     Candidates with non-positive profit are never taken; zero-cost positive
-    profit ranks first. Ties break on (group index, variant index) so the
-    result is deterministic.
+    profit ranks first. Ratios are compared at RATIO_DIGITS decimals and
+    ties break on (group index, variant index), so the result is
+    deterministic and float noise in equal ratios does not pick the move.
     """
     candidates = []
     for gi, group in enumerate(problem.groups):
@@ -136,7 +142,7 @@ def mckp_greedy(problem: BudgetedMCKP) -> Selection:
                 continue
             ratio = (
                 float("inf") if variant.cost == 0
-                else variant.profit / variant.cost
+                else round(variant.profit / variant.cost, RATIO_DIGITS)
             )
             candidates.append((-ratio, gi, j, variant))
     candidates.sort(key=lambda item: item[:3])

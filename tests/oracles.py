@@ -113,6 +113,40 @@ def hand_month1_d2():
     )
 
 
+
+# --- per-unit overlap route of the building cascade --------------------------
+#
+# The library computes a month's floor output in closed form, clipping the
+# cumulative progress to each floor type's range of the ladder. This route
+# walks the ladder unit by unit instead and adds up how much of each unit the
+# month's progress window covers.
+
+def unit_overlap_progress(floor_counts, duration, start, month, rate_basis):
+    """Floor-units one section completes in ``month``, per floor position.
+
+    ``floor_counts`` lists the unit count of each floor type in ladder order
+    (zeros allowed). The section climbs cap floor-units linearly from
+    ``start`` over ``duration`` months, cap being U - 1 under the "U-1" rate
+    basis (the terminal unit is never entered) and U under "U". Month m is
+    the window [m-1, m). Returns one float per entry of ``floor_counts``.
+    """
+    layout = []
+    for position, count in enumerate(floor_counts):
+        layout.extend([position] * count)
+    cap = len(layout) - 1 if rate_basis == "U-1" else len(layout)
+    rate = cap / duration
+
+    def done(t):
+        return min(max(rate * (t - start), 0.0), float(cap))
+
+    c0, c1 = done(month - 1.0), done(float(month))
+    out = [0.0] * len(floor_counts)
+    for unit in range(cap):
+        overlap = min(c1, unit + 1.0) - max(c0, float(unit))
+        if overlap > 0:
+            out[layout[unit]] += overlap
+    return out
+
 if __name__ == "__main__":
     # Freeze-run: print the oracle values the tests assert as literals.
     e0 = (2, 3, 2, 1, 1, 0)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from balsched.balance import (
-    balance_index,
     balance_verdict,
     count_vector,
     dominance_leq,
@@ -164,8 +163,10 @@ def test_balance_verdict_tight_threshold_flags_intervals():
 
 
 def test_balance_index_is_max_delta():
+    # the balance index is the verdict's worst per-interval proximity
     instance, f = demo()
-    assert balance_index(instance, f.schedule, f.reference_profile) == 15
+    verdict = balance_verdict(instance, f.schedule, f.reference_profile, 15)
+    assert verdict.max_delta == max(verdict.deltas) == 15
 
 
 def test_balance_verdict_capacity_mismatch():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DETAIL_TYPES,
     FLOOR_TYPES,
+    RATE_BASES,
     Building,
     BuildingType,
     Project,
@@ -24,7 +27,7 @@ from balsched.homebuilding import (
     validate_team_schedule,
 )
 
-from oracles import hand_month1_d2
+from oracles import hand_month1_d2, unit_overlap_progress
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +192,54 @@ def test_rate_basis_rejects_unknown():
             rate_basis="U+1",
         )
 
+
+
+@given(
+    floor_counts=st.lists(
+        st.integers(min_value=0, max_value=4), min_size=8, max_size=8
+    ).filter(any),
+    duration=st.floats(min_value=0.25, max_value=15.0),
+    start=st.floats(min_value=0.0, max_value=30.0),
+    horizon=st.integers(min_value=1, max_value=24),
+    rate_basis=st.sampled_from(RATE_BASES),
+    sections=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_cascade_matches_unit_overlap_oracle(
+    floor_counts, duration, start, horizon, rate_basis, sections
+):
+    matrix = tuple(
+        tuple(float((i + 1) * (j + 2) % 7) for j in range(8)) for i in range(8)
+    )
+    building = Building(
+        id="b",
+        building_type="t",
+        section_counts={"s": sections},
+        assembly_duration=duration,
+        start=start,
+    )
+    project = Project(
+        section_types={"s": SectionType(id="s", detail_matrix=matrix)},
+        building_types={
+            "t": BuildingType(
+                id="t", floor_counts=dict(zip(FLOOR_TYPES, floor_counts))
+            )
+        },
+        buildings={"b": building},
+        horizon_months=horizon,
+        rate_basis=rate_basis,
+    )
+    expected = np.array([
+        unit_overlap_progress(floor_counts, duration, start, month, rate_basis)
+        for month in range(1, horizon + 1)
+    ])
+    got = np.array([
+        [section_progress(project, building, month)[f] for f in FLOOR_TYPES]
+        for month in range(1, horizon + 1)
+    ])
+    assert np.abs(got - expected).max() <= 1e-9
+    table = building_requirement_table(project, building)
+    assert np.abs(table - sections * expected @ np.array(matrix)).max() <= 1e-9
 
 # --- requirement tables -----------------------------------------------------------
 

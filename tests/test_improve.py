@@ -147,6 +147,15 @@ def test_greedy_takes_free_items_first():
     assert sel.chosen == (1,)
 
 
+
+def test_greedy_ties_equal_ratios_despite_float_noise():
+    # kope's a7 shifts of 3/7/14/21 days: one profit/cost ratio, whose
+    # computed values differ in the last bits
+    r = 0.07228158390949
+    g = group(1, [(r * 0.1 * d, 0.1 * d) for d in (3, 7, 14, 21)])
+    sel = mckp_greedy(BudgetedMCKP(groups=(g,), budget=5.0))
+    assert sel.chosen == (1,)
+
 def test_exact_requires_integral_scaled_costs():
     g = group(1, [(1.0, 0.25)])
     with pytest.raises(ValueError, match="not integral at scale 10"):

@@ -1,7 +1,12 @@
 """Instance files, CSV exports, text rendering, and the command line."""
 
+import contextlib
+import gc
+import io
 import json
 import random
+import weakref
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -327,6 +332,16 @@ def test_cli_fixtures_list(runner):
     assert result.output.split() == ["jit-windows", "kope-1982", "modular-demo"]
 
 
+def test_cli_in_process_run_releases_captured_stdout():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(["fixtures", "list"], standalone_mode=False)
+    assert out.getvalue().split() == list_fixtures()
+    captured = weakref.ref(out)
+    del out
+    gc.collect()
+    assert captured() is None
+
 def test_cli_fixtures_emit_unknown_name(runner):
     result = runner.invoke(main, ["fixtures", "emit", "nope"])
     assert result.exit_code == 2
@@ -407,6 +422,27 @@ def test_cli_improve_writes_balanced_schedule(runner, tmp_path, emitted):
     assert follow_up.exit_code == 0
     assert "balance: satisfied" in follow_up.output
 
+
+
+def readme_transcript(command):
+    """Output lines README.md shows under ``$ <command>`` in a console block."""
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    at = lines.index(f"$ {command}") + 1
+    end = lines.index("", at)
+    return lines[at:end]
+
+
+def test_cli_improve_matches_readme_transcript(runner, tmp_path, emitted):
+    expected = readme_transcript("balsched improve kope.json --out kope-fixed.json")
+    out = tmp_path / "kope-fixed.json"
+    result = runner.invoke(
+        main, ["improve", str(emitted["kope-1982"]), "--out", str(out)]
+    )
+    assert result.exit_code == 0
+    got = result.stdout.splitlines()
+    assert expected[-1] == "wrote kope-fixed.json"
+    assert got[-1] == f"wrote {out}"
+    assert got[:-1] == expected[:-1]
 
 def test_cli_improve_rejects_modular_instance(runner, emitted):
     result = runner.invoke(main, ["improve", str(emitted["modular-demo"])])
