@@ -88,8 +88,12 @@ def _require(data: Mapping, key: str, path: str, issues: list[str]):
 
 
 def _number(value, path: str, issues: list[str]) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        issues.append(f"{path}: expected a number")
+    if (
+        not isinstance(value, (int, float))
+        or isinstance(value, bool)
+        or not math.isfinite(value)
+    ):
+        issues.append(f"{path}: expected a finite number")
         return 0.0
     return value
 
@@ -275,15 +279,25 @@ def _load_homebuilding(block, issues, out: dict):
     for bid, b in buildings_raw.items():
         path = f"/homebuilding/buildings/{bid}"
         try:
+            known = len(issues)
+            duration = _number(
+                b["assembly_duration"], f"{path}/assembly_duration", issues
+            )
+            start = _number(b["start"], f"{path}/start", issues)
+            square = _number(
+                b.get("general_square", 0.0), f"{path}/general_square", issues
+            )
+            if len(issues) > known:
+                continue
             buildings[bid] = Building(
                 id=bid,
                 building_type=b["building_type"],
                 section_counts={k: int(v) for k, v in b["section_counts"].items()},
-                assembly_duration=float(b["assembly_duration"]),
-                start=float(b["start"]),
-                general_square=float(b.get("general_square", 0.0)),
+                assembly_duration=float(duration),
+                start=float(start),
+                general_square=float(square),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             issues.append(f"{path}: {exc}")
 
     if not isinstance(schedule_raw, dict) or "teams" not in schedule_raw:
@@ -299,7 +313,12 @@ def _load_homebuilding(block, issues, out: dict):
                     "expected [building id, start]"
                 )
                 continue
-            pairs.append((str(entry[0]), float(entry[1])))
+            start = _number(
+                entry[1],
+                f"/homebuilding/team_schedule/assignments/{team}/{i}/1",
+                issues,
+            )
+            pairs.append((str(entry[0]), float(start)))
         assignments[team] = tuple(pairs)
     out["team_schedule"] = TeamSchedule(
         teams=tuple(schedule_raw["teams"]), assignments=assignments
@@ -318,10 +337,17 @@ def _load_homebuilding(block, issues, out: dict):
     except ValueError as exc:
         issues.append(f"/homebuilding: {exc}")
 
-    if block.get("capacity") is not None:
-        out["capacity"] = {
-            k: float(v) for k, v in block["capacity"].items()
-        }
+    capacity = block.get("capacity")
+    if isinstance(capacity, dict):
+        out["capacity"] = {}
+        for detail, value in capacity.items():
+            path = f"/homebuilding/capacity/{detail}"
+            if detail not in DETAIL_TYPES:
+                issues.append(f"{path}: unknown detail type")
+                continue
+            out["capacity"][detail] = float(_number(value, path, issues))
+    elif capacity is not None:
+        issues.append("/homebuilding/capacity: expected an object")
     if block.get("correction_groups") is not None:
         out["correction_groups"] = _load_correction_groups(
             block["correction_groups"], issues

@@ -277,7 +277,10 @@ def _progress_cap(project: Project, building_type: BuildingType) -> int:
 
 
 def _floor_output(
-    project: Project, building: Building, start: float, months: Sequence[int]
+    project: Project,
+    building: Building,
+    start: float | np.ndarray,
+    months: Sequence[int],
 ) -> np.ndarray:
     """Floor-units one section of ``building`` completes in each month.
 
@@ -289,7 +292,8 @@ def _floor_output(
     passes cap, so units above it (the terminal unit under "U-1") add
     exactly zero.
 
-    Returns a (len(months) x 8) array in FLOOR_TYPES order.
+    Returns a (len(months) x 8) array in FLOOR_TYPES order, or an
+    (S x len(months) x 8) stack for an (S x 1 x 1) array of starts.
     """
     building_type = project.building_type_of(building)
     cap = _progress_cap(project, building_type)
@@ -366,6 +370,22 @@ def building_requirement_table(
         start = building.start
     months = range(1, project.horizon_months + 1)
     return _floor_output(project, building, start, months) @ (
+        _combined_section_matrix(project, building)
+    )
+
+
+def building_requirement_tables(
+    project: Project, building: Building, starts: Sequence[float]
+) -> np.ndarray:
+    """One building's (horizon x 8) tables at several starts, stacked.
+
+    One kernel call serves every start, and each (horizon x 8) @ (8 x 8)
+    product keeps the single-start shape, so slice i equals
+    building_requirement_table(project, building, starts[i]) bit for bit.
+    """
+    months = range(1, project.horizon_months + 1)
+    stacked = np.asarray(starts, dtype=float).reshape(-1, 1, 1)
+    return _floor_output(project, building, stacked, months) @ (
         _combined_section_matrix(project, building)
     )
 

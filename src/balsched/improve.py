@@ -12,8 +12,10 @@ falling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from bisect import bisect_left, bisect_right, insort
+from dataclasses import dataclass, replace
+from math import inf
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from .homebuilding import (
     Project,
     TeamSchedule,
     building_requirement_table,
+    building_requirement_tables,
     team_schedule_violations,
 )
 
@@ -266,6 +269,21 @@ class CascadeCache:
             )
         return self._tables[key]
 
+    def warm(self, building_id: str, starts: Sequence[float]) -> None:
+        """Compute the missing tables of one building at several starts in
+        one stacked kernel call; they equal building_table's bit for bit."""
+        missing: dict[tuple[str, float], float] = {}
+        for start in starts:
+            key = (building_id, round(start, 9))
+            if key not in self._tables:
+                missing.setdefault(key, start)
+        if missing:
+            building = self.project.buildings[building_id]
+            tables = building_requirement_tables(
+                self.project, building, list(missing.values())
+            )
+            self._tables.update(zip(missing, tables))
+
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
         total = np.zeros((self.project.horizon_months, len(DETAIL_TYPES)))
         for _team, building_id, start in schedule.placements():
@@ -302,75 +320,150 @@ def violated_months(
 
 # --- moves: feasibility, scoring, application -------------------------------
 
-def _placement_of(schedule: TeamSchedule, building_id: str):
-    for team, bid, start in schedule.placements():
-        if bid == building_id:
-            return team, start
-    raise ValueError(
-        f"variant not applicable: building {building_id} is not placed"
-    )
+def _refuse_invalid(schedule: TeamSchedule, buildings: Mapping[str, Building]) -> None:
+    """Raise ValueError naming the violations of an invalid schedule."""
+    violations = team_schedule_violations(schedule, buildings)
+    if violations:
+        raise ValueError("invalid team schedule: " + "; ".join(violations))
 
 
-def _variant_moves(
-    schedule: TeamSchedule, variant: CorrectionVariant, target: str | None
-) -> list[tuple[str, str, float, str, float]]:
-    """(building, old team, old start, new team, new start) for a variant."""
-    if variant.kind == "none":
-        return []
-    if variant.kind in ("shift_right", "shift_left"):
-        if target is None:
-            raise ValueError("shift variant needs a target building")
-        team, start = _placement_of(schedule, target)
-        delta = variant.days / DAYS_PER_MONTH
-        new_start = start + delta if variant.kind == "shift_right" else start - delta
-        return [(target, team, start, team, new_start)]
-    b1, b2 = variant.buildings
-    if b1 == b2:
-        raise ValueError(f"degenerate exchange: {b1} with itself")
-    team1, start1 = _placement_of(schedule, b1)
-    team2, start2 = _placement_of(schedule, b2)
-    return [(b1, team1, start1, team2, start2), (b2, team2, start2, team1, start1)]
+#: A move: (building, old team, old start, new team, new start).
+Move = tuple[str, str, float, str, float]
 
 
-def _moved_schedule(
-    schedule: TeamSchedule,
-    moves: Sequence[tuple[str, str, float, str, float]],
-) -> TeamSchedule:
-    assignments = {
-        team: list(schedule.assignments.get(team, ()))
-        for team in schedule.teams
-    }
-    for building_id, old_team, old_start, new_team, new_start in moves:
-        assignments[old_team] = [
-            (bid, s) for bid, s in assignments[old_team] if bid != building_id
-        ]
-        assignments[new_team].append((building_id, new_start))
-    for team in assignments:
-        assignments[team].sort(key=lambda p: (p[1], p[0]))
-    return TeamSchedule(
-        teams=schedule.teams,
-        assignments={t: tuple(p) for t, p in assignments.items()},
-    )
+def _lane_fits(lane: list, removed: Sequence[tuple], added: Sequence[tuple]) -> bool:
+    """Whether a sorted lane of (start, end, id) spans, less ``removed`` and
+    plus ``added``, keeps every pair of neighbours apart within the 1e-9
+    tolerance of team_schedule_violations.
 
-
-def _variant_feasible(
-    project: Project,
-    schedule: TeamSchedule,
-    variant: CorrectionVariant,
-    target: str | None,
-) -> bool:
-    try:
-        moves = _variant_moves(schedule, variant, target)
-    except ValueError:
-        return False
-    for _bid, _ot, _os, _nt, new_start in moves:
-        building = project.buildings[_bid]
-        if new_start < 0:
+    The lane itself must already pass. Then only neighbours between the
+    first and the last change, plus one unchanged span on each side, can
+    break, so only that stretch is rebuilt and checked.
+    """
+    changed = (*removed, *added)
+    lo = max(0, min(bisect_left(lane, span) for span in changed) - 1)
+    hi = max(bisect_right(lane, span) for span in changed) + 1
+    stretch = [span for span in lane[lo:hi] if span not in removed]
+    stretch.extend(added)
+    stretch.sort()
+    end = -inf
+    for start, next_end, _building_id in stretch:
+        if start < end - 1e-9:
             return False
-        if new_start + building.assembly_duration > project.horizon_months:
-            return False
-    candidate = _moved_schedule(schedule, moves)
-    return not team_schedule_violations(candidate, project.buildings)
+        end = next_end
+    return True
+
+
+class _Lanes:
+    """A valid schedule indexed for moves: each team's lane of sorted
+    (start, end, id) spans, and each building's (team, start)."""
+
+    def __init__(self, buildings: Mapping[str, Building], schedule: TeamSchedule):
+        self.buildings = buildings
+        self.teams = schedule.teams
+        self.placement: dict[str, tuple[str, float]] = {}
+        self.lanes: dict[str, list] = {team: [] for team in schedule.teams}
+        for team, building_id, start in schedule.placements():
+            self.placement[building_id] = (team, start)
+            self.lanes[team].append(self._span(building_id, start))
+        for lane in self.lanes.values():
+            lane.sort()
+
+    def _span(self, building_id: str, start: float) -> tuple[float, float, str]:
+        return start, start + self.buildings[building_id].assembly_duration, building_id
+
+    def _placed(self, building_id: str) -> tuple[str, float]:
+        if building_id not in self.placement:
+            raise ValueError(
+                f"variant not applicable: building {building_id} is not placed"
+            )
+        return self.placement[building_id]
+
+    def moves(self, variant: CorrectionVariant, target: str | None) -> list[Move]:
+        """The buildings a variant moves, with their old and new placements.
+
+        Raises:
+            ValueError: for a shift without a target, a degenerate exchange,
+                or a building that is not placed.
+        """
+        if variant.kind == "none":
+            return []
+        if variant.kind in ("shift_right", "shift_left"):
+            if target is None:
+                raise ValueError("shift variant needs a target building")
+            team, start = self._placed(target)
+            delta = variant.days / DAYS_PER_MONTH
+            new_start = start + delta if variant.kind == "shift_right" else start - delta
+            return [(target, team, start, team, new_start)]
+        b1, b2 = variant.buildings
+        if b1 == b2:
+            raise ValueError(f"degenerate exchange: {b1} with itself")
+        team1, start1 = self._placed(b1)
+        team2, start2 = self._placed(b2)
+        return [(b1, team1, start1, team2, start2), (b2, team2, start2, team1, start1)]
+
+    def fits(self, moves: Sequence[Move], horizon: int) -> bool:
+        """Whether the moved schedule keeps every moved building inside
+        [0, horizon] and passes team_schedule_violations."""
+        removed: dict[str, list] = {}
+        added: dict[str, list] = {}
+        for building_id, old_team, old_start, new_team, new_start in moves:
+            if new_start < 0:
+                return False
+            if new_start + self.buildings[building_id].assembly_duration > horizon:
+                return False
+            removed.setdefault(old_team, []).append(self._span(building_id, old_start))
+            added.setdefault(new_team, []).append(self._span(building_id, new_start))
+        return all(
+            _lane_fits(self.lanes[team], removed.get(team, ()), added.get(team, ()))
+            for team in removed.keys() | added.keys()
+        )
+
+    def apply(self, moves: Sequence[Move]) -> None:
+        for building_id, old_team, old_start, new_team, new_start in moves:
+            self.lanes[old_team].remove(self._span(building_id, old_start))
+            insort(self.lanes[new_team], self._span(building_id, new_start))
+            self.placement[building_id] = (new_team, new_start)
+
+    def schedule(self) -> TeamSchedule:
+        """The indexed placements as a schedule, each lane in (start, id) order."""
+        return TeamSchedule(
+            teams=self.teams,
+            assignments={
+                team: tuple(sorted(
+                    ((building_id, start) for start, _end, building_id in lane),
+                    key=lambda p: (p[1], p[0]),
+                ))
+                for team, lane in self.lanes.items()
+            },
+        )
+
+
+def _scorer(
+    cache: CascadeCache,
+    base: np.ndarray,
+    cap: np.ndarray,
+    config: ScoreConfig,
+) -> Callable[[CorrectionVariant, Sequence[Move]], tuple[float, float]]:
+    """(profit, cost) of moves against one base table.
+
+    Tables are linear in placements, so a move's table is the base less
+    the moved buildings' old tables plus their new ones; the profit is
+    V(base) minus V of that table over every month.
+    """
+    base_v = violation_measure(base, cap, config)
+
+    def score(variant: CorrectionVariant, moves: Sequence[Move]) -> tuple[float, float]:
+        candidate = base.copy()
+        for building_id, _old_team, old_start, _new_team, new_start in moves:
+            candidate -= cache.building_table(building_id, old_start)
+            candidate += cache.building_table(building_id, new_start)
+        profit = base_v - violation_measure(candidate, cap, config)
+        if variant.kind == "exchange":
+            return profit, config.exchange_cost
+        return profit, config.day_cost * variant.days
+
+    return score
 
 
 def score_variant(
@@ -394,20 +487,9 @@ def score_variant(
         return 0.0, 0.0
     cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
     cache = cache or CascadeCache(project)
-    moves = _variant_moves(schedule, variant, target)
-    base = cache.schedule_table(schedule)
-    candidate = base.copy()
-    for building_id, _ot, old_start, _nt, new_start in moves:
-        candidate -= cache.building_table(building_id, old_start)
-        candidate += cache.building_table(building_id, new_start)
-    profit = violation_measure(base, cap, config) - violation_measure(
-        candidate, cap, config
-    )
-    if variant.kind == "exchange":
-        cost = config.exchange_cost
-    else:
-        cost = config.day_cost * variant.days
-    return profit, cost
+    moves = _Lanes(project.buildings, schedule).moves(variant, target)
+    score = _scorer(cache, cache.schedule_table(schedule), cap, config)
+    return score(variant, moves)
 
 
 def generate_correction_groups(
@@ -416,20 +498,35 @@ def generate_correction_groups(
     capacity: Mapping[str, float] | np.ndarray,
     config: ScoreConfig = DEFAULT_SCORE_CONFIG,
     cache: CascadeCache | None = None,
+    *,
+    table: np.ndarray | None = None,
 ) -> list[CorrectionGroup]:
     """Build one scored correction group per building active in a violated
     month: none + feasible shifts (both directions) + feasible exchanges.
 
+    ``table`` is the schedule's requirement table when the caller already
+    holds it (``cache.schedule_table(schedule)``). Every move is checked on
+    a lane index of the schedule and scored against that one table; the
+    shift tables of each target come from one stacked kernel call.
+
     Returns an empty list when no month exceeds capacity.
+
+    Raises:
+        ValueError: naming the violations, when the schedule is invalid.
     """
+    _refuse_invalid(schedule, project.buildings)
     cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
     cache = cache or CascadeCache(project)
-    table = cache.schedule_table(schedule)
+    if table is None:
+        table = cache.schedule_table(schedule)
     months = violated_months(table, cap)
     if not months:
         return []
 
-    placements = {bid: (team, start) for team, bid, start in schedule.placements()}
+    lanes = _Lanes(project.buildings, schedule)
+    placements = lanes.placement
+    score = _scorer(cache, table, cap, config)
+    horizon = project.horizon_months
 
     def overlaps_violated(building_id: str) -> bool:
         building = project.buildings[building_id]
@@ -442,20 +539,18 @@ def generate_correction_groups(
 
     groups: list[CorrectionGroup] = []
     for index, target in enumerate(targets, start=1):
-        variants: list[CorrectionVariant] = [NONE_VARIANT]
+        shifts = []
         for kind in ("shift_right", "shift_left"):
             for days in config.shift_steps:
                 raw = CorrectionVariant(kind=kind, days=days)
-                if not _variant_feasible(project, schedule, raw, target):
-                    continue
-                profit, cost = score_variant(
-                    project, schedule, raw, cap, config, target, cache
-                )
-                variants.append(
-                    CorrectionVariant(
-                        kind=kind, days=days, profit=profit, cost=cost
-                    )
-                )
+                moves = lanes.moves(raw, target)
+                if lanes.fits(moves, horizon):
+                    shifts.append((raw, moves))
+        cache.warm(target, [new_start for _raw, [(*_, new_start)] in shifts])
+        variants: list[CorrectionVariant] = [NONE_VARIANT]
+        for raw, moves in shifts:
+            profit, cost = score(raw, moves)
+            variants.append(replace(raw, profit=profit, cost=cost))
         for partner in all_placed:
             if partner == target:
                 continue
@@ -467,19 +562,11 @@ def generate_correction_groups(
             raw = CorrectionVariant(
                 kind="exchange", buildings=(target, partner)
             )
-            if not _variant_feasible(project, schedule, raw, target):
+            moves = lanes.moves(raw, target)
+            if not lanes.fits(moves, horizon):
                 continue
-            profit, cost = score_variant(
-                project, schedule, raw, cap, config, target, cache
-            )
-            variants.append(
-                CorrectionVariant(
-                    kind="exchange",
-                    buildings=(target, partner),
-                    profit=profit,
-                    cost=cost,
-                )
-            )
+            profit, cost = score(raw, moves)
+            variants.append(replace(raw, profit=profit, cost=cost))
         groups.append(
             CorrectionGroup(
                 index=index, targets=(target,), variants=tuple(variants)
@@ -501,21 +588,25 @@ def apply_selection(
     are untouched.
 
     Raises:
-        ValueError: on a degenerate exchange, or when the result breaks
-            team-schedule rules (message names the offending team).
+        ValueError: on an invalid input schedule, a degenerate exchange, or
+            when the result breaks team-schedule rules (message names the
+            offending team).
     """
-    current = schedule
+    _refuse_invalid(schedule, buildings)
+    lanes = _Lanes(buildings, schedule)
+    moved = False
     for group, j in zip(problem.groups, selection.chosen):
         variant = group.variants[j]
         if variant.kind == "none":
             continue
         target = group.targets[0] if group.targets else None
-        moves = _variant_moves(current, variant, target)
-        current = _moved_schedule(current, moves)
-    violations = team_schedule_violations(current, buildings)
-    if violations:
-        raise ValueError("; ".join(violations))
-    return current
+        lanes.apply(lanes.moves(variant, target))
+        moved = True
+    if not moved:
+        return schedule
+    result = lanes.schedule()
+    _refuse_invalid(result, buildings)
+    return result
 
 
 # --- the repair loop --------------------------------------------------------
@@ -537,7 +628,7 @@ def _compose_selection(
     priority, which keeps the outcome deterministic.
     """
     chosen = list(selection.chosen)
-    current = schedule
+    lanes = _Lanes(project.buildings, schedule)
     moved: set[str] = set()
     for pos, (group, j) in enumerate(zip(problem.groups, selection.chosen)):
         variant = group.variants[j]
@@ -549,17 +640,20 @@ def _compose_selection(
             if variant.kind == "exchange"
             else {target}
         )
-        if touched & moved or not _variant_feasible(project, current, variant, target):
+        try:
+            moves = lanes.moves(variant, target)
+        except ValueError:
+            moves = None
+        if (
+            touched & moved
+            or moves is None
+            or not lanes.fits(moves, project.horizon_months)
+        ):
             chosen[pos] = 0
             continue
-        current = _moved_schedule(current, _variant_moves(current, variant, target))
+        lanes.apply(moves)
         moved |= touched
-    profit = sum(g.variants[j].profit for g, j in zip(problem.groups, chosen))
-    cost = sum(g.variants[j].cost for g, j in zip(problem.groups, chosen))
-    return (
-        Selection(chosen=tuple(chosen), total_profit=profit, total_cost=cost),
-        current,
-    )
+    return _selection(problem, chosen), lanes.schedule() if moved else schedule
 
 
 @dataclass(frozen=True)
@@ -614,7 +708,11 @@ def improvement_loop(
     monotone non-increasing. An already balanced schedule records zero
     iterations; a zero budget stops after one recorded iteration with the
     schedule unchanged.
+
+    Raises:
+        ValueError: naming the violations, when the schedule is invalid.
     """
+    _refuse_invalid(schedule, project.buildings)
     cap = capacity_vector(dict(capacity))
     cache = CascadeCache(project)
     current = schedule
@@ -627,7 +725,9 @@ def improvement_loop(
         if v <= 1e-12:
             stop_reason = "balanced"
             break
-        groups = generate_correction_groups(project, current, cap, config, cache)
+        groups = generate_correction_groups(
+            project, current, cap, config, cache, table=table
+        )
         if not groups:
             stop_reason = "no correction candidates"
             break

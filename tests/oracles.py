@@ -147,6 +147,39 @@ def unit_overlap_progress(floor_counts, duration, start, month, rate_basis):
             out[layout[unit]] += overlap
     return out
 
+
+# --- team-schedule feasibility by rebuilding every lane -----------------------
+#
+# The library checks a move on a lane index, looking only at the neighbours
+# a move can disturb. This route applies the move to plain lists, rebuilds
+# and sorts every lane, and checks every neighbouring pair.
+
+def rebuild_feasible(assignments, durations, horizon, moves):
+    """Whether moving buildings keeps the team schedule valid.
+
+    ``assignments`` maps a team to its (building id, start) pairs,
+    ``durations`` a building id to its assembly duration, and ``moves`` is
+    a list of (building id, new team, new start). A move is feasible when
+    every moved building starts at 0 or later and ends by ``horizon``, and
+    no lane holds two spans [start, start + duration) where the later
+    start lies more than 1e-9 before the earlier span's end.
+    """
+    lanes = {team: list(pairs) for team, pairs in assignments.items()}
+    for building_id, new_team, new_start in moves:
+        if new_start < 0 or new_start + durations[building_id] > horizon:
+            return False
+        for team in lanes:
+            lanes[team] = [(b, s) for b, s in lanes[team] if b != building_id]
+    for building_id, new_team, new_start in moves:
+        lanes[new_team].append((building_id, new_start))
+    for pairs in lanes.values():
+        spans = sorted((s, s + durations[b], b) for b, s in pairs)
+        for (_s1, e1, _b1), (s2, _e2, _b2) in zip(spans, spans[1:]):
+            if s2 < e1 - 1e-9:
+                return False
+    return True
+
+
 if __name__ == "__main__":
     # Freeze-run: print the oracle values the tests assert as literals.
     e0 = (2, 3, 2, 1, 1, 0)

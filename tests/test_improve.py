@@ -1,16 +1,22 @@
 """Correction variants, knapsack selectors, and the repair loop."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import balsched.homebuilding
+import balsched.improve
 from balsched.fixtures import build_fixture
-from balsched.homebuilding import TeamSchedule, horizon_requirement_table
+from balsched.homebuilding import Building, TeamSchedule, horizon_requirement_table
 from balsched.improve import (
     DEFAULT_SCORE_CONFIG,
     NONE_VARIANT,
     BudgetedMCKP,
+    CascadeCache,
     CorrectionGroup,
     CorrectionVariant,
     ImproveParams,
@@ -28,7 +34,7 @@ from balsched.improve import (
     violation_measure,
 )
 
-from oracles import mckp_enumerate
+from oracles import mckp_enumerate, rebuild_feasible
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +316,145 @@ def test_generated_shifts_respect_horizon(kope):
     a9 = next(g for g in groups if g.targets == ("a9",))
     right_steps = {v.days for v in a9.variants if v.kind == "shift_right"}
     assert right_steps == {3}
+
+
+def _small_synthetic(kope):
+    """The nine kope buildings back to back on three teams over 30 months,
+    with d1 capacity at 0.8 of the resulting peak."""
+    lanes = {
+        "T1": ("a1", "a4", "a7"), "T2": ("a2", "a5", "a9"), "T3": ("a3", "a6", "a8")
+    }
+    project = dataclasses.replace(kope.project, horizon_months=30)
+    assignments = {}
+    for offset, (team, ids) in enumerate(lanes.items()):
+        at, pairs = 0.1 * offset, []
+        for building_id in ids:
+            pairs.append((building_id, at))
+            at += project.buildings[building_id].assembly_duration + 0.2
+        assignments[team] = tuple(pairs)
+    schedule = TeamSchedule(teams=tuple(lanes), assignments=assignments)
+    _month, peak = horizon_requirement_table(project, schedule).peak("d1")
+    return project, schedule, {"d1": 0.8 * peak}
+
+
+def test_generated_profits_equal_single_move_scores(kope):
+    cases = [(kope.project, kope.team_schedule, kope.capacity), _small_synthetic(kope)]
+    for project, schedule, capacity in cases:
+        groups = generate_correction_groups(project, schedule, capacity)
+        assert sum(len(g.variants) - 1 for g in groups) > 20
+        for g in groups:
+            for v in g.variants[1:]:
+                raw = CorrectionVariant(kind=v.kind, days=v.days, buildings=v.buildings)
+                profit, cost = score_variant(
+                    project, schedule, raw, capacity, target=g.targets[0]
+                )
+                assert abs(profit - v.profit) <= 1e-9
+                assert cost == v.cost
+
+
+def test_stacked_shift_tables_equal_single_lookups(kope):
+    cache, fresh = CascadeCache(kope.project), CascadeCache(kope.project)
+    starts = [9.7 + d / 30 for d in (-21, -14, -7, -3, 3, 7, 14, 21)]
+    cache.warm("a8", starts)
+    for start in starts:
+        assert np.array_equal(
+            cache.building_table("a8", start), fresh.building_table("a8", start)
+        )
+
+
+def test_invalid_schedule_is_refused_with_its_violations(kope):
+    assignments = dict(kope.team_schedule.assignments)
+    assignments["P2"] = (("a4", 7.0), ("a7", 11.0))  # a4 runs to 11.8
+    broken = TeamSchedule(teams=kope.team_schedule.teams, assignments=assignments)
+    with pytest.raises(ValueError, match="placements a4 and a7 overlap"):
+        generate_correction_groups(kope.project, broken, kope.capacity)
+    with pytest.raises(ValueError, match="placements a4 and a7 overlap"):
+        improvement_loop(kope.project, broken, kope.capacity, kope.improve_params)
+
+
+def test_loop_builds_each_schedule_table_once(kope, monkeypatch):
+    calls = {"tables": 0, "checks": 0}
+    schedule_table = CascadeCache.schedule_table
+    checks = balsched.improve.team_schedule_violations
+
+    def counted_table(self, schedule):
+        calls["tables"] += 1
+        return schedule_table(self, schedule)
+
+    def counted_checks(schedule, buildings):
+        calls["checks"] += 1
+        return checks(schedule, buildings)
+
+    monkeypatch.setattr(CascadeCache, "schedule_table", counted_table)
+    for module in (balsched.homebuilding, balsched.improve):
+        monkeypatch.setattr(module, "team_schedule_violations", counted_checks)
+    result = improvement_loop(
+        kope.project, kope.team_schedule, kope.capacity, kope.improve_params
+    )
+    iterations = len(result.trace)
+    assert iterations == 2
+    assert calls["tables"] <= iterations + 1
+    assert calls["checks"] <= 2 * iterations
+
+
+# Start offsets that put a moved span exactly against, or 1e-9 either side
+# of, a neighbour or the horizon.
+EDGES = (-1e-9, 0.0, 1e-9)
+
+
+@st.composite
+def schedules_and_moves(draw):
+    horizon = 12
+    gap = st.sampled_from((0.0, 1e-9, -1e-9, 0.3)) | st.floats(0.0, 2.0)
+    duration = st.sampled_from((0.5, 1.0, 2.5)) | st.floats(0.1, 5.0)
+    durations, assignments = {}, {}
+    for team in ("T1", "T2", "T3")[: draw(st.integers(1, 3))]:
+        at, pairs = draw(st.sampled_from((0.0, 0.4))), []
+        for _ in range(draw(st.integers(1, 4))):
+            start = max(0.0, at + draw(gap))
+            building_id = f"b{len(durations)}"
+            durations[building_id] = draw(duration)
+            pairs.append((building_id, start))
+            at = start + durations[building_id]
+        assignments[team] = pairs
+    assume(rebuild_feasible(assignments, durations, horizon, []))
+    placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
+    ids = sorted(placement)
+    first = draw(st.sampled_from(ids))
+    team, start = placement[first]
+    if len(ids) > 1 and draw(st.booleans()):
+        second = draw(st.sampled_from([b for b in ids if b != first]))
+        other, other_start = placement[second]
+        moves = [(first, team, start, other, other_start),
+                 (second, other, other_start, team, start)]
+    else:
+        d = durations[first]
+        spots = [horizon - d, 0.0, start + draw(st.integers(-21, 21)) / 30]
+        for b, s in assignments[team]:
+            spots += [s - d, s + durations[b] / 2, s + durations[b]]
+        new_start = draw(st.sampled_from(spots)) + draw(st.sampled_from(EDGES))
+        moves = [(first, team, start, team, new_start)]
+    return horizon, durations, assignments, moves
+
+
+@given(schedules_and_moves())
+@settings(max_examples=200, deadline=None)
+def test_lane_check_agrees_with_rebuilding_every_lane(case):
+    horizon, durations, assignments, moves = case
+    buildings = {
+        b: Building(id=b, building_type="t", section_counts={"s": 1},
+                    assembly_duration=d, start=0.0)
+        for b, d in durations.items()
+    }
+    schedule = TeamSchedule(
+        teams=tuple(assignments),
+        assignments={t: tuple(pairs) for t, pairs in assignments.items()},
+    )
+    lanes = balsched.improve._Lanes(buildings, schedule)
+    expected = rebuild_feasible(
+        assignments, durations, horizon, [(b, nt, ns) for b, _ot, _os, nt, ns in moves]
+    )
+    assert lanes.fits(moves, horizon) == expected
 
 
 # --- applying selections ----------------------------------------------------------

@@ -444,6 +444,31 @@ def test_cli_improve_matches_readme_transcript(runner, tmp_path, emitted):
     assert got[-1] == f"wrote {out}"
     assert got[:-1] == expected[:-1]
 
+@pytest.mark.parametrize(
+    "key, item, value, line",
+    [
+        ("capacity", "d9", 5, "/homebuilding/capacity/d9: unknown detail type"),
+        ("capacity", "d1", "abc", "/homebuilding/capacity/d1: expected a finite number"),
+        ("capacity", "d1", float("nan"), "/homebuilding/capacity/d1: expected a finite number"),
+        ("a1", "assembly_duration", float("nan"),
+         "/homebuilding/buildings/a1/assembly_duration: expected a finite number"),
+        ("a2", "start", float("inf"), "/homebuilding/buildings/a2/start: expected a finite number"),
+    ],
+)
+def test_cli_improve_rejects_bad_numbers_with_one_error_line(
+    runner, tmp_path, emitted, key, item, value, line
+):
+    data = json.loads(emitted["kope-1982"].read_text())
+    block = data["homebuilding"]
+    owner = block["capacity"] if key == "capacity" else block["buildings"][key]
+    owner[item] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["improve", str(bad)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: {line}"]
+
+
 def test_cli_improve_rejects_modular_instance(runner, emitted):
     result = runner.invoke(main, ["improve", str(emitted["modular-demo"])])
     assert result.exit_code == 1
