@@ -8,6 +8,7 @@ errors. All output is deterministic for a given input.
 from __future__ import annotations
 
 import sys
+from typing import NoReturn
 
 import click
 
@@ -48,6 +49,11 @@ def _echo(message: str = "", err: bool = False, nl: bool = True) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout, nl=nl)
 
 
+def _fail(message: str, code: int = 1) -> NoReturn:
+    _echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
 def _load(path) -> InstanceFile:
     """Load an instance file, translating failures into exit codes."""
     try:
@@ -57,8 +63,7 @@ def _load(path) -> InstanceFile:
             _echo(f"error: {issue}", err=True)
         sys.exit(1)
     except OSError as exc:
-        _echo(f"error: cannot read {path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _fail(f"cannot read {path}: {exc.strerror}", 2)
 
 
 def _instance_violations(instance: InstanceFile) -> list[str]:
@@ -113,7 +118,10 @@ def evaluate(file):
         )
         _echo(f"makespan: {makespan(validated, instance.schedule)}")
         if instance.window_jobs:
-            result = schedule_windows(instance.window_jobs)
+            try:
+                result = schedule_windows(instance.window_jobs)
+            except ValueError as exc:
+                _fail(str(exc))
             weights = instance.penalty_weights
             _echo(
                 "window jobs: "
@@ -159,19 +167,19 @@ def balance(file):
     _validated(instance)
     if instance.mode == "modular":
         if instance.reference_profile is None or instance.proximity_threshold is None:
-            _echo(
-                "error: instance has no reference profile / threshold", err=True
-            )
-            sys.exit(1)
+            _fail("instance has no reference profile / threshold")
         validated = validate_instance(
             instance.universe, instance.jobs, instance.processors, instance.grid
         )
-        verdict = balance_mod.balance_verdict(
-            validated,
-            instance.schedule,
-            instance.reference_profile,
-            instance.proximity_threshold,
-        )
+        try:
+            verdict = balance_mod.balance_verdict(
+                validated,
+                instance.schedule,
+                instance.reference_profile,
+                instance.proximity_threshold,
+            )
+        except ValueError as exc:
+            _fail(str(exc))
         _echo(
             "interval deltas: " + " ".join(str(d) for d in verdict.deltas)
         )
@@ -187,8 +195,7 @@ def balance(file):
             _echo("balance: violated")
     else:
         if not instance.capacity:
-            _echo("error: instance has no capacity profile", err=True)
-            sys.exit(1)
+            _fail("instance has no capacity profile")
         table = horizon_requirement_table(instance.project, instance.team_schedule)
         cap = capacity_vector(dict(instance.capacity))
         months = violated_months(table.to_array(), cap, table.months)
@@ -207,8 +214,10 @@ def balance(file):
 
 @main.command()
 @click.argument("file", type=click.Path())
-@click.option("--budget", type=float, default=None, help="Cost budget per iteration.")
-@click.option("--max-iters", type=int, default=None, help="Iteration cap.")
+@click.option("--budget", type=click.FloatRange(min=0), default=None,
+              help="Cost budget per iteration.")
+@click.option("--max-iters", type=click.IntRange(min=0), default=None,
+              help="Iteration cap.")
 @click.option("--out", type=click.Path(), default=None,
               help="Write the improved instance to this file.")
 def improve(file, budget, max_iters, out):
@@ -216,11 +225,9 @@ def improve(file, budget, max_iters, out):
     instance = _load(file)
     _validated(instance)
     if instance.mode != "homebuilding":
-        _echo("error: improve needs a homebuilding instance", err=True)
-        sys.exit(1)
+        _fail("improve needs a homebuilding instance")
     if not instance.capacity:
-        _echo("error: instance has no capacity profile", err=True)
-        sys.exit(1)
+        _fail("instance has no capacity profile")
     params = instance.improve_params or ImproveParams()
     params = ImproveParams(
         budget=params.budget if budget is None else budget,
@@ -261,8 +268,7 @@ def improve(file, budget, max_iters, out):
         try:
             save_instance(updated, out)
         except OSError as exc:
-            _echo(f"error: cannot write {out}: {exc.strerror}", err=True)
-            sys.exit(2)
+            _fail(f"cannot write {out}: {exc.strerror}", 2)
         _echo(f"wrote {out}")
 
 
@@ -278,17 +284,14 @@ def report(file, detail, capacity, csv_path):
     instance = _load(file)
     _validated(instance)
     if instance.mode != "homebuilding":
-        _echo("error: report needs a homebuilding instance", err=True)
-        sys.exit(1)
+        _fail("report needs a homebuilding instance")
     table = horizon_requirement_table(instance.project, instance.team_schedule)
     try:
         export_balance_curve(table, capacity, detail, csv_path)
     except ValueError as exc:
-        _echo(f"error: {exc}", err=True)
-        sys.exit(1)
+        _fail(str(exc))
     except OSError as exc:
-        _echo(f"error: cannot write {csv_path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _fail(f"cannot write {csv_path}: {exc.strerror}", 2)
     month, value = table.peak(detail)
     _echo(f"peak {detail}: {value:.2f} (month {month})")
     _echo(f"wrote {csv_path}")
@@ -320,8 +323,7 @@ def fixtures_emit(name, out):
     try:
         save_instance(instance, path)
     except OSError as exc:
-        _echo(f"error: cannot write {path}: {exc.strerror}", err=True)
-        sys.exit(2)
+        _fail(f"cannot write {path}: {exc.strerror}", 2)
     _echo(f"wrote {path}")
 
 

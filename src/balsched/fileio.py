@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -79,300 +80,306 @@ class InstanceFile:
 
 
 # --- reading -----------------------------------------------------------------
+#
+# A reader takes one JSON value and returns it checked, or the domain object
+# built from it, and raises _Bad on the first problem. The JSON-pointer path
+# is collected only while a _Bad unwinds, so a valid file builds no paths.
+# _field and _each turn failures into issues: a bad field or entry is
+# reported and skipped, and reading goes on, so one run lists every problem.
 
-def _require(data: Mapping, key: str, path: str, issues: list[str]):
-    if key not in data:
-        issues.append(f"{path}/{key}: missing")
-        return None
-    return data[key]
+class _Bad(Exception):
+    """A value its reader refuses; ``keys`` is its path, innermost first."""
 
+    def __init__(self, problem: str, *keys):
+        super().__init__(problem)
+        self.keys = list(keys)
 
-def _number(value, path: str, issues: list[str]) -> float:
-    if (
-        not isinstance(value, (int, float))
-        or isinstance(value, bool)
-        or not math.isfinite(value)
-    ):
-        issues.append(f"{path}: expected a finite number")
-        return 0.0
-    return value
-
-
-def _load_universe(data, issues) -> ElementUniverse | None:
-    if not isinstance(data, dict):
-        issues.append("/modular/universe: expected an object")
-        return None
-    types = data.get("types")
-    if not isinstance(types, list) or not all(isinstance(t, str) for t in types):
-        issues.append("/modular/universe/types: expected a list of strings")
-        return None
-    idle_index = data.get("idle_index")
-    if not isinstance(idle_index, int):
-        issues.append("/modular/universe/idle_index: expected an integer")
-        return None
-    return ElementUniverse(types=tuple(types), idle_index=idle_index)
+    def at(self, path: str) -> str:
+        return path + "".join(f"/{k}" for k in reversed(self.keys)) + f": {self}"
 
 
-def _load_slot_schedule(data, issues) -> SlotSchedule | None:
-    if not isinstance(data, dict):
-        issues.append("/modular/schedule: expected an object")
-        return None
-    horizon = data.get("horizon_slots")
-    if not isinstance(horizon, int):
-        issues.append("/modular/schedule/horizon_slots: expected an integer")
-        return None
-    placements_raw = data.get("placements", {})
-    if not isinstance(placements_raw, dict):
-        issues.append("/modular/schedule/placements: expected an object")
-        return None
-    placements = {}
-    for proc, entries in placements_raw.items():
-        pairs = []
-        for i, entry in enumerate(entries):
-            if (
-                not isinstance(entry, list)
-                or len(entry) != 2
-                or not isinstance(entry[0], str)
-                or not isinstance(entry[1], int)
-            ):
-                issues.append(
-                    f"/modular/schedule/placements/{proc}/{i}: "
-                    "expected [job id, start slot]"
-                )
-                continue
-            pairs.append((entry[0], entry[1]))
-        placements[proc] = tuple(pairs)
-    processors = data.get("processors")
-    if not isinstance(processors, list):
-        issues.append("/modular/schedule/processors: expected a list")
-        return None
-    return SlotSchedule(
-        processors=tuple(processors),
-        placements=placements,
-        horizon_slots=horizon,
-    )
+def _plain(kind: type, what: str):
+    """A reader of values of exactly one JSON type."""
+    def read(v):
+        if type(v) is kind:  # exact: a bool is not an int
+            return v
+        raise _Bad(f"expected {what}")
+    return read
 
 
-def _load_modular(block, issues, out: dict):
-    if not isinstance(block, dict):
-        issues.append("/modular: expected an object")
-        return
-    universe = _require(block, "universe", "/modular", issues)
-    if universe is not None:
-        out["universe"] = _load_universe(universe, issues)
-    jobs_raw = _require(block, "jobs", "/modular", issues)
-    if jobs_raw is not None:
-        jobs = []
-        for i, job in enumerate(jobs_raw):
-            if not isinstance(job, dict) or "id" not in job or "chain" not in job:
-                issues.append(f"/modular/jobs/{i}: expected id and chain")
-                continue
-            jobs.append(CompositeJob(id=job["id"], chain=tuple(job["chain"])))
-        out["jobs"] = tuple(jobs)
-    processors = _require(block, "processors", "/modular", issues)
-    if processors is not None:
-        out["processors"] = tuple(processors)
-    grid_raw = _require(block, "grid", "/modular", issues)
-    if isinstance(grid_raw, dict):
-        try:
-            out["grid"] = TimeGrid(
-                interval_len_slots=int(grid_raw["interval_len_slots"]),
-                k=int(grid_raw["k"]),
-            )
-        except (KeyError, TypeError, ValueError):
-            issues.append("/modular/grid: expected interval_len_slots and k")
-    elif grid_raw is not None:
-        issues.append("/modular/grid: expected an object")
-    schedule_raw = _require(block, "schedule", "/modular", issues)
-    if schedule_raw is not None:
-        out["schedule"] = _load_slot_schedule(schedule_raw, issues)
-    if block.get("reference_profile") is not None:
-        out["reference_profile"] = tuple(block["reference_profile"])
-    if block.get("proximity_threshold") is not None:
-        out["proximity_threshold"] = _number(
-            block["proximity_threshold"], "/modular/proximity_threshold", issues
-        )
+_obj = _plain(dict, "an object")
+_list = _plain(list, "a list")
+_str = _plain(str, "a string")
+_int = _plain(int, "an integer")
+_MAX = sys.float_info.max
+_REQUIRED = object()
 
 
-def _load_section_types(data, issues) -> dict[str, SectionType]:
-    sections = {}
-    for sid, rows in data.items():
-        path = f"/homebuilding/section_types/{sid}"
-        if not isinstance(rows, dict):
-            issues.append(f"{path}: expected floor rows")
-            continue
-        matrix = []
-        ok = True
-        for floor in FLOOR_TYPES:
-            row = rows.get(floor)
-            if not isinstance(row, list) or len(row) != len(DETAIL_TYPES):
-                issues.append(
-                    f"{path}/{floor}: expected {len(DETAIL_TYPES)} numbers"
-                )
-                ok = False
-                break
-            matrix.append(tuple(float(v) for v in row))
-        if ok:
-            try:
-                sections[sid] = SectionType(id=sid, detail_matrix=tuple(matrix))
-            except ValueError as exc:
-                issues.append(f"{path}: {exc}")
-    return sections
+def _float(v) -> float:
+    # NaN, infinities and integers past the float range fail the bounds
+    if (type(v) is float or type(v) is int) and -_MAX <= v <= _MAX:
+        return float(v)
+    raise _Bad("expected a finite number")
 
 
-def _load_correction_groups(data, issues) -> tuple[CorrectionGroup, ...]:
-    groups = []
-    for i, g in enumerate(data):
-        path = f"/homebuilding/correction_groups/{i}"
-        try:
-            variants = []
-            for v in g["variants"]:
-                variants.append(
-                    CorrectionVariant(
-                        kind=v["kind"],
-                        days=v.get("days"),
-                        buildings=(
-                            tuple(v["buildings"]) if "buildings" in v else None
-                        ),
-                        profit=float(v.get("profit", 0.0)),
-                        cost=float(v.get("cost", 0.0)),
-                    )
-                )
-            groups.append(
-                CorrectionGroup(
-                    index=int(g["index"]),
-                    targets=tuple(g["targets"]),
-                    variants=tuple(variants),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            issues.append(f"{path}: {exc}")
-    return tuple(groups)
+def _num(v) -> int | float:
+    """A finite number, kept as it is: a JSON integer stays an int."""
+    _float(v)
+    return v
 
 
-def _load_homebuilding(block, issues, out: dict):
-    if not isinstance(block, dict):
-        issues.append("/homebuilding: expected an object")
-        return
-    section_types = _require(block, "section_types", "/homebuilding", issues)
-    building_types_raw = _require(block, "building_types", "/homebuilding", issues)
-    buildings_raw = _require(block, "buildings", "/homebuilding", issues)
-    horizon = _require(block, "horizon_months", "/homebuilding", issues)
-    schedule_raw = _require(block, "team_schedule", "/homebuilding", issues)
-    if None in (section_types, building_types_raw, buildings_raw, horizon,
-                schedule_raw):
-        return
-
-    sections = _load_section_types(section_types, issues)
-
-    building_types = {}
-    for bid, counts in building_types_raw.items():
-        path = f"/homebuilding/building_types/{bid}"
-        try:
-            building_types[bid] = BuildingType(
-                id=bid, floor_counts={k: int(v) for k, v in counts.items()}
-            )
-        except (AttributeError, TypeError, ValueError) as exc:
-            issues.append(f"{path}: {exc}")
-
-    buildings = {}
-    for bid, b in buildings_raw.items():
-        path = f"/homebuilding/buildings/{bid}"
-        try:
-            known = len(issues)
-            duration = _number(
-                b["assembly_duration"], f"{path}/assembly_duration", issues
-            )
-            start = _number(b["start"], f"{path}/start", issues)
-            square = _number(
-                b.get("general_square", 0.0), f"{path}/general_square", issues
-            )
-            if len(issues) > known:
-                continue
-            buildings[bid] = Building(
-                id=bid,
-                building_type=b["building_type"],
-                section_counts={k: int(v) for k, v in b["section_counts"].items()},
-                assembly_duration=float(duration),
-                start=float(start),
-                general_square=float(square),
-            )
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            issues.append(f"{path}: {exc}")
-
-    if not isinstance(schedule_raw, dict) or "teams" not in schedule_raw:
-        issues.append("/homebuilding/team_schedule: expected teams and assignments")
-        return
-    assignments = {}
-    for team, entries in schedule_raw.get("assignments", {}).items():
-        pairs = []
-        for i, entry in enumerate(entries):
-            if not isinstance(entry, list) or len(entry) != 2:
-                issues.append(
-                    f"/homebuilding/team_schedule/assignments/{team}/{i}: "
-                    "expected [building id, start]"
-                )
-                continue
-            start = _number(
-                entry[1],
-                f"/homebuilding/team_schedule/assignments/{team}/{i}/1",
-                issues,
-            )
-            pairs.append((str(entry[0]), float(start)))
-        assignments[team] = tuple(pairs)
-    out["team_schedule"] = TeamSchedule(
-        teams=tuple(schedule_raw["teams"]), assignments=assignments
-    )
-
-    if issues:
-        return
+def _at(key, read, value):
+    """read(value), with key prepended to the path of a failure. A domain
+    constructor's ValueError becomes a failure at key."""
     try:
-        out["project"] = Project(
-            section_types=sections,
-            building_types=building_types,
-            buildings=buildings,
-            horizon_months=int(horizon),
-            rate_basis=block.get("rate_basis", "U-1"),
-        )
+        return read(value)
+    except _Bad as bad:
+        bad.keys.append(key)
+        raise
     except ValueError as exc:
-        issues.append(f"/homebuilding: {exc}")
+        raise _Bad(str(exc), key) from None
 
-    capacity = block.get("capacity")
-    if isinstance(capacity, dict):
-        out["capacity"] = {}
-        for detail, value in capacity.items():
-            path = f"/homebuilding/capacity/{detail}"
-            if detail not in DETAIL_TYPES:
-                issues.append(f"{path}: unknown detail type")
-                continue
-            out["capacity"][detail] = float(_number(value, path, issues))
-    elif capacity is not None:
-        issues.append("/homebuilding/capacity: expected an object")
-    if block.get("correction_groups") is not None:
-        out["correction_groups"] = _load_correction_groups(
-            block["correction_groups"], issues
+
+def _get(data: dict, key: str, read, default=_REQUIRED):
+    """read(data[key]); a key with a default may be absent or null."""
+    value = data.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise _Bad("missing", key)
+        return default
+    try:  # _at, inlined: this runs once per field of every record
+        return read(value)
+    except _Bad as bad:
+        bad.keys.append(key)
+        raise
+    except ValueError as exc:
+        raise _Bad(str(exc), key) from None
+
+
+def _list_of(read, n: int | None = None):
+    """A reader of a list (of exactly n items, if n is given) whose items
+    are each read by read, in one pass. Only a failed list is read again,
+    item by item, to find the index of the failure."""
+    def read_list(v):
+        v = _list(v)
+        if n is not None and len(v) != n:
+            raise _Bad(f"expected {n} items")
+        try:
+            return tuple(map(read, v))
+        except (_Bad, ValueError):
+            return tuple(_at(i, read, x) for i, x in enumerate(v))
+    return read_list
+
+
+_strs = _list_of(_str)
+
+
+def _field(data: dict, key: str, read, issues: list, path: str, default=_REQUIRED):
+    """_get, or None with the failure reported under path."""
+    try:
+        return _get(data, key, read, default)
+    except _Bad as bad:
+        issues.append(bad.at(path))
+
+
+def _each(data: dict, key: str, kind, read, issues: list, path: str,
+          default=_REQUIRED):
+    """data[key], an object (kind _obj) or a list (kind _list), read entry
+    by entry with read(entry key, value) into a dict or a tuple. A bad
+    entry is reported and skipped; a bad container gives None."""
+    items = _field(data, key, kind, issues, path, default)
+    if items is None:
+        return None
+    out = {}
+    for k, value in items.items() if kind is _obj else enumerate(items):
+        try:
+            out[k] = read(k, value)
+        except _Bad as bad:
+            issues.append(bad.at(f"{path}/{key}/{k}"))
+        except ValueError as exc:  # a domain constructor refused the entry
+            issues.append(f"{path}/{key}/{k}: {exc}")
+    return out if kind is _obj else tuple(out.values())
+
+
+def _lanes(data: dict, key: str, pair, issues: list, path: str) -> dict:
+    """An optional object of lanes, each a list of [id, start] pairs."""
+    lanes = _field(data, key, _obj, issues, path, None) or {}
+    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}")
+            for lane in lanes}
+
+
+def _universe(v) -> ElementUniverse:
+    v = _obj(v)
+    return ElementUniverse(_get(v, "types", _strs), _get(v, "idle_index", _int))
+
+
+def _job(_, v) -> CompositeJob:
+    # chain elements are left to core.collect_violations (unknown element type)
+    v = _obj(v)
+    return CompositeJob(_get(v, "id", _str), tuple(_get(v, "chain", _list)))
+
+
+def _grid(v) -> TimeGrid:
+    v = _obj(v)
+    return TimeGrid(_get(v, "interval_len_slots", _int), _get(v, "k", _int))
+
+
+def _slot(_, v) -> tuple[str, int]:
+    if type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is int:
+        return v[0], v[1]
+    raise _Bad("expected [job id, start slot]")
+
+
+def _load_modular(block: dict, issues: list) -> dict:
+    at = "/modular"
+    out = {
+        "universe": _field(block, "universe", _universe, issues, at),
+        "jobs": _each(block, "jobs", _list, _job, issues, at),
+        "processors": _field(block, "processors", _strs, issues, at),
+        "grid": _field(block, "grid", _grid, issues, at),
+        "reference_profile": _field(
+            block, "reference_profile", _list_of(_num), issues, at, None
+        ),
+        "proximity_threshold": _field(
+            block, "proximity_threshold", _num, issues, at, None
+        ),
+    }
+    schedule = _field(block, "schedule", _obj, issues, at)
+    if schedule is not None:
+        at += "/schedule"
+        out["schedule"] = SlotSchedule(
+            horizon_slots=_field(schedule, "horizon_slots", _int, issues, at),
+            placements=_lanes(schedule, "placements", _slot, issues, at),
+            processors=_field(schedule, "processors", _strs, issues, at),
         )
-    if block.get("improve") is not None:
-        imp = block["improve"]
+    return out
+
+
+_detail_row = _list_of(_float, len(DETAIL_TYPES))
+
+
+def _section_type(sid, rows) -> SectionType:
+    rows = _obj(rows)
+    return SectionType(
+        sid, tuple(_get(rows, floor, _detail_row) for floor in FLOOR_TYPES)
+    )
+
+
+def _counts(v) -> dict[str, int]:
+    return {k: _at(k, _int, n) for k, n in _obj(v).items()}
+
+
+def _building(bid, v) -> Building:
+    v = _obj(v)
+    return Building(
+        id=bid,
+        building_type=_get(v, "building_type", _str),
+        section_counts=_get(v, "section_counts", _counts),
+        assembly_duration=_get(v, "assembly_duration", _float),
+        start=_get(v, "start", _float),
+        general_square=_get(v, "general_square", _float, 0.0),
+    )
+
+
+def _start(_, v) -> tuple[str, float]:
+    if type(v) is list and len(v) == 2 and type(v[0]) is str:
+        return v[0], _at(1, _float, v[1])
+    raise _Bad("expected [building id, start]")
+
+
+def _capacity(detail, v) -> float:
+    if detail not in DETAIL_TYPES:
+        raise _Bad("unknown detail type")
+    return _float(v)
+
+
+def _variant(v) -> CorrectionVariant:
+    v = _obj(v)
+    return CorrectionVariant(
+        kind=_get(v, "kind", _str),
+        days=_get(v, "days", _int, None),
+        buildings=_get(v, "buildings", _strs, None),
+        profit=_get(v, "profit", _float, 0.0),
+        cost=_get(v, "cost", _float, 0.0),
+    )
+
+
+def _group(_, v) -> CorrectionGroup:
+    v = _obj(v)
+    return CorrectionGroup(
+        _get(v, "index", _int),
+        _get(v, "targets", _strs),
+        _get(v, "variants", _list_of(_variant)),
+    )
+
+
+def _improve(v) -> ImproveParams:
+    v = _obj(v)
+    return ImproveParams(
+        _get(v, "budget", _float, 5.0), _get(v, "max_iters", _int, 10)
+    )
+
+
+def _reference(v) -> RequirementTable:
+    v = _obj(v)
+    details = _get(v, "details", _strs, DETAIL_TYPES)
+    months = _get(v, "months", _list_of(_int))
+    values = _get(v, "values", _list_of(_list_of(_float, len(details))))
+    if len(values) != len(months):
+        raise _Bad("expected one row per month", "values")
+    return RequirementTable(months, values, details)
+
+
+def _load_homebuilding(block: dict, issues: list) -> dict:
+    at = "/homebuilding"
+    sections = _each(block, "section_types", _obj, _section_type, issues, at)
+    building_types = _each(
+        block, "building_types", _obj,
+        lambda bid, counts: BuildingType(bid, _counts(counts)), issues, at,
+    )
+    buildings = _each(block, "buildings", _obj, _building, issues, at)
+    horizon = _field(block, "horizon_months", _int, issues, at)
+    rate_basis = _field(block, "rate_basis", _str, issues, at, "U-1")
+    out = {}
+    schedule = _field(block, "team_schedule", _obj, issues, at)
+    if schedule is not None:
+        out["team_schedule"] = TeamSchedule(
+            _field(schedule, "teams", _strs, issues, at + "/team_schedule"),
+            _lanes(schedule, "assignments", _start, issues, at + "/team_schedule"),
+        )
+    out["capacity"] = _each(block, "capacity", _obj, _capacity, issues, at, None)
+    out["correction_groups"] = _each(
+        block, "correction_groups", _list, _group, issues, at, None
+    )
+    out["improve_params"] = _field(block, "improve", _improve, issues, at, None)
+    out["reference_requirements"] = _field(
+        block, "reference_requirements", _reference, issues, at, None
+    )
+    if not issues:  # else Project would also report the users of a bad record
         try:
-            out["improve_params"] = ImproveParams(
-                budget=float(imp.get("budget", 5.0)),
-                max_iters=int(imp.get("max_iters", 10)),
+            out["project"] = Project(
+                sections, building_types, buildings, horizon, rate_basis
             )
-        except (TypeError, ValueError):
-            issues.append("/homebuilding/improve: expected budget and max_iters")
-    if block.get("reference_requirements") is not None:
-        ref = block["reference_requirements"]
-        try:
-            out["reference_requirements"] = RequirementTable(
-                months=tuple(int(m) for m in ref["months"]),
-                values=tuple(
-                    tuple(float(v) for v in row) for row in ref["values"]
-                ),
-                details=tuple(ref.get("details", DETAIL_TYPES)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            issues.append(f"/homebuilding/reference_requirements: {exc}")
+        except ValueError as exc:
+            issues.append(f"{at}: {exc}")
+    return out
+
+
+def _window_job(_, v) -> WindowJob:
+    v = _obj(v)
+    return WindowJob(
+        id=_get(v, "id", _str),
+        processing_time=_get(v, "processing_time", _float),
+        t1=_get(v, "t1", _float),
+        t2=_get(v, "t2", _float),
+        machine=_get(v, "machine", _int, 1),
+        position=_get(v, "position", _int, 1),
+    )
+
+
+def _weights(v) -> PenaltyWeights:
+    v = _obj(v)
+    return PenaltyWeights(_get(v, "alpha", _float), _get(v, "beta", _float))
 
 
 def instance_from_dict(data: Any) -> InstanceFile:
@@ -382,10 +389,10 @@ def instance_from_dict(data: Any) -> InstanceFile:
         SchemaError: listing every problem with its JSON-pointer path.
     """
     issues: list[str] = []
-    if not isinstance(data, dict):
+    if type(data) is not dict:
         raise SchemaError(["/: expected a JSON object"])
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         issues.append(
             f"/format_version: expected {FORMAT_VERSION}, got {version!r}"
         )
@@ -399,45 +406,20 @@ def instance_from_dict(data: Any) -> InstanceFile:
         issues.append(
             f"/{other}: must not be populated in '{mode}' mode"
         )
-    if data.get(mode) is None:
-        issues.append(f"/{mode}: missing")
+    block = _field(data, mode, _obj, issues, "")
+    if block is None:
         raise SchemaError(issues)
 
-    out: dict[str, Any] = {"mode": mode}
-    if mode == "modular":
-        _load_modular(data[mode], issues, out)
-    else:
-        _load_homebuilding(data[mode], issues, out)
-
-    if data.get("window_jobs") is not None:
-        jobs = []
-        for i, j in enumerate(data["window_jobs"]):
-            try:
-                jobs.append(
-                    WindowJob(
-                        id=j["id"],
-                        processing_time=float(j["processing_time"]),
-                        t1=float(j["t1"]),
-                        t2=float(j["t2"]),
-                        machine=int(j.get("machine", 1)),
-                        position=int(j.get("position", 1)),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                issues.append(f"/window_jobs/{i}: {exc}")
-        out["window_jobs"] = tuple(jobs)
-    if data.get("penalty_weights") is not None:
-        w = data["penalty_weights"]
-        try:
-            out["penalty_weights"] = PenaltyWeights(
-                alpha=float(w["alpha"]), beta=float(w["beta"])
-            )
-        except (KeyError, TypeError, ValueError):
-            issues.append("/penalty_weights: expected alpha and beta")
-
+    out = (_load_modular if mode == "modular" else _load_homebuilding)(block, issues)
+    out["window_jobs"] = _each(
+        data, "window_jobs", _list, _window_job, issues, "", None
+    )
+    out["penalty_weights"] = _field(
+        data, "penalty_weights", _weights, issues, "", None
+    )
     if issues:
         raise SchemaError(issues)
-    return InstanceFile(format_version=FORMAT_VERSION, **out)
+    return InstanceFile(mode=mode, **out)
 
 
 def load_instance(path) -> InstanceFile:
@@ -456,6 +438,8 @@ def load_instance(path) -> InstanceFile:
             [f"/: invalid JSON at line {exc.lineno} column {exc.colno}: "
              f"{exc.msg}"]
         ) from None
+    except RecursionError:
+        raise SchemaError(["/: invalid JSON: nested too deeply"]) from None
     return instance_from_dict(data)
 
 

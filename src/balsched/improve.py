@@ -663,6 +663,12 @@ class ImproveParams:
     budget: float = 5.0
     max_iters: int = 10
 
+    def __post_init__(self):
+        if self.budget < 0:
+            raise ValueError("budget must be non-negative")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be non-negative")
+
 
 @dataclass(frozen=True)
 class IterationRecord:

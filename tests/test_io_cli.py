@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from balsched.cli import main
 from balsched.core import CompositeJob, ElementUniverse, SlotSchedule, TimeGrid
@@ -88,6 +90,14 @@ def test_invalid_json_reports_line_and_column(tmp_path):
     with pytest.raises(SchemaError) as err:
         load_instance(path)
     assert "invalid JSON at line 2" in err.value.issues[0]
+
+
+def test_deeply_nested_json_is_a_schema_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(SchemaError) as err:
+        load_instance(path)
+    assert err.value.issues == ["/: invalid JSON: nested too deeply"]
 
 
 def test_missing_file_raises_oserror(tmp_path):
@@ -453,6 +463,16 @@ def test_cli_improve_matches_readme_transcript(runner, tmp_path, emitted):
         ("a1", "assembly_duration", float("nan"),
          "/homebuilding/buildings/a1/assembly_duration: expected a finite number"),
         ("a2", "start", float("inf"), "/homebuilding/buildings/a2/start: expected a finite number"),
+        ("homebuilding", "building_types", [],
+         "/homebuilding/building_types: expected an object"),
+        ("team_schedule", "assignments", [],
+         "/homebuilding/team_schedule/assignments: expected an object"),
+        ("homebuilding", "horizon_months", 12.7,
+         "/homebuilding/horizon_months: expected an integer"),
+        ("homebuilding", "improve", [], "/homebuilding/improve: expected an object"),
+        ("improve", "budget", -1, "/homebuilding/improve: budget must be non-negative"),
+        ("improve", "max_iters", -1,
+         "/homebuilding/improve: max_iters must be non-negative"),
     ],
 )
 def test_cli_improve_rejects_bad_numbers_with_one_error_line(
@@ -460,13 +480,20 @@ def test_cli_improve_rejects_bad_numbers_with_one_error_line(
 ):
     data = json.loads(emitted["kope-1982"].read_text())
     block = data["homebuilding"]
-    owner = block["capacity"] if key == "capacity" else block["buildings"][key]
+    owner = block if key == "homebuilding" else block.get(key) or block["buildings"][key]
     owner[item] = value
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     result = runner.invoke(main, ["improve", str(bad)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize("option", ["--budget", "--max-iters"])
+def test_cli_improve_rejects_negative_limits(runner, emitted, option):
+    result = runner.invoke(main, ["improve", str(emitted["kope-1982"]), option, "-1"])
+    assert result.exit_code == 2
+    assert f"Invalid value for '{option}'" in result.stderr
 
 
 def test_cli_improve_rejects_modular_instance(runner, emitted):
@@ -518,3 +545,111 @@ def test_cli_report_unknown_detail(runner, tmp_path, emitted):
         ],
     )
     assert result.exit_code == 1
+
+
+# --- malformed input -------------------------------------------------------------
+
+FIXTURE_JSON = {
+    name: json.dumps(instance_to_dict(build_fixture(name))) for name in list_fixtures()
+}
+DELETE = object()
+
+
+def mutant(name, path, value):
+    """Fixture ``name`` as parsed JSON, with the value at ``path`` (a tuple
+    of keys and indices) replaced by ``value``, or removed for DELETE."""
+    data = json.loads(FIXTURE_JSON[name])
+    owner = data
+    for key in path[:-1]:
+        owner = owner[key]
+    if value is DELETE:
+        del owner[path[-1]]
+    else:
+        owner[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "name, path, value, line",
+    [
+        ("modular-demo", ("modular", "jobs"), 5, "/modular/jobs: expected a list"),
+        ("modular-demo", ("modular", "jobs", 0, "chain"), 5,
+         "/modular/jobs/0/chain: expected a list"),
+        ("modular-demo", ("modular", "reference_profile"), "233110",
+         "/modular/reference_profile: expected a list"),
+        ("modular-demo", ("modular", "grid", "k"), 2.7,
+         "/modular/grid/k: expected an integer"),
+        ("jit-windows", ("window_jobs",), 5, "/window_jobs: expected a list"),
+    ],
+)
+def test_malformed_input_is_one_schema_error(runner, tmp_path, name, path, value, line):
+    data = mutant(name, path, value)
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(data)
+    assert err.value.issues == [line]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["validate", str(bad)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize(
+    "command, name, path, value, line",
+    [
+        ("balance", "modular-demo", ("modular", "reference_profile"), [1] * 6,
+         "capacity mismatch: reference profile totals 6 but interval capacity is 9"),
+        ("balance", "modular-demo", ("modular", "grid", "k"), 3,
+         "grid shorter than horizon: 9 < 12"),
+        ("evaluate", "jit-windows", ("window_jobs", 0, "position"), 9,
+         "machine 1: positions must form 1..4 without gaps"),
+    ],
+)
+def test_cli_domain_errors_are_one_error_line(
+    runner, tmp_path, command, name, path, value, line
+):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutant(name, path, value)))
+    result = runner.invoke(main, [command, str(bad)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+def json_paths(value, path=()):
+    """The path of every value inside a JSON container."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, item in items:
+        yield path + (key,)
+        yield from json_paths(item, path + (key,))
+
+
+FIXTURE_PATHS = {
+    name: list(json_paths(json.loads(text))) for name, text in FIXTURE_JSON.items()
+}
+REPLACEMENTS = (None, True, -1, 0, 2.5, "x", [], {}, [1], DELETE)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_cli_survives_any_single_value_mutation(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(FIXTURE_PATHS)), label="fixture")
+    path = data.draw(st.sampled_from(FIXTURE_PATHS[name]), label="path")
+    value = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    work = tmp_path_factory.mktemp("mutant")
+    instance = work / "mutant.json"
+    instance.write_text(json.dumps(mutant(name, path, value)))
+    runner = CliRunner()
+    for args in (
+        ["validate"], ["evaluate"], ["balance"], ["improve", "--max-iters", "1"],
+        ["report", "--detail", "d1", "--capacity", "1480", "--csv", str(work / "d1.csv")],
+    ):
+        result = runner.invoke(main, [args[0], str(instance), *args[1:]])
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            args[0], result.exc_info
+        )
