@@ -7,6 +7,7 @@ errors. All output is deterministic for a given input.
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import NoReturn
 
@@ -212,10 +213,17 @@ def balance(file):
             _echo("balance: satisfied")
 
 
+def _finite(_ctx, _param, value: float | None) -> float | None:
+    """Refuse NaN and infinity, which pass click.FloatRange."""
+    if value is not None and not math.isfinite(value):
+        raise click.BadParameter("must be a finite number")
+    return value
+
+
 @main.command()
 @click.argument("file", type=click.Path())
 @click.option("--budget", type=click.FloatRange(min=0), default=None,
-              help="Cost budget per iteration.")
+              callback=_finite, help="Cost budget per iteration.")
 @click.option("--max-iters", type=click.IntRange(min=0), default=None,
               help="Iteration cap.")
 @click.option("--out", type=click.Path(), default=None,

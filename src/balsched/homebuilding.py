@@ -276,6 +276,31 @@ def _progress_cap(project: Project, building_type: BuildingType) -> int:
     return u - 1 if project.rate_basis == "U-1" else u
 
 
+def _ladder(
+    project: Project, building: Building
+) -> tuple[float, int, np.ndarray, np.ndarray]:
+    """(rate, cap, lo, hi) of a building's progress model: cap floor-units
+    at rate cap / duration, floor type f on the ladder range [lo_f, hi_f)."""
+    building_type = project.building_type_of(building)
+    cap = _progress_cap(project, building_type)
+    rate = cap / building.assembly_duration
+    counts = np.array(
+        [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
+    )
+    hi = np.cumsum(counts).astype(float)
+    lo = hi - counts
+    return rate, cap, lo, hi
+
+
+def _clamped_output(rate, cap, lo, hi, start, edges: np.ndarray) -> np.ndarray:
+    """The closed form of _floor_output over the months between
+    consecutive ``edges`` (a column of whole-month times); every argument
+    broadcasts. A month's start edge is the previous month's end edge, so
+    each edge is clipped once."""
+    done = np.clip(np.clip(rate * (edges - start), 0.0, cap), lo, hi)
+    return done[..., 1:, :] - done[..., :-1, :]
+
+
 def _floor_output(
     project: Project,
     building: Building,
@@ -292,21 +317,12 @@ def _floor_output(
     passes cap, so units above it (the terminal unit under "U-1") add
     exactly zero.
 
-    Returns a (len(months) x 8) array in FLOOR_TYPES order, or an
-    (S x len(months) x 8) stack for an (S x 1 x 1) array of starts.
+    ``months`` are consecutive. Returns a (len(months) x 8) array in
+    FLOOR_TYPES order, or an (S x len(months) x 8) stack for an
+    (S x 1 x 1) array of starts.
     """
-    building_type = project.building_type_of(building)
-    cap = _progress_cap(project, building_type)
-    rate = cap / building.assembly_duration
-    counts = np.array(
-        [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
-    )
-    hi = np.cumsum(counts).astype(float)
-    lo = hi - counts
-    t = np.asarray(months, dtype=float)[:, None]
-    c1 = np.clip(rate * (t - start), 0.0, cap)
-    c0 = np.clip(rate * (t - 1.0 - start), 0.0, cap)
-    return np.clip(c1, lo, hi) - np.clip(c0, lo, hi)
+    edges = np.arange(months[0] - 1.0, months[-1] + 1)[:, None]
+    return _clamped_output(*_ladder(project, building), start, edges)
 
 
 def section_progress(
@@ -379,15 +395,46 @@ def building_requirement_tables(
 ) -> np.ndarray:
     """One building's (horizon x 8) tables at several starts, stacked.
 
-    One kernel call serves every start, and each (horizon x 8) @ (8 x 8)
-    product keeps the single-start shape, so slice i equals
-    building_requirement_table(project, building, starts[i]) bit for bit.
+    Slice i equals building_requirement_table(project, building,
+    starts[i]) bit for bit.
     """
-    months = range(1, project.horizon_months + 1)
-    stacked = np.asarray(starts, dtype=float).reshape(-1, 1, 1)
-    return _floor_output(project, building, stacked, months) @ (
-        _combined_section_matrix(project, building)
+    starts = np.asarray(starts, dtype=float)
+    return RequirementKernel(project, [building]).tables(
+        np.zeros(len(starts), dtype=int), starts
     )
+
+
+class RequirementKernel:
+    """The cascade of several buildings at once.
+
+    Each building's progress constants (rate, cap, ladder ranges) and its
+    combined 8 x 8 section matrix are computed once and stacked on a
+    leading building axis, so one call gives the requirement tables of
+    any buildings at any starts. Every (horizon x 8) @ (8 x 8) product of
+    the batched matmul keeps the single-building shape, so each slice
+    equals building_requirement_table bit for bit.
+    """
+
+    def __init__(self, project: Project, buildings: Sequence[Building]):
+        self.row = {building.id: i for i, building in enumerate(buildings)}
+        rates, caps, los, his = zip(*(_ladder(project, b) for b in buildings))
+        self.rate = np.array(rates)[:, None, None]
+        self.cap = np.array(caps, dtype=float)[:, None, None]
+        self.lo = np.array(los)[:, None, :]
+        self.hi = np.array(his)[:, None, :]
+        self.matrix = np.array(
+            [_combined_section_matrix(project, b) for b in buildings]
+        )
+        self.edges = np.arange(0.0, project.horizon_months + 1)[:, None]
+
+    def tables(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """(P x horizon x 8) tables: building ``rows[i]`` (a kernel row,
+        see ``row``) placed at ``starts[i]``."""
+        output = _clamped_output(
+            self.rate[rows], self.cap[rows], self.lo[rows], self.hi[rows],
+            np.reshape(starts, (-1, 1, 1)), self.edges,
+        )
+        return output @ self.matrix[rows]
 
 
 def monthly_detail_requirements(

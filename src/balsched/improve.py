@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
-from math import inf
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from math import inf, isfinite
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .homebuilding import (
     DETAIL_TYPES,
     Building,
     Project,
+    RequirementKernel,
     TeamSchedule,
     building_requirement_table,
-    building_requirement_tables,
     team_schedule_violations,
 )
 
@@ -250,7 +251,8 @@ def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
 
 
 class CascadeCache:
-    """Memo of per-building isolated requirement tables, keyed by start.
+    """Memo of per-building isolated requirement tables, keyed by the exact
+    start.
 
     Requirement tables are linear in placements, so what-if tables for
     shifted/exchanged buildings are sums of cached blocks.
@@ -260,8 +262,13 @@ class CascadeCache:
         self.project = project
         self._tables: dict[tuple[str, float], np.ndarray] = {}
 
+    @cached_property
+    def kernel(self) -> RequirementKernel:
+        """The project's buildings stacked for batched tables."""
+        return RequirementKernel(self.project, list(self.project.buildings.values()))
+
     def building_table(self, building_id: str, start: float) -> np.ndarray:
-        key = (building_id, round(start, 9))
+        key = (building_id, start)
         if key not in self._tables:
             building = self.project.buildings[building_id]
             self._tables[key] = building_requirement_table(
@@ -272,17 +279,16 @@ class CascadeCache:
     def warm(self, building_id: str, starts: Sequence[float]) -> None:
         """Compute the missing tables of one building at several starts in
         one stacked kernel call; they equal building_table's bit for bit."""
-        missing: dict[tuple[str, float], float] = {}
-        for start in starts:
-            key = (building_id, round(start, 9))
-            if key not in self._tables:
-                missing.setdefault(key, start)
+        missing = [
+            start for start in dict.fromkeys(starts)
+            if (building_id, start) not in self._tables
+        ]
         if missing:
-            building = self.project.buildings[building_id]
-            tables = building_requirement_tables(
-                self.project, building, list(missing.values())
+            rows = np.full(len(missing), self.kernel.row[building_id])
+            tables = self.kernel.tables(rows, np.array(missing))
+            self._tables.update(
+                ((building_id, start), t) for start, t in zip(missing, tables)
             )
-            self._tables.update(zip(missing, tables))
 
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
         total = np.zeros((self.project.horizon_months, len(DETAIL_TYPES)))
@@ -301,6 +307,17 @@ def violation_measure(
     excess = np.maximum(0.0, table - cap)
     denom = np.maximum(cap, config.eps)
     return float(np.sum(np.asarray(config.weights) * excess / denom))
+
+
+def _violation_measures(
+    stack: np.ndarray, cap: np.ndarray, config: ScoreConfig
+) -> np.ndarray:
+    """violation_measure of each (months x 8) table of a C-contiguous
+    stack. The months and details of one table reduce as one run, as in
+    violation_measure's plain sum, so each value equals it bit for bit."""
+    excess = np.maximum(0.0, stack - cap)
+    denom = np.maximum(cap, config.eps)
+    return np.sum(np.asarray(config.weights) * excess / denom, axis=(1, 2))
 
 
 def max_violation(table: np.ndarray, cap: np.ndarray) -> float:
@@ -419,6 +436,22 @@ class _Lanes:
             for team in removed.keys() | added.keys()
         )
 
+    def slots(self, ids: Sequence[str]) -> tuple[np.ndarray, ...]:
+        """Per building of ``ids``: its team's position in ``teams``, its
+        start, its duration and the start of the next span on its lane
+        (+inf at the lane's end)."""
+        following = {}
+        for lane in self.lanes.values():
+            for (_s, _e, building_id), (next_start, _e2, _b2) in zip(lane, lane[1:]):
+                following[building_id] = next_start
+        team_position = {team: k for k, team in enumerate(self.teams)}
+        return (
+            np.array([team_position[self.placement[b][0]] for b in ids]),
+            np.array([self.placement[b][1] for b in ids], dtype=float),
+            np.array([self.buildings[b].assembly_duration for b in ids], dtype=float),
+            np.array([following.get(b, inf) for b in ids], dtype=float),
+        )
+
     def apply(self, moves: Sequence[Move]) -> None:
         for building_id, old_team, old_start, new_team, new_start in moves:
             self.lanes[old_team].remove(self._span(building_id, old_start))
@@ -439,31 +472,82 @@ class _Lanes:
         )
 
 
-def _scorer(
-    cache: CascadeCache,
-    base: np.ndarray,
-    cap: np.ndarray,
-    config: ScoreConfig,
-) -> Callable[[CorrectionVariant, Sequence[Move]], tuple[float, float]]:
+def _swap_fits(
+    starts: np.ndarray,
+    durations: np.ndarray,
+    following: np.ndarray,
+    horizon: int,
+    i: int,
+) -> np.ndarray:
+    """Whether building i and each building k can exchange placements, for
+    k on another team than i, from the arrays of _Lanes.slots.
+
+    A building that takes over the other's slot keeps that slot's start,
+    so the previous span on the lane still fits, and _Lanes.fits reduces
+    to two tests per side in its own float expressions: the new end stays
+    within the horizon, and the next span on the lane starts no more than
+    1e-9 before it. Valid schedules never start below 0.
+    """
+    ends_there = starts + durations[i]
+    ends_here = starts[i] + durations
+    return (
+        (ends_there <= horizon) & ~(following < ends_there - 1e-9)
+        & (ends_here <= horizon) & ~(following[i] < ends_here - 1e-9)
+    )
+
+
+class _Scorer:
     """(profit, cost) of moves against one base table.
 
     Tables are linear in placements, so a move's table is the base less
     the moved buildings' old tables plus their new ones; the profit is
     V(base) minus V of that table over every month.
     """
-    base_v = violation_measure(base, cap, config)
 
-    def score(variant: CorrectionVariant, moves: Sequence[Move]) -> tuple[float, float]:
-        candidate = base.copy()
+    def __init__(
+        self,
+        cache: CascadeCache,
+        base: np.ndarray,
+        cap: np.ndarray,
+        config: ScoreConfig,
+    ):
+        self.cache, self.base, self.cap, self.config = cache, base, cap, config
+        self.base_v = violation_measure(base, cap, config)
+
+    def __call__(
+        self, variant: CorrectionVariant, moves: Sequence[Move]
+    ) -> tuple[float, float]:
+        candidate = self.base.copy()
         for building_id, _old_team, old_start, _new_team, new_start in moves:
-            candidate -= cache.building_table(building_id, old_start)
-            candidate += cache.building_table(building_id, new_start)
-        profit = base_v - violation_measure(candidate, cap, config)
+            candidate -= self.cache.building_table(building_id, old_start)
+            candidate += self.cache.building_table(building_id, new_start)
+        profit = self.base_v - violation_measure(candidate, self.cap, self.config)
         if variant.kind == "exchange":
-            return profit, config.exchange_cost
-        return profit, config.day_cost * variant.days
+            return profit, self.config.exchange_cost
+        return profit, self.config.day_cost * variant.days
 
-    return score
+    def exchanges(
+        self,
+        target: str,
+        start: float,
+        partners: np.ndarray,
+        partner_starts: np.ndarray,
+        partner_tables: np.ndarray,
+    ) -> np.ndarray:
+        """Profits of exchanging ``target``, placed at ``start``, with each
+        partner (kernel rows, their starts and their tables there).
+
+        One (partners x months x 8) stack holds every candidate table,
+        built from two kernel calls in __call__'s order of operations;
+        each profit equals __call__'s on that exchange bit for bit.
+        """
+        kernel = self.cache.kernel
+        stack = kernel.tables(np.full(len(partners), kernel.row[target]), partner_starts)
+        # (base - T_t(s_t)) + T_t(s_p), IEEE addition being commutative
+        stack += self.base - self.cache.building_table(target, start)
+        stack -= partner_tables
+        stack += kernel.tables(partners, np.full(len(partners), start))
+        return self.base_v - _violation_measures(stack, self.cap, self.config)
 
 
 def score_variant(
@@ -488,8 +572,7 @@ def score_variant(
     cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
     cache = cache or CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
-    score = _scorer(cache, cache.schedule_table(schedule), cap, config)
-    return score(variant, moves)
+    return _Scorer(cache, cache.schedule_table(schedule), cap, config)(variant, moves)
 
 
 def generate_correction_groups(
@@ -507,7 +590,10 @@ def generate_correction_groups(
     ``table`` is the schedule's requirement table when the caller already
     holds it (``cache.schedule_table(schedule)``). Every move is checked on
     a lane index of the schedule and scored against that one table; the
-    shift tables of each target come from one stacked kernel call.
+    shift tables of each target come from one stacked kernel call. A
+    target's exchanges with buildings on other teams are checked as arrays
+    over every partner (_swap_fits), and all its feasible exchanges are
+    priced in one stack (_Scorer.exchanges).
 
     Returns an empty list when no month exceeds capacity.
 
@@ -524,21 +610,21 @@ def generate_correction_groups(
         return []
 
     lanes = _Lanes(project.buildings, schedule)
-    placements = lanes.placement
-    score = _scorer(cache, table, cap, config)
+    score = _Scorer(cache, table, cap, config)
     horizon = project.horizon_months
 
-    def overlaps_violated(building_id: str) -> bool:
-        building = project.buildings[building_id]
-        start = placements[building_id][1]
-        end = start + building.assembly_duration
-        return any(start < m and end > m - 1 for m in months)
-
-    targets = sorted(bid for bid in placements if overlaps_violated(bid))
-    all_placed = sorted(placements)
+    placed = sorted(lanes.placement)
+    teams, starts, durations, following = lanes.slots(placed)
+    # the buildings active in a violated month m, i.e. over [m - 1, m)
+    m = np.array(months)[:, None]
+    is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
+    kernel_rows = np.array([cache.kernel.row[b] for b in placed])
+    own_tables = np.array([cache.building_table(b, s) for b, s in zip(placed, starts)])
+    positions = np.arange(len(placed))
 
     groups: list[CorrectionGroup] = []
-    for index, target in enumerate(targets, start=1):
+    for index, i in enumerate(np.flatnonzero(is_target), start=1):
+        target = placed[i]
         shifts = []
         for kind in ("shift_right", "shift_left"):
             for days in config.shift_steps:
@@ -551,22 +637,29 @@ def generate_correction_groups(
         for raw, moves in shifts:
             profit, cost = score(raw, moves)
             variants.append(replace(raw, profit=profit, cost=cost))
-        for partner in all_placed:
-            if partner == target:
-                continue
-            # An exchange is one move on a pair; list it only in the first
-            # group that can host it, so a selection can never pick the
-            # same swap twice and undo itself.
-            if partner in targets and partner < target:
-                continue
-            raw = CorrectionVariant(
-                kind="exchange", buildings=(target, partner)
+        # An exchange is one move on a pair; list it only in the first
+        # group that can host it, so a selection can never pick the
+        # same swap twice and undo itself.
+        eligible = (positions > i) | ((positions < i) & ~is_target)
+        same_team = teams == teams[i]
+        fits = eligible & ~same_team & _swap_fits(starts, durations, following, horizon, i)
+        # On one lane the two can be each other's neighbours.
+        for k in np.flatnonzero(eligible & same_team):
+            raw = CorrectionVariant(kind="exchange", buildings=(target, placed[k]))
+            fits[k] = lanes.fits(lanes.moves(raw, target), horizon)
+        partners = np.flatnonzero(fits)
+        profits = score.exchanges(
+            target, starts[i], kernel_rows[partners], starts[partners], own_tables[partners]
+        )
+        variants.extend(
+            CorrectionVariant(
+                kind="exchange",
+                buildings=(target, placed[k]),
+                profit=float(profit),
+                cost=config.exchange_cost,
             )
-            moves = lanes.moves(raw, target)
-            if not lanes.fits(moves, horizon):
-                continue
-            profit, cost = score(raw, moves)
-            variants.append(replace(raw, profit=profit, cost=cost))
+            for k, profit in zip(partners, profits)
+        )
         groups.append(
             CorrectionGroup(
                 index=index, targets=(target,), variants=tuple(variants)
@@ -666,6 +759,8 @@ class ImproveParams:
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError("budget must be non-negative")
+        if not isfinite(self.budget):
+            raise ValueError("budget must be finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
 

@@ -1,5 +1,7 @@
 """Monthly floor-progress cascade and detail-requirement tables."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from balsched.homebuilding import (
     Building,
     BuildingType,
     Project,
+    RequirementKernel,
     RequirementTable,
     SectionType,
     TeamSchedule,
@@ -242,6 +245,37 @@ def test_closed_form_cascade_matches_unit_overlap_oracle(
     assert np.abs(table - sections * expected @ np.array(matrix)).max() <= 1e-9
 
 # --- requirement tables -----------------------------------------------------------
+
+KOPE_IDS = tuple(f"a{i}" for i in range(1, 10))
+
+
+@given(
+    rate_basis=st.sampled_from(RATE_BASES),
+    placements=st.lists(
+        st.tuples(
+            st.sampled_from(KOPE_IDS),
+            st.floats(min_value=-2.0, max_value=25.0)
+            | st.sampled_from((0.0, 8.8, 17.6, 17.599999999999998, 19.0, 24.5)),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements):
+    """Both of kope's building types and all its section mixes, at starts
+    before, inside and past the 19-month horizon."""
+    project = dataclasses.replace(kope.project, rate_basis=rate_basis)
+    buildings = list(project.buildings.values())
+    kernel = RequirementKernel(project, buildings)
+    rows = np.array([kernel.row[b] for b, _start in placements])
+    starts = np.array([start for _b, start in placements])
+    stack = kernel.tables(rows, starts)
+    assert stack.shape == (len(placements), 19, 8)
+    for table, (b, start) in zip(stack, placements):
+        expected = building_requirement_table(project, project.buildings[b], start)
+        assert np.array_equal(table, expected)
+
 
 def test_month1_detail_vector_matches_hand_composition(kope):
     gamma = monthly_detail_requirements(kope.project, kope.team_schedule, 1)

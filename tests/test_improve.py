@@ -318,19 +318,28 @@ def test_generated_shifts_respect_horizon(kope):
     assert right_steps == {3}
 
 
-def _small_synthetic(kope):
+def _small_synthetic(kope, rounds=1):
     """The nine kope buildings back to back on three teams over 30 months,
-    with d1 capacity at 0.8 of the resulting peak."""
+    with d1 capacity at 0.8 of the resulting peak. More rounds repeat the
+    nine (copies of a1 named a1.2, a1.3, ...) over 30 more months each."""
     lanes = {
         "T1": ("a1", "a4", "a7"), "T2": ("a2", "a5", "a9"), "T3": ("a3", "a6", "a8")
     }
-    project = dataclasses.replace(kope.project, horizon_months=30)
+    buildings = dict(kope.project.buildings)
+    for r in range(2, rounds + 1):
+        for b in kope.project.buildings.values():
+            buildings[f"{b.id}.{r}"] = dataclasses.replace(b, id=f"{b.id}.{r}")
+    project = dataclasses.replace(
+        kope.project, buildings=buildings, horizon_months=30 * rounds
+    )
     assignments = {}
     for offset, (team, ids) in enumerate(lanes.items()):
         at, pairs = 0.1 * offset, []
-        for building_id in ids:
-            pairs.append((building_id, at))
-            at += project.buildings[building_id].assembly_duration + 0.2
+        for r in range(1, rounds + 1):
+            for building_id in ids:
+                building_id = building_id if r == 1 else f"{building_id}.{r}"
+                pairs.append((building_id, at))
+                at += project.buildings[building_id].assembly_duration + 0.2
         assignments[team] = tuple(pairs)
     schedule = TeamSchedule(teams=tuple(lanes), assignments=assignments)
     _month, peak = horizon_requirement_table(project, schedule).peak("d1")
@@ -348,7 +357,7 @@ def test_generated_profits_equal_single_move_scores(kope):
                 profit, cost = score_variant(
                     project, schedule, raw, capacity, target=g.targets[0]
                 )
-                assert abs(profit - v.profit) <= 1e-9
+                assert profit == v.profit
                 assert cost == v.cost
 
 
@@ -360,6 +369,47 @@ def test_stacked_shift_tables_equal_single_lookups(kope):
         assert np.array_equal(
             cache.building_table("a8", start), fresh.building_table("a8", start)
         )
+
+
+@pytest.mark.parametrize("target, days", [("a1", 3), ("a2", 3), ("a8", 14)])
+def test_cache_serves_only_the_exact_start(kope, target, days):
+    """A table cached at a start a few ulps away is not served for x."""
+    variant = CorrectionVariant(kind="shift_right", days=days)
+    start = dict((b, s) for _t, b, s in kope.team_schedule.placements())[target]
+    x = start + days / 30
+    warmed = CascadeCache(kope.project)
+    warmed.building_table(target, x + 3.6e-15)
+    args = (kope.project, kope.team_schedule, variant, kope.capacity)
+    assert score_variant(*args, target=target, cache=warmed) == score_variant(
+        *args, target=target
+    )
+
+
+def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
+    project, schedule, capacity = _small_synthetic(kope, rounds=3)
+    cache = CascadeCache(project)
+    table = cache.schedule_table(schedule)
+    calls = {"single": 0, "kernel": 0}
+    single = balsched.improve.building_requirement_table
+    kernel_tables = balsched.homebuilding.RequirementKernel.tables
+
+    def counted_single(*args, **kwargs):
+        calls["single"] += 1
+        return single(*args, **kwargs)
+
+    def counted_kernel(self, rows, starts):
+        calls["kernel"] += 1
+        return kernel_tables(self, rows, starts)
+
+    monkeypatch.setattr(balsched.improve, "building_requirement_table", counted_single)
+    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "tables", counted_kernel)
+    groups = generate_correction_groups(project, schedule, capacity, cache=cache, table=table)
+    exchanges = sum(v.kind == "exchange" for g in groups for v in g.variants)
+    assert exchanges > 3 * len(groups)
+    # every table at a current start is cached; the rest come from at most
+    # three kernel calls per target: its shifts, then both exchange sides
+    assert calls["single"] == 0
+    assert calls["kernel"] <= 3 * len(groups)
 
 
 def test_invalid_schedule_is_refused_with_its_violations(kope):
@@ -455,6 +505,59 @@ def test_lane_check_agrees_with_rebuilding_every_lane(case):
         assignments, durations, horizon, [(b, nt, ns) for b, _ot, _os, nt, ns in moves]
     )
     assert lanes.fits(moves, horizon) == expected
+
+
+@st.composite
+def valid_schedules(draw):
+    """Two or three lanes back to back, with gaps and durations that put
+    exchanged spans exactly against, or 1e-9 either side of, the next span
+    on the lane or the horizon."""
+    gap = st.sampled_from((0.0, 1e-9, -1e-9, 2e-9, 0.3)) | st.floats(0.0, 2.0)
+    duration = st.sampled_from((1.0, 1.0 + 1e-9, 1.0 - 1e-9, 1.3, 2.5)) | st.floats(0.1, 5.0)
+    durations, assignments = {}, {}
+    for team in ("T1", "T2", "T3")[: draw(st.integers(2, 3))]:
+        at, pairs = draw(st.sampled_from((0.0, 0.4))), []
+        for _ in range(draw(st.integers(1, 4))):
+            start = max(0.0, at + draw(gap))
+            building_id = f"b{len(durations)}"
+            durations[building_id] = draw(duration)
+            pairs.append((building_id, start))
+            at = start + durations[building_id]
+        assignments[team] = pairs
+    ends = [s + durations[b] for pairs in assignments.values() for b, s in pairs]
+    horizon = max(ends) + draw(st.sampled_from((0.0, 1e-9, -1e-9, 0.3)))
+    assume(rebuild_feasible(assignments, durations, horizon, []))
+    assume(max(ends) <= horizon)
+    return horizon, durations, assignments
+
+
+@given(valid_schedules())
+@settings(max_examples=200, deadline=None)
+def test_swap_arrays_agree_with_rebuilding_every_lane(case):
+    horizon, durations, assignments = case
+    buildings = {
+        b: Building(id=b, building_type="t", section_counts={"s": 1},
+                    assembly_duration=d, start=0.0)
+        for b, d in durations.items()
+    }
+    schedule = TeamSchedule(
+        teams=tuple(assignments),
+        assignments={t: tuple(pairs) for t, pairs in assignments.items()},
+    )
+    ids = sorted(durations)
+    teams, starts, lengths, following = balsched.improve._Lanes(buildings, schedule).slots(ids)
+    placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
+    for i, first in enumerate(ids):
+        fits = balsched.improve._swap_fits(starts, lengths, following, horizon, i)
+        for k, second in enumerate(ids):
+            if teams[k] == teams[i]:
+                continue
+            (team1, start1), (team2, start2) = placement[first], placement[second]
+            expected = rebuild_feasible(
+                assignments, durations, horizon,
+                [(first, team2, start2), (second, team1, start1)],
+            )
+            assert fits[k] == expected, (first, second)
 
 
 # --- applying selections ----------------------------------------------------------
@@ -579,6 +682,12 @@ def test_loop_with_zero_budget_stops_after_one_recorded_iteration(kope):
     assert len(result.trace) == 1
     assert result.stop_reason == "no improving selection"
     assert result.schedule == kope.team_schedule
+
+
+@pytest.mark.parametrize("budget", [float("nan"), float("inf")])
+def test_improve_params_refuse_non_finite_budgets(budget):
+    with pytest.raises(ValueError, match="budget must be finite"):
+        ImproveParams(budget=budget)
 
 
 def test_loop_respects_max_iters(kope):

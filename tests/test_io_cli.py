@@ -496,6 +496,14 @@ def test_cli_improve_rejects_negative_limits(runner, emitted, option):
     assert f"Invalid value for '{option}'" in result.stderr
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_improve_rejects_non_finite_budget(runner, emitted, value):
+    result = runner.invoke(main, ["improve", str(emitted["kope-1982"]), "--budget", value])
+    assert result.exit_code == 2
+    assert "Invalid value for '--budget'" in result.stderr
+    assert "stop:" not in result.output
+
+
 def test_cli_improve_rejects_modular_instance(runner, emitted):
     result = runner.invoke(main, ["improve", str(emitted["modular-demo"])])
     assert result.exit_code == 1
