@@ -16,7 +16,8 @@ import click
 from . import balance as balance_mod
 from . import fixtures as fixtures_mod
 from .core import (
-    collect_violations,
+    Instance,
+    ValidationError,
     makespan,
     schedule_violations,
     validate_instance,
@@ -67,29 +68,30 @@ def _load(path) -> InstanceFile:
         _fail(f"cannot read {path}: {exc.strerror}", 2)
 
 
-def _instance_violations(instance: InstanceFile) -> list[str]:
+def _validated(instance: InstanceFile) -> Instance | None:
+    """Check the instance and its schedule once, exiting 1 with one
+    ``invalid:`` line per violation. Returns the validated modular
+    Instance, or None for a home-building instance."""
+    validated = None
     if instance.mode == "modular":
-        violations = collect_violations(
-            instance.universe, instance.jobs, instance.processors, instance.grid
-        )
-        if not violations:
+        try:
             validated = validate_instance(
                 instance.universe, instance.jobs, instance.processors,
                 instance.grid,
             )
+        except ValidationError as exc:
+            violations = exc.violations
+        else:
             violations = schedule_violations(validated, instance.schedule)
-        return violations
-    return team_schedule_violations(
-        instance.team_schedule, instance.project.buildings
-    )
-
-
-def _validated(instance: InstanceFile) -> None:
-    violations = _instance_violations(instance)
+    else:
+        violations = team_schedule_violations(
+            instance.team_schedule, instance.project.buildings
+        )
     if violations:
         for v in violations:
             _echo(f"invalid: {v}", err=True)
         sys.exit(1)
+    return validated
 
 
 @click.group()
@@ -111,12 +113,9 @@ def validate(file):
 def evaluate(file):
     """Makespan, window penalties, or the monthly requirement table."""
     instance = _load(file)
-    _validated(instance)
+    validated = _validated(instance)
     _echo(f"mode: {instance.mode}")
     if instance.mode == "modular":
-        validated = validate_instance(
-            instance.universe, instance.jobs, instance.processors, instance.grid
-        )
         _echo(f"makespan: {makespan(validated, instance.schedule)}")
         if instance.window_jobs:
             try:
@@ -165,13 +164,10 @@ def evaluate(file):
 def balance(file):
     """Balance verdict against the reference profile or capacity."""
     instance = _load(file)
-    _validated(instance)
+    validated = _validated(instance)
     if instance.mode == "modular":
         if instance.reference_profile is None or instance.proximity_threshold is None:
             _fail("instance has no reference profile / threshold")
-        validated = validate_instance(
-            instance.universe, instance.jobs, instance.processors, instance.grid
-        )
         try:
             verdict = balance_mod.balance_verdict(
                 validated,

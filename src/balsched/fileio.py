@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Mapping, Sequence
 
 from .core import (
@@ -365,10 +366,14 @@ def _load_homebuilding(block: dict, issues: list) -> dict:
     return out
 
 
-def _window_job(_, v) -> WindowJob:
+def _window_job(ids: set, _, v) -> WindowJob:
     v = _obj(v)
+    job_id = _get(v, "id", _str)
+    if job_id in ids:
+        raise _Bad(f"duplicate id '{job_id}'", "id")
+    ids.add(job_id)
     return WindowJob(
-        id=_get(v, "id", _str),
+        id=job_id,
         processing_time=_get(v, "processing_time", _float),
         t1=_get(v, "t1", _float),
         t2=_get(v, "t2", _float),
@@ -411,8 +416,9 @@ def instance_from_dict(data: Any) -> InstanceFile:
         raise SchemaError(issues)
 
     out = (_load_modular if mode == "modular" else _load_homebuilding)(block, issues)
+    ids: set = set()
     out["window_jobs"] = _each(
-        data, "window_jobs", _list, _window_job, issues, "", None
+        data, "window_jobs", _list, partial(_window_job, ids), issues, "", None
     )
     out["penalty_weights"] = _field(
         data, "penalty_weights", _weights, issues, "", None

@@ -390,20 +390,6 @@ def building_requirement_table(
     )
 
 
-def building_requirement_tables(
-    project: Project, building: Building, starts: Sequence[float]
-) -> np.ndarray:
-    """One building's (horizon x 8) tables at several starts, stacked.
-
-    Slice i equals building_requirement_table(project, building,
-    starts[i]) bit for bit.
-    """
-    starts = np.asarray(starts, dtype=float)
-    return RequirementKernel(project, [building]).tables(
-        np.zeros(len(starts), dtype=int), starts
-    )
-
-
 class RequirementKernel:
     """The cascade of several buildings at once.
 

@@ -276,20 +276,6 @@ class CascadeCache:
             )
         return self._tables[key]
 
-    def warm(self, building_id: str, starts: Sequence[float]) -> None:
-        """Compute the missing tables of one building at several starts in
-        one stacked kernel call; they equal building_table's bit for bit."""
-        missing = [
-            start for start in dict.fromkeys(starts)
-            if (building_id, start) not in self._tables
-        ]
-        if missing:
-            rows = np.full(len(missing), self.kernel.row[building_id])
-            tables = self.kernel.tables(rows, np.array(missing))
-            self._tables.update(
-                ((building_id, start), t) for start, t in zip(missing, tables)
-            )
-
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
         total = np.zeros((self.project.horizon_months, len(DETAIL_TYPES)))
         for _team, building_id, start in schedule.placements():
@@ -497,7 +483,7 @@ def _swap_fits(
 
 
 class _Scorer:
-    """(profit, cost) of moves against one base table.
+    """Profits of moves against one base table.
 
     Tables are linear in placements, so a move's table is the base less
     the moved buildings' old tables plus their new ones; the profit is
@@ -514,17 +500,20 @@ class _Scorer:
         self.cache, self.base, self.cap, self.config = cache, base, cap, config
         self.base_v = violation_measure(base, cap, config)
 
-    def __call__(
-        self, variant: CorrectionVariant, moves: Sequence[Move]
-    ) -> tuple[float, float]:
-        candidate = self.base.copy()
-        for building_id, _old_team, old_start, _new_team, new_start in moves:
-            candidate -= self.cache.building_table(building_id, old_start)
-            candidate += self.cache.building_table(building_id, new_start)
-        profit = self.base_v - violation_measure(candidate, self.cap, self.config)
-        if variant.kind == "exchange":
-            return profit, self.config.exchange_cost
-        return profit, self.config.day_cost * variant.days
+    def _moved(self, target: str, start: float, new_starts: np.ndarray) -> np.ndarray:
+        """One (starts x months x 8) stack: the base table with ``target``
+        moved from ``start`` to each of ``new_starts``, from one kernel
+        call. It is (base - T_t(start)) + T_t(new start) in that order of
+        operations, IEEE addition being commutative."""
+        kernel = self.cache.kernel
+        stack = kernel.tables(np.full(len(new_starts), kernel.row[target]), new_starts)
+        stack += self.base - self.cache.building_table(target, start)
+        return stack
+
+    def shifts(self, target: str, start: float, new_starts: np.ndarray) -> np.ndarray:
+        """Profits of moving ``target`` from ``start`` to each new start."""
+        stack = self._moved(target, start, new_starts)
+        return self.base_v - _violation_measures(stack, self.cap, self.config)
 
     def exchanges(
         self,
@@ -535,18 +524,12 @@ class _Scorer:
         partner_tables: np.ndarray,
     ) -> np.ndarray:
         """Profits of exchanging ``target``, placed at ``start``, with each
-        partner (kernel rows, their starts and their tables there).
-
-        One (partners x months x 8) stack holds every candidate table,
-        built from two kernel calls in __call__'s order of operations;
-        each profit equals __call__'s on that exchange bit for bit.
-        """
-        kernel = self.cache.kernel
-        stack = kernel.tables(np.full(len(partners), kernel.row[target]), partner_starts)
-        # (base - T_t(s_t)) + T_t(s_p), IEEE addition being commutative
-        stack += self.base - self.cache.building_table(target, start)
+        partner (kernel rows, their starts and their tables there): the
+        shift stack at the partners' starts, less each partner's table,
+        plus the partners' tables at ``start`` from one more kernel call."""
+        stack = self._moved(target, start, partner_starts)
         stack -= partner_tables
-        stack += kernel.tables(partners, np.full(len(partners), start))
+        stack += self.cache.kernel.tables(partners, np.full(len(partners), start))
         return self.base_v - _violation_measures(stack, self.cap, self.config)
 
 
@@ -562,7 +545,8 @@ def score_variant(
     """(profit, cost) of one move: profit is the violation-measure drop.
 
     Profit can be negative for worsening moves. Cost follows the config
-    model: day_cost * |days| for shifts, exchange_cost for exchanges.
+    model: day_cost * |days| for shifts, exchange_cost for exchanges. The
+    move is priced as a stack of one, as generate_correction_groups does.
 
     Raises:
         ValueError: for a variant that cannot be applied to this schedule.
@@ -572,7 +556,17 @@ def score_variant(
     cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
     cache = cache or CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
-    return _Scorer(cache, cache.schedule_table(schedule), cap, config)(variant, moves)
+    building_id, _team, start, _new_team, new_start = moves[0]
+    score = _Scorer(cache, cache.schedule_table(schedule), cap, config)
+    if variant.kind == "exchange":
+        partner = moves[1][0]  # placed at new_start
+        profits = score.exchanges(
+            building_id, start, np.array([cache.kernel.row[partner]]),
+            np.array([new_start]), cache.building_table(partner, new_start)[None],
+        )
+        return float(profits[0]), config.exchange_cost
+    profits = score.shifts(building_id, start, np.array([new_start]))
+    return float(profits[0]), config.day_cost * variant.days
 
 
 def generate_correction_groups(
@@ -589,11 +583,10 @@ def generate_correction_groups(
 
     ``table`` is the schedule's requirement table when the caller already
     holds it (``cache.schedule_table(schedule)``). Every move is checked on
-    a lane index of the schedule and scored against that one table; the
-    shift tables of each target come from one stacked kernel call. A
+    a lane index of the schedule and scored against that one table. A
     target's exchanges with buildings on other teams are checked as arrays
-    over every partner (_swap_fits), and all its feasible exchanges are
-    priced in one stack (_Scorer.exchanges).
+    over every partner (_swap_fits). All its feasible shifts are priced in
+    one stack, and all its feasible exchanges in another (_Scorer).
 
     Returns an empty list when no month exceeds capacity.
 
@@ -625,18 +618,20 @@ def generate_correction_groups(
     groups: list[CorrectionGroup] = []
     for index, i in enumerate(np.flatnonzero(is_target), start=1):
         target = placed[i]
-        shifts = []
+        shifts, new_starts = [], []
         for kind in ("shift_right", "shift_left"):
             for days in config.shift_steps:
                 raw = CorrectionVariant(kind=kind, days=days)
                 moves = lanes.moves(raw, target)
                 if lanes.fits(moves, horizon):
-                    shifts.append((raw, moves))
-        cache.warm(target, [new_start for _raw, [(*_, new_start)] in shifts])
+                    shifts.append(raw)
+                    new_starts.append(moves[0][4])
+        profits = score.shifts(target, starts[i], np.array(new_starts))
         variants: list[CorrectionVariant] = [NONE_VARIANT]
-        for raw, moves in shifts:
-            profit, cost = score(raw, moves)
-            variants.append(replace(raw, profit=profit, cost=cost))
+        variants.extend(
+            replace(raw, profit=float(profit), cost=config.day_cost * raw.days)
+            for raw, profit in zip(shifts, profits)
+        )
         # An exchange is one move on a pair; list it only in the first
         # group that can host it, so a selection can never pick the
         # same swap twice and undo itself.
@@ -668,58 +663,13 @@ def generate_correction_groups(
     return groups
 
 
-def apply_selection(
-    schedule: TeamSchedule,
-    problem: BudgetedMCKP,
-    selection: Selection,
-    buildings: Mapping[str, Building],
-) -> TeamSchedule:
-    """Apply the chosen variants, in group order, to a copy of the schedule.
-
-    Shifts move the target's start by days/30 months; exchanges swap the two
-    buildings' (team, start) placements. The building set and all durations
-    are untouched.
-
-    Raises:
-        ValueError: on an invalid input schedule, a degenerate exchange, or
-            when the result breaks team-schedule rules (message names the
-            offending team).
-    """
-    _refuse_invalid(schedule, buildings)
-    lanes = _Lanes(buildings, schedule)
-    moved = False
-    for group, j in zip(problem.groups, selection.chosen):
-        variant = group.variants[j]
-        if variant.kind == "none":
-            continue
-        target = group.targets[0] if group.targets else None
-        lanes.apply(lanes.moves(variant, target))
-        moved = True
-    if not moved:
-        return schedule
-    result = lanes.schedule()
-    _refuse_invalid(result, buildings)
-    return result
-
-
-# --- the repair loop --------------------------------------------------------
-
 def _compose_selection(
     project: Project,
     schedule: TeamSchedule,
     problem: BudgetedMCKP,
     selection: Selection,
 ) -> tuple[Selection, TeamSchedule]:
-    """Reduce a selection to a jointly applicable one, in group order.
-
-    Variants are scored and budget-checked independently, so two chosen
-    moves can collide — e.g. exchanges with a common partner, or opposing
-    shifts on one team's lane. Walking groups in index order, each chosen
-    variant is kept only if its moved buildings are untouched so far and it
-    still applies cleanly to the schedule as moved so far; otherwise that
-    group falls back to its none-variant. Earlier groups therefore take
-    priority, which keeps the outcome deterministic.
-    """
+    """apply_selection's walk over a valid schedule; see there."""
     chosen = list(selection.chosen)
     lanes = _Lanes(project.buildings, schedule)
     moved: set[str] = set()
@@ -728,26 +678,49 @@ def _compose_selection(
         if variant.kind == "none":
             continue
         target = group.targets[0] if group.targets else None
-        touched = (
-            set(variant.buildings)
-            if variant.kind == "exchange"
-            else {target}
-        )
-        try:
-            moves = lanes.moves(variant, target)
-        except ValueError:
-            moves = None
-        if (
-            touched & moved
-            or moves is None
-            or not lanes.fits(moves, project.horizon_months)
-        ):
+        moves = lanes.moves(variant, target)
+        touched = {building_id for building_id, *_ in moves}
+        if touched & moved or not lanes.fits(moves, project.horizon_months):
             chosen[pos] = 0
             continue
         lanes.apply(moves)
         moved |= touched
     return _selection(problem, chosen), lanes.schedule() if moved else schedule
 
+
+def apply_selection(
+    project: Project,
+    schedule: TeamSchedule,
+    problem: BudgetedMCKP,
+    selection: Selection,
+) -> tuple[Selection, TeamSchedule]:
+    """Apply the jointly applicable part of a selection, in group order;
+    return the applied selection and the new schedule (the input schedule
+    itself when nothing applies).
+
+    Shifts move the target's start by days/30 months; exchanges swap the two
+    buildings' (team, start) placements. The building set and all durations
+    are untouched.
+
+    Variants are scored and budget-checked independently, so two chosen
+    moves can collide -- e.g. exchanges with a common partner, or opposing
+    shifts on one team's lane. Walking groups in index order, each chosen
+    variant is applied only if its moved buildings are untouched so far
+    and the schedule as moved so far still passes the team-schedule rules
+    with every building inside [0, horizon]; otherwise that group falls
+    back to its none-variant. Earlier groups therefore take priority, which
+    keeps the outcome deterministic. The dropped groups are those where the
+    applied selection's ``chosen`` differs from the given one.
+
+    Raises:
+        ValueError: on an invalid input schedule, a shift without a target,
+            a degenerate exchange, or a variant naming an unplaced building.
+    """
+    _refuse_invalid(schedule, project.buildings)
+    return _compose_selection(project, schedule, problem, selection)
+
+
+# --- the repair loop --------------------------------------------------------
 
 @dataclass(frozen=True)
 class ImproveParams:
@@ -820,7 +793,7 @@ def improvement_loop(
     table = cache.schedule_table(current)
     v = violation_measure(table, cap, config)
     trace: list[IterationRecord] = []
-    stop_reason = "max iterations"
+    stop_reason = "balanced" if v <= 1e-12 else "max iterations"
 
     for iteration in range(1, params.max_iters + 1):
         if v <= 1e-12:
@@ -834,57 +807,30 @@ def improvement_loop(
             break
         problem = BudgetedMCKP(groups=tuple(groups), budget=params.budget)
         selection = mckp_greedy(problem)
-        worst = max_violation(table, cap)
-        if selection.total_profit <= 1e-12:
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    v_before=v,
-                    max_violation=worst,
-                    selection=selection,
-                    groups=problem.groups,
-                    v_after=v,
-                    accepted=False,
-                )
+        new_v, reason = v, "no improving selection"
+        if selection.total_profit > 1e-12:
+            selection, candidate = _compose_selection(
+                project, current, problem, selection
             )
-            stop_reason = "no improving selection"
-            break
-        applied, candidate = _compose_selection(project, current, problem, selection)
-        if applied.is_all_none():
-            trace.append(
-                IterationRecord(
-                    iteration=iteration,
-                    v_before=v,
-                    max_violation=worst,
-                    selection=applied,
-                    groups=problem.groups,
-                    v_after=v,
-                    accepted=False,
-                )
-            )
-            stop_reason = "selection not applicable"
-            break
-        new_table = cache.schedule_table(candidate)
-        new_v = violation_measure(new_table, cap, config)
+            reason = "selection not applicable"
+            if not selection.is_all_none():
+                new_table = cache.schedule_table(candidate)
+                new_v = violation_measure(new_table, cap, config)
+                reason = "no decrease in violation measure"
         accepted = new_v < v - 1e-12
         trace.append(
             IterationRecord(
                 iteration=iteration,
                 v_before=v,
-                max_violation=worst,
-                selection=applied,
+                max_violation=max_violation(table, cap),
+                selection=selection,
                 groups=problem.groups,
                 v_after=new_v if accepted else v,
                 accepted=accepted,
             )
         )
         if not accepted:
-            stop_reason = "no decrease in violation measure"
+            stop_reason = reason
             break
         current, table, v = candidate, new_table, new_v
-    else:
-        stop_reason = "max iterations"
-
-    if not trace and v <= 1e-12:
-        stop_reason = "balanced"
     return LoopResult(schedule=current, trace=tuple(trace), stop_reason=stop_reason)

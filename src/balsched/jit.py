@@ -129,7 +129,8 @@ def schedule_windows(jobs: Sequence[WindowJob]) -> WindowScheduleResult:
     result, not an error.
 
     Raises:
-        ValueError: if positions on some machine do not form 1..n.
+        ValueError: if two jobs share an id, or positions on some machine
+            do not form 1..n.
     """
     by_machine: dict[int, list[WindowJob]] = {}
     for job in jobs:
@@ -147,6 +148,8 @@ def schedule_windows(jobs: Sequence[WindowJob]) -> WindowScheduleResult:
             )
         previous = 0.0
         for job in sequence:
+            if job.id in starts:
+                raise ValueError(f"duplicate window job id '{job.id}'")
             start = max(previous, job.t1)
             completion = start + job.processing_time
             starts[job.id] = start

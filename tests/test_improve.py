@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 import balsched.homebuilding
 import balsched.improve
 from balsched.fixtures import build_fixture
-from balsched.homebuilding import Building, TeamSchedule, horizon_requirement_table
+from balsched.homebuilding import (
+    DAYS_PER_MONTH,
+    Building,
+    TeamSchedule,
+    horizon_requirement_table,
+    team_schedule_violations,
+)
 from balsched.improve import (
     DEFAULT_SCORE_CONFIG,
     NONE_VARIANT,
@@ -361,16 +367,6 @@ def test_generated_profits_equal_single_move_scores(kope):
                 assert cost == v.cost
 
 
-def test_stacked_shift_tables_equal_single_lookups(kope):
-    cache, fresh = CascadeCache(kope.project), CascadeCache(kope.project)
-    starts = [9.7 + d / 30 for d in (-21, -14, -7, -3, 3, 7, 14, 21)]
-    cache.warm("a8", starts)
-    for start in starts:
-        assert np.array_equal(
-            cache.building_table("a8", start), fresh.building_table("a8", start)
-        )
-
-
 @pytest.mark.parametrize("target, days", [("a1", 3), ("a2", 3), ("a8", 14)])
 def test_cache_serves_only_the_exact_start(kope, target, days):
     """A table cached at a start a few ulps away is not served for x."""
@@ -565,16 +561,16 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
 def test_apply_all_none_is_identity(kope):
     problem = BudgetedMCKP(groups=kope.correction_groups, budget=0.0)
     sel = mckp_greedy(problem)
-    out = apply_selection(
-        kope.team_schedule, problem, sel, kope.project.buildings
-    )
+    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
+    assert applied == sel
     assert out == kope.team_schedule
 
 
 def test_apply_catalogue_selection_moves_a7_a8(kope):
     problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
     sel = mckp_greedy(problem)
-    out = apply_selection(kope.team_schedule, problem, sel, kope.project.buildings)
+    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
+    assert applied == sel
     starts = {bid: start for _t, bid, start in out.placements()}
     assert starts["a7"] == pytest.approx(11.8 + 14 / 30)
     assert starts["a8"] == pytest.approx(9.7 + 21 / 30)
@@ -588,7 +584,7 @@ def test_apply_catalogue_selection_moves_a7_a8(kope):
 def test_apply_preserves_buildings_and_durations(kope):
     problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
     sel = mckp_greedy(problem)
-    out = apply_selection(kope.team_schedule, problem, sel, kope.project.buildings)
+    _applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
     assert sorted(b for _t, b, _s in out.placements()) == sorted(
         b for _t, b, _s in kope.team_schedule.placements()
     )
@@ -605,7 +601,8 @@ def test_apply_exchange_swaps_slots(kope):
     )
     problem = BudgetedMCKP(groups=(g,), budget=1.0)
     sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
-    out = apply_selection(kope.team_schedule, problem, sel, kope.project.buildings)
+    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
+    assert applied == sel
     placements = {bid: (team, start) for team, bid, start in out.placements()}
     assert placements["a3"] == ("P3", 9.5)
     assert placements["a6"] == ("P4", 6.5)
@@ -623,10 +620,10 @@ def test_apply_degenerate_exchange(kope):
     problem = BudgetedMCKP(groups=(g,), budget=1.0)
     sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
     with pytest.raises(ValueError, match="degenerate exchange"):
-        apply_selection(kope.team_schedule, problem, sel, kope.project.buildings)
+        apply_selection(kope.project, kope.team_schedule, problem, sel)
 
 
-def test_apply_overlap_names_the_team(kope):
+def test_apply_drops_an_overlapping_shift(kope):
     # pushing a4 (P2, ends 11.8) right by 21 days runs it into a7 (starts 11.8)
     g = CorrectionGroup(
         index=1,
@@ -638,8 +635,66 @@ def test_apply_overlap_names_the_team(kope):
     )
     problem = BudgetedMCKP(groups=(g,), budget=1.0)
     sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
-    with pytest.raises(ValueError, match="team P2"):
-        apply_selection(kope.team_schedule, problem, sel, kope.project.buildings)
+    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
+    assert applied == Selection(chosen=(0,), total_profit=0, total_cost=0)
+    assert out is kope.team_schedule
+
+
+@pytest.fixture(scope="module")
+def menus(kope):
+    """(project, schedule, problem) with generated groups, for kope and for
+    the nine kope buildings on three teams."""
+    cases = [(kope.project, kope.team_schedule, kope.capacity), _small_synthetic(kope)]
+    return [
+        (project, schedule, BudgetedMCKP(
+            groups=tuple(generate_correction_groups(project, schedule, capacity)),
+            budget=1e9,
+        ))
+        for project, schedule, capacity in cases
+    ]
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_applied_selection_is_valid_and_a_fixed_point(menus, data):
+    project, schedule, problem = data.draw(st.sampled_from(menus))
+    chosen = tuple(
+        data.draw(st.integers(0, len(g.variants) - 1)) for g in problem.groups
+    )
+    variants = [g.variants[j] for g, j in zip(problem.groups, chosen)]
+    selection = Selection(
+        chosen=chosen,
+        total_profit=sum(v.profit for v in variants),
+        total_cost=sum(v.cost for v in variants),
+    )
+    applied, out = apply_selection(project, schedule, problem, selection)
+    assert team_schedule_violations(out, project.buildings) == []
+    for _team, building_id, start in out.placements():
+        end = start + project.buildings[building_id].assembly_duration
+        assert 0 <= start and end <= project.horizon_months
+    assert all(a in (0, j) for a, j in zip(applied.chosen, chosen))
+    kept = [g.variants[a] for g, a in zip(problem.groups, applied.chosen)]
+    assert applied.total_profit == sum(v.profit for v in kept)
+    assert applied.total_cost == sum(v.cost for v in kept)
+    # each building moves at most once, so the result is the applied moves
+    # made on the input placements
+    before = {b: (team, start) for team, b, start in schedule.placements()}
+    expected, touched = dict(before), []
+    for g, v in zip(problem.groups, kept):
+        if v.kind == "exchange":
+            first, second = v.buildings
+            expected[first], expected[second] = before[second], before[first]
+            touched += v.buildings
+        elif v.kind != "none":
+            team, start = before[g.targets[0]]
+            step = v.days / DAYS_PER_MONTH
+            expected[g.targets[0]] = (
+                team, start + step if v.kind == "shift_right" else start - step
+            )
+            touched.append(g.targets[0])
+    assert len(touched) == len(set(touched))
+    assert {b: (team, start) for team, b, start in out.placements()} == expected
+    assert apply_selection(project, schedule, problem, applied) == (applied, out)
 
 
 # --- the loop ---------------------------------------------------------------------

@@ -588,6 +588,8 @@ def mutant(name, path, value):
         ("modular-demo", ("modular", "grid", "k"), 2.7,
          "/modular/grid/k: expected an integer"),
         ("jit-windows", ("window_jobs",), 5, "/window_jobs: expected a list"),
+        ("jit-windows", ("window_jobs", 1, "id"), "a1",
+         "/window_jobs/1/id: duplicate id 'a1'"),
     ],
 )
 def test_malformed_input_is_one_schema_error(runner, tmp_path, name, path, value, line):

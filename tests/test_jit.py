@@ -160,6 +160,15 @@ def test_positions_must_be_contiguous():
         schedule_windows(jobs)
 
 
+def test_duplicate_job_ids_are_refused():
+    jobs = [
+        WindowJob(id="x", processing_time=1.0, t1=0.0, t2=2.0, machine=1, position=1),
+        WindowJob(id="x", processing_time=1.0, t1=0.0, t2=3.0, machine=2, position=1),
+    ]
+    with pytest.raises(ValueError, match="duplicate window job id 'x'"):
+        schedule_windows(jobs)
+
+
 def test_window_job_field_validation():
     with pytest.raises(ValueError, match="negative processing time"):
         WindowJob(id="z", processing_time=-1.0, t1=0.0, t2=1.0)
