@@ -10,6 +10,7 @@ capacity profile component-wise (dominance).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,10 +28,14 @@ def count_vector(
     Raises:
         ValueError: on an element type not present in the universe.
     """
-    elements = bag.elements if isinstance(bag, IntervalBag) else bag
+    elements = bag.elements if isinstance(bag, IntervalBag) else tuple(bag)
+    try:
+        tally = Counter(elements).items()
+    except TypeError:  # an unhashable element, which position() refuses
+        tally = ((element, 1) for element in elements)
     counts = [0] * universe.size
-    for element in elements:
-        counts[universe.position(element)] += 1
+    for element, n in tally:
+        counts[universe.position(element)] += n
     return tuple(counts)
 
 

@@ -13,8 +13,12 @@ so instances and schedules can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain
+from operator import index
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 
 class ValidationError(ValueError):
@@ -35,10 +39,19 @@ class ElementUniverse:
 
     The order is load-bearing: balance proximity reads count vectors in
     universe order, so permuting two types changes distances in general.
+    ``codes`` maps each type to its position, built once; a duplicated
+    type keeps its first position. It must not be mutated.
     """
 
     types: tuple[str, ...]
     idle_index: int
+    codes: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        codes: dict[str, int] = {}
+        for code, t in enumerate(self.types):
+            codes.setdefault(t, code)
+        object.__setattr__(self, "codes", codes)
 
     @property
     def idle(self) -> str:
@@ -50,12 +63,15 @@ class ElementUniverse:
 
     def position(self, element: str) -> int:
         try:
-            return self.types.index(element)
-        except ValueError:
+            return self.codes[element]
+        except (KeyError, TypeError):  # TypeError: an unhashable element
             raise ValueError(f"unknown element type '{element}'") from None
 
     def __contains__(self, element: str) -> bool:
-        return element in self.types
+        try:
+            return element in self.codes
+        except TypeError:
+            return False
 
 
 @dataclass(frozen=True)
@@ -82,13 +98,6 @@ class SlotSchedule:
     processors: tuple[str, ...]
     placements: Mapping[str, tuple[tuple[str, int], ...]]
     horizon_slots: int
-
-    def placed_job_ids(self) -> list[str]:
-        out = []
-        for proc in self.processors:
-            for job_id, _start in self.placements.get(proc, ()):
-                out.append(job_id)
-        return out
 
 
 @dataclass(frozen=True)
@@ -154,6 +163,8 @@ def collect_violations(
     if len(universe.types) < 2:
         violations.append("universe: needs at least one non-idle type")
 
+    # a chain of these alone breaks no element rule
+    non_idle = {t for t, code in universe.codes.items() if code != universe.idle_index}
     seen_jobs: set[str] = set()
     for job in jobs:
         if job.id in seen_jobs:
@@ -161,6 +172,11 @@ def collect_violations(
         seen_jobs.add(job.id)
         if len(job.chain) == 0:
             violations.append(f"job {job.id}: empty chain")
+        try:
+            if non_idle.issuperset(job.chain):
+                continue
+        except TypeError:  # an unhashable element, reported by the loop
+            pass
         for element in job.chain:
             if element not in universe:
                 violations.append(
@@ -276,10 +292,14 @@ def interval_bags(
     """Collect the per-interval element bags, idle-padded to capacity.
 
     Every occupied slot lands in exactly one bag; each bag's cardinality is
-    interval_len_slots x number of processors.
+    interval_len_slots x number of processors, or more where overlapping
+    placements overfill an interval. The bags are tallied from the chains'
+    integer codes in one bincount.
 
     Raises:
-        ValueError: if the grid covers fewer slots than the schedule horizon.
+        ValueError: if the grid covers fewer slots than the schedule horizon,
+            if a placement runs outside the grid, or on an element type not
+            in the universe.
     """
     grid = grid or instance.grid
     if grid.horizon_slots < schedule.horizon_slots:
@@ -288,16 +308,41 @@ def interval_bags(
             f"{schedule.horizon_slots}"
         )
     universe = instance.universe
-    length = grid.interval_len_slots
-    capacity = length * len(schedule.processors)
-    buckets: list[list[str]] = [[] for _ in range(grid.k)]
+    starts, chains = [], []
     for proc in schedule.processors:
         for job_id, start in schedule.placements.get(proc, ()):
-            for offset, element in enumerate(instance.jobs[job_id].chain):
-                buckets[(start + offset) // length].append(element)
+            starts.append(start)
+            chains.append(instance.jobs[job_id].chain)
+    lengths = np.array([len(c) for c in chains], dtype=np.intp)
+    starts = np.fromiter(map(index, starts), np.intp, len(starts))  # ints only
+    # each element's slot: its chain's start plus its offset in the chain
+    slots = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    slots += np.arange(len(slots))
+    if len(slots) and (slots.min() < 0 or slots.max() >= grid.horizon_slots):
+        raise ValueError(
+            f"placement outside the grid's {grid.horizon_slots} slots"
+        )
+    size = universe.size
+    keys = slots  # turned into interval * size + code in place, to save memory
+    keys //= grid.interval_len_slots
+    keys *= size
+    try:
+        keys += np.fromiter(
+            map(universe.codes.__getitem__, chain.from_iterable(chains)), np.intp, len(keys)
+        )
+    except (KeyError, TypeError):
+        # position() raises on the first unknown element in bag order
+        elements = list(chain.from_iterable(chains))
+        for i in np.argsort(keys, kind="stable"):
+            universe.position(elements[i])
+        raise
+    counts = np.bincount(keys, minlength=grid.k * size).reshape(grid.k, size)
+    capacity = grid.interval_len_slots * len(schedule.processors)
+    counts[:, universe.codes[universe.idle]] += np.maximum(capacity - counts.sum(1), 0)
     bags = []
-    for i, elements in enumerate(buckets):
-        elements.extend([universe.idle] * (capacity - len(elements)))
-        elements.sort(key=universe.position)
-        bags.append(IntervalBag(index=i + 1, elements=tuple(elements)))
+    for i, row in enumerate(counts.tolist()):
+        bag: list[str] = []
+        for t, n in zip(universe.types, row):
+            bag += [t] * n
+        bags.append(IntervalBag(index=i + 1, elements=tuple(bag)))
     return bags

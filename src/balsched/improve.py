@@ -512,6 +512,8 @@ class _Scorer:
 
     def shifts(self, target: str, start: float, new_starts: np.ndarray) -> np.ndarray:
         """Profits of moving ``target`` from ``start`` to each new start."""
+        if not len(new_starts):
+            return np.empty(0)
         stack = self._moved(target, start, new_starts)
         return self.base_v - _violation_measures(stack, self.cap, self.config)
 
@@ -527,6 +529,8 @@ class _Scorer:
         partner (kernel rows, their starts and their tables there): the
         shift stack at the partners' starts, less each partner's table,
         plus the partners' tables at ``start`` from one more kernel call."""
+        if not len(partners):
+            return np.empty(0)
         stack = self._moved(target, start, partner_starts)
         stack -= partner_tables
         stack += self.cache.kernel.tables(partners, np.full(len(partners), start))

@@ -45,6 +45,36 @@ def unit_move_distance(e0, e):
     raise RuntimeError("unreachable: equal-total vectors are always connected")
 
 
+def element_counts(elements, types):
+    """Per-type multiplicities of ``elements`` in the order of ``types``,
+    counted one element at a time; a type listed twice counts at its first
+    position. Raises ValueError on an element not in ``types``."""
+    counts = [0] * len(types)
+    for element in elements:
+        counts[types.index(element)] += 1
+    return tuple(counts)
+
+
+def interval_bag_elements(types, idle_index, chains, placements, interval_len, k):
+    """Per-interval element lists of a slot schedule, each padded with the
+    idle type up to interval_len x processors and sorted by first position
+    in ``types``.
+
+    ``chains`` maps a job id to its elements; ``placements`` is a list of
+    lanes, one per processor, each a list of (job id, start slot).
+    """
+    capacity = interval_len * len(placements)
+    buckets = [[] for _ in range(k)]
+    for lane in placements:
+        for job_id, start in lane:
+            for offset, element in enumerate(chains[job_id]):
+                buckets[(start + offset) // interval_len].append(element)
+    for elements in buckets:
+        elements.extend([types[idle_index]] * (capacity - len(elements)))
+        elements.sort(key=types.index)
+    return [tuple(elements) for elements in buckets]
+
+
 def earliest_start_completions(jobs):
     """Completion times for one machine under the earliest-start-in-window rule.
 

@@ -13,10 +13,18 @@ from balsched.balance import (
     proximity,
     violation,
 )
-from balsched.core import validate_instance
+from balsched.core import (
+    CompositeJob,
+    ElementUniverse,
+    Instance,
+    SlotSchedule,
+    TimeGrid,
+    interval_bags,
+    validate_instance,
+)
 from balsched.fixtures import build_fixture
 
-from oracles import unit_move_distance
+from oracles import element_counts, interval_bag_elements, unit_move_distance
 
 
 def demo():
@@ -128,8 +136,6 @@ def _random_partition(rng, total, n):
 
 def test_count_vector_of_demo_first_interval():
     instance, f = demo()
-    from balsched.core import interval_bags
-
     bags = interval_bags(instance, f.schedule)
     assert count_vector(bags[0], f.universe) == (2, 4, 0, 1, 1, 1)
     assert count_vector(bags[3], f.universe) == (0, 1, 1, 3, 3, 1)
@@ -142,6 +148,72 @@ def test_count_vector_accepts_plain_iterable():
 def test_count_vector_unknown_type():
     with pytest.raises(ValueError, match="unknown element type"):
         count_vector(("e9",), demo()[1].universe)
+
+
+def test_count_vector_names_the_first_unknown_element():
+    universe = demo()[1].universe
+    with pytest.raises(ValueError, match="unknown element type 'e8'"):
+        count_vector(iter(("e1", "e8", "e9")), universe)
+    with pytest.raises(ValueError, match="unknown element type 'e9'"):
+        count_vector(("e1", "e9", ["e1"]), universe)
+    with pytest.raises(ValueError, match=r"unknown element type '\['e1'\]'"):
+        count_vector(("e1", ["e1"], "e9"), universe)
+
+
+@st.composite
+def slot_schedules(draw):
+    """An unvalidated instance and schedule: a universe that may repeat a
+    type, chains that may hold the idle type, lanes with gaps or none."""
+    types = tuple(draw(st.lists(st.sampled_from("abcdef"), min_size=2, max_size=6)))
+    universe = ElementUniverse(types, draw(st.integers(0, len(types) - 1)))
+    grid = TimeGrid(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    processors = tuple(f"P{p}" for p in range(draw(st.integers(1, 3))))
+    jobs, placements = {}, {}
+    for proc in processors:
+        lane, t = [], draw(st.integers(0, 2))
+        while t < grid.horizon_slots and draw(st.booleans()):
+            job_id = f"j{len(jobs)}"
+            length = draw(st.integers(1, grid.horizon_slots - t))
+            chain = draw(st.lists(st.sampled_from(types), min_size=length, max_size=length))
+            jobs[job_id] = CompositeJob(job_id, tuple(chain))
+            lane.append((job_id, t))
+            t += length + draw(st.integers(0, 2))
+        placements[proc] = tuple(lane)
+    instance = Instance(universe, jobs, processors, grid)
+    schedule = SlotSchedule(processors, placements, grid.horizon_slots)
+    return instance, schedule
+
+
+@given(slot_schedules(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_bags_counts_and_verdict_match_the_element_list_oracle(case, data):
+    instance, schedule = case
+    universe, grid = instance.universe, instance.grid
+    expected = interval_bag_elements(
+        universe.types, universe.idle_index,
+        {job_id: job.chain for job_id, job in instance.jobs.items()},
+        [schedule.placements[p] for p in schedule.processors],
+        grid.interval_len_slots, grid.k,
+    )
+    bags = interval_bags(instance, schedule)
+    assert [b.index for b in bags] == list(range(1, grid.k + 1))
+    assert [b.elements for b in bags] == expected
+    counts = [element_counts(elements, universe.types) for elements in expected]
+    assert [count_vector(b, universe) for b in bags] == counts
+
+    capacity = grid.interval_len_slots * len(schedule.processors)
+    cuts = sorted(data.draw(st.lists(
+        st.integers(0, capacity), min_size=universe.size - 1, max_size=universe.size - 1
+    )))
+    e0 = tuple(b - a for a, b in zip([0] + cuts, cuts + [capacity]))
+    delta0 = data.draw(st.integers(0, 2 * capacity))
+    verdict = balance_verdict(instance, schedule, e0, delta0)
+    deltas = tuple(proximity(e0, c) for c in counts)
+    assert verdict.deltas == deltas
+    assert all(type(d) is int for d in verdict.deltas)
+    assert verdict.max_delta == max(deltas)
+    assert verdict.violating == tuple(i + 1 for i, d in enumerate(deltas) if d > delta0)
+    assert verdict.satisfied == (max(deltas) <= delta0)
 
 
 def test_balance_verdict_satisfied_at_threshold_15():

@@ -1,5 +1,7 @@
 """Slot-schedule model: universes, jobs, placement rules, interval bags."""
 
+import dataclasses
+
 import pytest
 
 from balsched.core import (
@@ -18,6 +20,8 @@ from balsched.core import (
 )
 from balsched.fixtures import build_fixture
 
+from oracles import interval_bag_elements
+
 U = ElementUniverse(types=("e1", "e2", "e3", "e4", "e5", "idle"), idle_index=5)
 
 
@@ -33,6 +37,18 @@ def test_universe_accessors():
     assert "e4" in U and "e9" not in U
     with pytest.raises(ValueError):
         U.position("e9")
+
+
+def test_universe_refuses_unhashable_elements_as_unknown():
+    assert [1] not in U
+    with pytest.raises(ValueError, match=r"unknown element type '\[1\]'"):
+        U.position([1])
+
+
+def test_duplicate_type_keeps_its_first_position():
+    universe = ElementUniverse(types=("a", "b", "a", "idle"), idle_index=3)
+    assert universe.position("a") == 0
+    assert universe.position("idle") == 3
 
 
 def test_job_length_counts_chain_elements():
@@ -164,6 +180,54 @@ def test_interval_bags_pad_with_idle():
     )
     first = interval_bags(instance, s)[0]
     assert first.elements.count("idle") == 7
+
+
+def _demo_with(placements, chains=None):
+    """The demo instance with other chains (job id -> chain) and an
+    unvalidated schedule of ``placements`` on its three processors."""
+    instance, f = demo_instance()
+    jobs = dict(instance.jobs)
+    for job_id, chain in (chains or {}).items():
+        jobs[job_id] = CompositeJob(job_id, chain)
+    instance = dataclasses.replace(instance, jobs=jobs)
+    schedule = SlotSchedule(
+        processors=f.processors, placements=placements, horizon_slots=12
+    )
+    return instance, schedule
+
+
+def test_interval_bags_name_the_first_unknown_element_in_bag_order():
+    instance, schedule = _demo_with(
+        {"P1": (("x1", 6),), "P2": (("x2", 0),)},
+        {"x1": ("zz",), "x2": ("e1", "yy")},
+    )
+    with pytest.raises(ValueError, match="unknown element type 'yy'"):
+        interval_bags(instance, schedule)
+    instance, schedule = _demo_with({"P3": (("x1", 0),)}, {"x1": ("e1", [1])})
+    with pytest.raises(ValueError, match=r"unknown element type '\[1\]'"):
+        interval_bags(instance, schedule)
+
+
+@pytest.mark.parametrize("start", [-1, 7])
+def test_interval_bags_refuse_a_placement_outside_the_grid(start):
+    # a4a runs 6 slots: from 7 it ends at 13 on the 12-slot grid
+    instance, schedule = _demo_with({"P1": (("a4a", start),)})
+    with pytest.raises(ValueError, match="outside the grid's 12 slots"):
+        interval_bags(instance, schedule)
+
+
+def test_interval_bags_do_not_pad_an_overfilled_interval():
+    # five jobs stacked on P1 from slot 0 put 15 elements into interval 1,
+    # three of them idle, against a capacity of 9: no padding, none removed
+    lane = (("a4a", 0), ("a4b", 0), ("a3a", 0), ("a3b", 0), ("x", 0))
+    instance, schedule = _demo_with({"P1": lane}, {"x": ("idle",) * 3})
+    bags = interval_bags(instance, schedule)
+    assert [b.cardinality for b in bags] == [15, 9, 9, 9]
+    assert bags[0].elements.count("idle") == 3
+    chains = {job_id: instance.jobs[job_id].chain for job_id, _ in lane}
+    assert [b.elements for b in bags] == interval_bag_elements(
+        U.types, U.idle_index, chains, [lane, (), ()], 3, 4
+    )
 
 
 def test_interval_bags_grid_shorter_than_schedule():

@@ -408,6 +408,21 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     assert calls["kernel"] <= 3 * len(groups)
 
 
+def test_a_target_with_no_move_of_a_kind_makes_no_kernel_call(kope, monkeypatch):
+    sizes = []
+    kernel_tables = balsched.homebuilding.RequirementKernel.tables
+
+    def sized_kernel(self, rows, starts):
+        sizes.append(len(rows))
+        return kernel_tables(self, rows, starts)
+
+    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "tables", sized_kernel)
+    groups = generate_correction_groups(kope.project, kope.team_schedule, kope.capacity)
+    # kope's last target has no exchange partner
+    assert any(all(v.kind != "exchange" for v in g.variants) for g in groups)
+    assert sizes and 0 not in sizes
+
+
 def test_invalid_schedule_is_refused_with_its_violations(kope):
     assignments = dict(kope.team_schedule.assignments)
     assignments["P2"] = (("a4", 7.0), ("a7", 11.0))  # a4 runs to 11.8

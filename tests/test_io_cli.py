@@ -625,6 +625,31 @@ def test_cli_domain_errors_are_one_error_line(
     assert result.stderr.splitlines() == [f"error: {line}"]
 
 
+@pytest.mark.parametrize(
+    "chain, lines",
+    [
+        (["e1", 7], ["job a1: unknown element type '7'"]),
+        (["e1", [1]], ["job a1: unknown element type '[1]'"]),
+        (["e1", "idle"], ["job a1: idle element in chain"]),
+        (["e1", "e9"], ["job a1: unknown element type 'e9'"]),
+        # every unknown element up to the first idle one, in chain order
+        ([7, "e9", "idle", [1]], [
+            "job a1: unknown element type '7'",
+            "job a1: unknown element type 'e9'",
+            "job a1: idle element in chain",
+        ]),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "evaluate", "balance"])
+def test_cli_reports_each_bad_chain_element(runner, tmp_path, command, chain, lines):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutant("modular-demo", ("modular", "jobs", 0, "chain"), chain)))
+    result = runner.invoke(main, [command, str(bad)])
+    assert result.exit_code == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"invalid: {line}" for line in lines]
+
+
 def json_paths(value, path=()):
     """The path of every value inside a JSON container."""
     if isinstance(value, dict):
