@@ -7,6 +7,7 @@ errors. All output is deterministic for a given input.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import sys
 from typing import NoReturn
@@ -260,15 +261,7 @@ def improve(file, budget, max_iters, out):
         month, value = table.peak(detail)
         _echo(f"final peak {detail}: {value:.2f} (month {month})")
     if out:
-        updated = InstanceFile(
-            mode=instance.mode,
-            project=instance.project,
-            team_schedule=result.schedule,
-            capacity=instance.capacity,
-            correction_groups=instance.correction_groups,
-            improve_params=instance.improve_params,
-            reference_requirements=instance.reference_requirements,
-        )
+        updated = dataclasses.replace(instance, team_schedule=result.schedule)
         try:
             save_instance(updated, out)
         except OSError as exc:

@@ -4,8 +4,8 @@ One JSON format carries both problem flavors, discriminated by ``mode``:
 "modular" files hold an element universe, composite jobs, processors, a
 grid, a slot schedule, and optionally a reference profile and window jobs;
 "homebuilding" files hold section/building templates, buildings, a team
-schedule, capacity, and optionally explicit correction groups, loop
-parameters, and reference requirement figures for comparison reports.
+schedule, capacity, and optionally loop parameters and reference
+requirement figures for comparison reports.
 
 Saving is canonical (sorted keys, two-space indent, trailing newline), so
 equal instances serialize byte-identically; ``load(save(x)) == x``.
@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from typing import Any, Mapping, Sequence
 
@@ -36,7 +36,7 @@ from .homebuilding import (
     SectionType,
     TeamSchedule,
 )
-from .improve import CorrectionGroup, CorrectionVariant, ImproveParams
+from .improve import ImproveParams
 from .jit import PenaltyWeights, WindowJob
 
 FORMAT_VERSION = 1
@@ -60,7 +60,6 @@ class InstanceFile:
     """Everything one run needs, as loaded from a single JSON file."""
 
     mode: str
-    format_version: int = FORMAT_VERSION
     # modular
     universe: ElementUniverse | None = None
     jobs: tuple[CompositeJob, ...] | None = None
@@ -75,7 +74,6 @@ class InstanceFile:
     project: Project | None = None
     team_schedule: TeamSchedule | None = None
     capacity: Mapping[str, float] | None = None
-    correction_groups: tuple[CorrectionGroup, ...] | None = None
     improve_params: ImproveParams | None = None
     reference_requirements: RequirementTable | None = None
 
@@ -294,26 +292,6 @@ def _capacity(detail, v) -> float:
     return _float(v)
 
 
-def _variant(v) -> CorrectionVariant:
-    v = _obj(v)
-    return CorrectionVariant(
-        kind=_get(v, "kind", _str),
-        days=_get(v, "days", _int, None),
-        buildings=_get(v, "buildings", _strs, None),
-        profit=_get(v, "profit", _float, 0.0),
-        cost=_get(v, "cost", _float, 0.0),
-    )
-
-
-def _group(_, v) -> CorrectionGroup:
-    v = _obj(v)
-    return CorrectionGroup(
-        _get(v, "index", _int),
-        _get(v, "targets", _strs),
-        _get(v, "variants", _list_of(_variant)),
-    )
-
-
 def _improve(v) -> ImproveParams:
     v = _obj(v)
     return ImproveParams(
@@ -349,9 +327,6 @@ def _load_homebuilding(block: dict, issues: list) -> dict:
             _lanes(schedule, "assignments", _start, issues, at + "/team_schedule"),
         )
     out["capacity"] = _each(block, "capacity", _obj, _capacity, issues, at, None)
-    out["correction_groups"] = _each(
-        block, "correction_groups", _list, _group, issues, at, None
-    )
     out["improve_params"] = _field(block, "improve", _improve, issues, at, None)
     out["reference_requirements"] = _field(
         block, "reference_requirements", _reference, issues, at, None
@@ -450,133 +425,80 @@ def load_instance(path) -> InstanceFile:
 
 
 # --- writing -----------------------------------------------------------------
+#
+# One rule writes every record: an object of its constructor fields under
+# their own names, leaving out fields that are None. Tuples become lists
+# and mappings objects, item by item. _WRITERS holds the records written
+# another way; instance_to_dict lays out the file around them.
+
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
+def _record_writer(kind: type, skip: str | None = None):
+    names = tuple(f.name for f in fields(kind) if f.init and f.name != skip)
+
+    def write(record) -> dict:
+        out = {}
+        for name in names:
+            if (value := getattr(record, name)) is not None:
+                out[name] = value if type(value) in _PLAIN else _emit(value)
+        return out
+    return write
+
+
+def _sequence(value) -> list:
+    if _PLAIN.issuperset(map(type, value)):
+        return list(value)
+    return [_emit(v) for v in value]
+
+
+def _mapping(value) -> dict:
+    if _PLAIN.issuperset(map(type, value.values())):
+        return dict(value)
+    return {k: _emit(v) for k, v in value.items()}
+
+
+_WRITERS = {
+    tuple: _sequence,
+    list: _sequence,
+    dict: _mapping,
+    Building: _record_writer(Building, skip="id"),  # the id is its map key
+    SectionType: lambda st: dict(zip(FLOOR_TYPES, map(list, st.detail_matrix))),
+    BuildingType: lambda bt: dict(bt.floor_counts),
+    TeamSchedule: lambda ts: {
+        "teams": list(ts.teams),
+        "assignments": {t: list(map(list, ts.assignments.get(t, ()))) for t in ts.teams},
+    },
+}
+
+
+def _emit(value):
+    """The JSON-ready form of value."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    write = _WRITERS.get(kind)
+    if write is None:  # the first value of its type
+        write = _WRITERS[kind] = (
+            _record_writer(kind) if is_dataclass(kind)
+            else _mapping if issubclass(kind, Mapping)
+            else lambda v: v  # another scalar, such as a numpy float
+        )
+    return write(value)
+
 
 def instance_to_dict(instance: InstanceFile) -> dict:
     """The JSON-ready dictionary form of an instance file."""
-    data: dict[str, Any] = {
-        "format_version": instance.format_version,
-        "mode": instance.mode,
-    }
-    if instance.mode == "modular":
-        block: dict[str, Any] = {
-            "universe": {
-                "types": list(instance.universe.types),
-                "idle_index": instance.universe.idle_index,
-            },
-            "jobs": [
-                {"id": job.id, "chain": list(job.chain)}
-                for job in instance.jobs
-            ],
-            "processors": list(instance.processors),
-            "grid": {
-                "interval_len_slots": instance.grid.interval_len_slots,
-                "k": instance.grid.k,
-            },
-            "schedule": {
-                "processors": list(instance.schedule.processors),
-                "horizon_slots": instance.schedule.horizon_slots,
-                "placements": {
-                    proc: [[job_id, start] for job_id, start in pairs]
-                    for proc, pairs in instance.schedule.placements.items()
-                },
-            },
-        }
-        if instance.reference_profile is not None:
-            block["reference_profile"] = list(instance.reference_profile)
-        if instance.proximity_threshold is not None:
-            block["proximity_threshold"] = instance.proximity_threshold
-        data["modular"] = block
-    else:
-        project = instance.project
-        block = {
-            "section_types": {
-                sid: {
-                    floor: list(row)
-                    for floor, row in zip(FLOOR_TYPES, st.detail_matrix)
-                }
-                for sid, st in project.section_types.items()
-            },
-            "building_types": {
-                bid: dict(sorted(bt.floor_counts.items()))
-                for bid, bt in project.building_types.items()
-            },
-            "buildings": {
-                bid: {
-                    "building_type": b.building_type,
-                    "section_counts": dict(sorted(b.section_counts.items())),
-                    "assembly_duration": b.assembly_duration,
-                    "start": b.start,
-                    "general_square": b.general_square,
-                }
-                for bid, b in project.buildings.items()
-            },
-            "horizon_months": project.horizon_months,
-            "rate_basis": project.rate_basis,
-            "team_schedule": {
-                "teams": list(instance.team_schedule.teams),
-                "assignments": {
-                    team: [
-                        [bid, start]
-                        for bid, start in instance.team_schedule.assignments.get(
-                            team, ()
-                        )
-                    ]
-                    for team in instance.team_schedule.teams
-                },
-            },
-        }
-        if instance.capacity is not None:
-            block["capacity"] = dict(sorted(instance.capacity.items()))
-        if instance.correction_groups is not None:
-            block["correction_groups"] = [
-                {
-                    "index": g.index,
-                    "targets": list(g.targets),
-                    "variants": [_variant_to_dict(v) for v in g.variants],
-                }
-                for g in instance.correction_groups
-            ]
-        if instance.improve_params is not None:
-            block["improve"] = {
-                "budget": instance.improve_params.budget,
-                "max_iters": instance.improve_params.max_iters,
-            }
-        if instance.reference_requirements is not None:
-            ref = instance.reference_requirements
-            block["reference_requirements"] = {
-                "months": list(ref.months),
-                "details": list(ref.details),
-                "values": [list(row) for row in ref.values],
-            }
-        data["homebuilding"] = block
-
-    if instance.window_jobs is not None:
-        data["window_jobs"] = [
-            {
-                "id": j.id,
-                "processing_time": j.processing_time,
-                "t1": j.t1,
-                "t2": j.t2,
-                "machine": j.machine,
-                "position": j.position,
-            }
-            for j in instance.window_jobs
-        ]
-    if instance.penalty_weights is not None:
-        data["penalty_weights"] = {
-            "alpha": instance.penalty_weights.alpha,
-            "beta": instance.penalty_weights.beta,
-        }
+    block = _emit(instance)
+    data = {"format_version": FORMAT_VERSION, "mode": block.pop("mode")}
+    for key in ("window_jobs", "penalty_weights"):
+        if key in block:
+            data[key] = block.pop(key)
+    block.update(block.pop("project", {}))
+    if "improve_params" in block:
+        block["improve"] = block.pop("improve_params")
+    data[instance.mode] = block
     return data
-
-
-def _variant_to_dict(v: CorrectionVariant) -> dict:
-    out: dict[str, Any] = {"kind": v.kind, "profit": v.profit, "cost": v.cost}
-    if v.days is not None:
-        out["days"] = v.days
-    if v.buildings is not None:
-        out["buildings"] = list(v.buildings)
-    return out
 
 
 def save_instance(instance: InstanceFile, path) -> None:

@@ -1,10 +1,12 @@
 """Bundled instances: a small modular-job demo, a window-evaluation set,
 and the 1982 serial home-building planning dataset (kope-1982).
 
-The kope-1982 instance carries the full historical inputs -- section and
+The kope-1982 instance carries the historical inputs -- section and
 building templates, the nine buildings, the initial eight-team schedule,
-the factory's d1 capacity, an explicit correction-variant catalogue, and
+the factory's d1 capacity, the repair loop's budget and iteration cap, and
 the published monthly requirement figures used by comparison reports.
+The repair loop derives its correction variants from the current schedule,
+so no variant catalogue is stored.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .homebuilding import (
     SectionType,
     TeamSchedule,
 )
-from .improve import CorrectionGroup, CorrectionVariant, ImproveParams
+from .improve import ImproveParams
 from .jit import PenaltyWeights, WindowJob
 
 
@@ -245,53 +247,6 @@ _REFERENCE_REQUIREMENTS = (
     (276, 0, 409, 164, 154, 17, 68, 13),
 )
 
-# Explicit correction catalogue rows: (kind, days, profit, cost).
-_CORRECTION_CATALOGUE = (
-    ("a6", (
-        ("shift_right", 3, 0.5, 1.0),
-        ("shift_right", 7, 1.5, 2.0),
-        ("shift_right", 14, 2.5, 3.0),
-        ("shift_right", 21, 3.5, 4.0),
-    )),
-    ("a7", (
-        ("shift_right", 3, 0.3, 0.5),
-        ("shift_right", 7, 1.0, 0.8),
-        ("shift_right", 14, 1.5, 1.0),
-    )),
-    ("a8", (
-        ("shift_right", 7, 1.5, 1.0),
-        ("shift_right", 14, 2.5, 1.5),
-        ("shift_right", 21, 3.5, 2.0),
-    )),
-)
-
-
-def _correction_groups() -> tuple[CorrectionGroup, ...]:
-    groups = []
-    for index, (target, rows) in enumerate(_CORRECTION_CATALOGUE, start=1):
-        variants = [CorrectionVariant(kind="none")]
-        for kind, days, profit, cost in rows:
-            variants.append(
-                CorrectionVariant(kind=kind, days=days, profit=profit, cost=cost)
-            )
-        groups.append(
-            CorrectionGroup(index=index, targets=(target,), variants=tuple(variants))
-        )
-    groups.append(
-        CorrectionGroup(
-            index=4,
-            targets=("a3", "a6"),
-            variants=(
-                CorrectionVariant(kind="none"),
-                CorrectionVariant(
-                    kind="exchange", buildings=("a3", "a6"), profit=1.5, cost=2.0
-                ),
-            ),
-        )
-    )
-    return tuple(groups)
-
-
 def kope_1982() -> InstanceFile:
     """Nine buildings, eight assembly teams, nineteen months."""
     section_types = {
@@ -356,7 +311,6 @@ def kope_1982() -> InstanceFile:
         project=project,
         team_schedule=team_schedule,
         capacity={"d1": 1480.0},
-        correction_groups=_correction_groups(),
         improve_params=ImproveParams(budget=5.0, max_iters=10),
         reference_requirements=RequirementTable(
             months=tuple(range(1, 20)),

@@ -34,6 +34,7 @@ from balsched.improve import (
 from balsched.jit import WindowJob, schedule_windows
 from balsched.fileio import comparison_report
 
+from catalogue import KOPE_CATALOGUE
 from oracles import hand_month1_d2, mckp_enumerate
 
 REFERENCE_PROFILE = (2, 3, 2, 1, 1, 0)
@@ -194,10 +195,10 @@ def test_perturbed_fourth_job_is_detected_infeasible():
 
 # === knapsack selection ========================================================
 
-def test_catalogue_selection_under_budget_3(kope):
+def test_catalogue_selection_under_budget_3():
     """Both selectors pick the 14-day and 21-day right shifts (the recorded
     binary solution) at profit 5.0, cost 3.0."""
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     for select in (mckp_greedy, mckp_exact):
         sel = select(problem)
         assert sel.chosen == (0, 3, 3, 0)

@@ -40,6 +40,7 @@ from balsched.improve import (
     violation_measure,
 )
 
+from catalogue import KOPE_CATALOGUE
 from oracles import mckp_enumerate, rebuild_feasible
 
 
@@ -101,10 +102,10 @@ def test_problem_sorts_groups_canonically():
     assert [g.index for g in problem.groups] == [1, 2]
 
 
-# --- selectors on the catalogue fixture ----------------------------------------
+# --- selectors on the recorded kope catalogue -----------------------------------
 
-def test_catalogue_selection_budget_3(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+def test_catalogue_selection_budget_3():
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     for select in (mckp_greedy, mckp_exact):
         sel = select(problem)
         assert sel.chosen == (0, 3, 3, 0)
@@ -112,8 +113,8 @@ def test_catalogue_selection_budget_3(kope):
         assert sel.total_cost == pytest.approx(3.0)
 
 
-def test_catalogue_chosen_moves_are_the_14_and_21_day_shifts(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+def test_catalogue_chosen_moves_are_the_14_and_21_day_shifts():
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     sel = mckp_greedy(problem)
     picked = [
         (g.targets[0], g.variants[j].kind, g.variants[j].days)
@@ -123,26 +124,26 @@ def test_catalogue_chosen_moves_are_the_14_and_21_day_shifts(kope):
     assert picked == [("a7", "shift_right", 14), ("a8", "shift_right", 21)]
 
 
-def test_catalogue_budget_2_8_drops_to_profit_4_5(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=2.8)
+def test_catalogue_budget_2_8_drops_to_profit_4_5():
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=2.8)
     sel = mckp_exact(problem)
     assert sel.chosen == (0, 2, 3, 0)
     assert sel.total_profit == pytest.approx(4.5)
 
 
-def test_zero_budget_selects_all_none(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=0.0)
+def test_zero_budget_selects_all_none():
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=0.0)
     assert mckp_greedy(problem).is_all_none()
     assert mckp_exact(problem).is_all_none()
 
 
-def test_big_budget_takes_max_profit_everywhere(kope):
+def test_big_budget_takes_max_profit_everywhere():
     total_max_cost = sum(
-        max(v.cost for v in g.variants) for g in kope.correction_groups
+        max(v.cost for v in g.variants) for g in KOPE_CATALOGUE
     )
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=total_max_cost)
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=total_max_cost)
     sel = mckp_exact(problem)
-    expected = sum(max(v.profit for v in g.variants) for g in kope.correction_groups)
+    expected = sum(max(v.profit for v in g.variants) for g in KOPE_CATALOGUE)
     assert sel.total_profit == pytest.approx(expected)
 
 
@@ -183,10 +184,10 @@ def test_exact_state_cap():
         mckp_exact(BudgetedMCKP(groups=(g,) * 4, budget=4_000_000.0))
 
 
-def test_selector_determinism_under_group_permutation(kope):
-    base = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+def test_selector_determinism_under_group_permutation():
+    base = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     shuffled = BudgetedMCKP(
-        groups=tuple(reversed(kope.correction_groups)), budget=3.0
+        groups=tuple(reversed(KOPE_CATALOGUE)), budget=3.0
     )
     assert mckp_greedy(base) == mckp_greedy(shuffled)
     assert mckp_exact(base) == mckp_exact(shuffled)
@@ -574,7 +575,7 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
 # --- applying selections ----------------------------------------------------------
 
 def test_apply_all_none_is_identity(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=0.0)
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=0.0)
     sel = mckp_greedy(problem)
     applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
     assert applied == sel
@@ -582,7 +583,7 @@ def test_apply_all_none_is_identity(kope):
 
 
 def test_apply_catalogue_selection_moves_a7_a8(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     sel = mckp_greedy(problem)
     applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
     assert applied == sel
@@ -597,7 +598,7 @@ def test_apply_catalogue_selection_moves_a7_a8(kope):
 
 
 def test_apply_preserves_buildings_and_durations(kope):
-    problem = BudgetedMCKP(groups=kope.correction_groups, budget=3.0)
+    problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
     sel = mckp_greedy(problem)
     _applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
     assert sorted(b for _t, b, _s in out.placements()) == sorted(

@@ -1,6 +1,7 @@
 """Instance files, CSV exports, text rendering, and the command line."""
 
 import contextlib
+import dataclasses
 import gc
 import io
 import json
@@ -29,7 +30,19 @@ from balsched.fileio import (
     save_instance,
 )
 from balsched.fixtures import build_fixture, list_fixtures
-from balsched.homebuilding import RequirementTable, horizon_requirement_table
+from balsched.homebuilding import (
+    DETAIL_TYPES,
+    FLOOR_TYPES,
+    RATE_BASES,
+    Building,
+    BuildingType,
+    Project,
+    RequirementTable,
+    SectionType,
+    TeamSchedule,
+    horizon_requirement_table,
+)
+from balsched.improve import ImproveParams
 from balsched.jit import PenaltyWeights, WindowJob
 
 
@@ -187,6 +200,102 @@ def test_dict_round_trip_without_files():
     for name in list_fixtures():
         instance = build_fixture(name)
         assert instance_from_dict(instance_to_dict(instance)) == instance
+
+
+def test_files_with_the_dropped_catalogue_key_still_load():
+    data = instance_to_dict(build_fixture("kope-1982"))
+    data["homebuilding"]["correction_groups"] = [
+        {"index": 1, "targets": ["a6"], "variants": [{"kind": "none"}]}
+    ]
+    assert instance_from_dict(data) == build_fixture("kope-1982")
+
+
+amounts = st.floats(0.0, 1e4, allow_nan=False)
+positive = st.floats(0.01, 60.0)
+
+
+def counts_over(keys):
+    """A count for some of keys, at least one of them positive."""
+    return st.dictionaries(st.sampled_from(keys), st.integers(0, 30), min_size=1).filter(
+        lambda counts: sum(counts.values()) >= 1
+    )
+
+
+@st.composite
+def window_payloads(draw):
+    """(window_jobs, penalty_weights), each present or None."""
+    jobs = None
+    if draw(st.booleans()):
+        jobs = []
+        for i in range(draw(st.integers(1, 4))):
+            t1 = draw(amounts)
+            jobs.append(WindowJob(
+                id=f"w{i}", processing_time=draw(amounts), t1=t1,
+                t2=t1 + draw(positive), machine=draw(st.integers(1, 3)),
+                position=draw(st.integers(1, 4)),
+            ))
+        jobs = tuple(jobs)
+    weights = draw(st.none() | st.builds(PenaltyWeights, amounts, amounts))
+    return jobs, weights
+
+
+@st.composite
+def homebuilding_instances(draw):
+    section_ids = [f"g{i}" for i in range(draw(st.integers(1, 3)))]
+    section_types = {
+        sid: SectionType(sid, tuple(
+            tuple(draw(st.lists(amounts, min_size=8, max_size=8))) for _ in FLOOR_TYPES
+        ))
+        for sid in section_ids
+    }
+    building_types = {
+        tid: BuildingType(tid, draw(counts_over(FLOOR_TYPES)))
+        for tid in ("18-floor", "22-floor")[: draw(st.integers(1, 2))]
+    }
+    buildings = {}
+    for i in range(draw(st.integers(1, 5))):
+        square = draw(st.none() | amounts)  # None: left at its default
+        buildings[f"a{i}"] = Building(
+            f"a{i}", draw(st.sampled_from(sorted(building_types))),
+            draw(counts_over(section_ids)), draw(positive), draw(amounts),
+            **({} if square is None else {"general_square": square}),
+        )
+    teams = tuple(f"P{i}" for i in range(draw(st.integers(2, 4))))
+    lanes = {team: [] for team in teams}
+    for bid in buildings:  # the first team's lane stays empty
+        lanes[draw(st.sampled_from(teams[1:]))].append((bid, draw(amounts)))
+    reference = None
+    if draw(st.booleans()):
+        details = draw(st.sampled_from([DETAIL_TYPES, ("d1", "d3")]))
+        months = tuple(draw(st.lists(st.integers(1, 40), min_size=1, max_size=4)))
+        row = st.lists(amounts, min_size=len(details), max_size=len(details)).map(tuple)
+        reference = RequirementTable(months, tuple(draw(row) for _ in months), details)
+    jobs, weights = draw(window_payloads())
+    return InstanceFile(
+        mode="homebuilding",
+        project=Project(
+            section_types, building_types, buildings, draw(st.integers(1, 40)),
+            draw(st.sampled_from(RATE_BASES)),
+        ),
+        team_schedule=TeamSchedule(teams, {t: tuple(lane) for t, lane in lanes.items()}),
+        capacity=draw(st.none() | st.dictionaries(st.sampled_from(DETAIL_TYPES), amounts)),
+        improve_params=draw(st.none() | st.builds(ImproveParams, amounts, st.integers(0, 20))),
+        reference_requirements=reference,
+        window_jobs=jobs,
+        penalty_weights=weights,
+    )
+
+
+@given(st.randoms(use_true_random=False).map(_random_modular_instance)
+       | homebuilding_instances())
+@settings(max_examples=100, deadline=None)
+def test_both_modes_round_trip_and_save_byte_stable(tmp_path_factory, instance):
+    assert instance_from_dict(instance_to_dict(instance)) == instance
+    work = tmp_path_factory.mktemp("round-trip")
+    first, second = work / "first.json", work / "second.json"
+    save_instance(instance, first)
+    save_instance(load_instance(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 # --- CSV exports ---------------------------------------------------------------
@@ -433,6 +542,21 @@ def test_cli_improve_writes_balanced_schedule(runner, tmp_path, emitted):
     assert "balance: satisfied" in follow_up.output
 
 
+def test_cli_improve_out_keeps_every_other_field(runner, tmp_path, emitted):
+    data = json.loads(emitted["kope-1982"].read_text())
+    data["window_jobs"] = [
+        {"id": "w1", "processing_time": 1.0, "t1": 0.0, "t2": 2.0}
+    ]
+    data["penalty_weights"] = {"alpha": 0.5, "beta": 2.0}
+    source = tmp_path / "kope-windows.json"
+    source.write_text(json.dumps(data))
+    out = tmp_path / "improved.json"
+    result = runner.invoke(main, ["improve", str(source), "--out", str(out)])
+    assert result.exit_code == 0
+    before, after = load_instance(source), load_instance(out)
+    assert after.team_schedule != before.team_schedule
+    assert after == dataclasses.replace(before, team_schedule=after.team_schedule)
+
 
 def readme_transcript(command):
     """Output lines README.md shows under ``$ <command>`` in a console block."""
@@ -563,10 +687,9 @@ FIXTURE_JSON = {
 DELETE = object()
 
 
-def mutant(name, path, value):
-    """Fixture ``name`` as parsed JSON, with the value at ``path`` (a tuple
-    of keys and indices) replaced by ``value``, or removed for DELETE."""
-    data = json.loads(FIXTURE_JSON[name])
+def mutate(data, path, value):
+    """Replace the value at ``path`` (a tuple of keys and indices) inside
+    parsed JSON by ``value``, or remove it for DELETE."""
     owner = data
     for key in path[:-1]:
         owner = owner[key]
@@ -574,6 +697,12 @@ def mutant(name, path, value):
         del owner[path[-1]]
     else:
         owner[path[-1]] = value
+
+
+def mutant(name, path, value):
+    """Fixture ``name`` as parsed JSON, with one value mutated."""
+    data = json.loads(FIXTURE_JSON[name])
+    mutate(data, path, value)
     return data
 
 
@@ -673,11 +802,18 @@ REPLACEMENTS = (None, True, -1, 0, 2.5, "x", [], {}, [1], DELETE)
 @settings(max_examples=100, deadline=None)
 def test_cli_survives_any_single_value_mutation(tmp_path_factory, data):
     name = data.draw(st.sampled_from(sorted(FIXTURE_PATHS)), label="fixture")
-    path = data.draw(st.sampled_from(FIXTURE_PATHS[name]), label="path")
-    value = data.draw(st.sampled_from(REPLACEMENTS), label="value")
+    paths = data.draw(
+        st.lists(st.sampled_from(FIXTURE_PATHS[name]), min_size=1, max_size=3, unique=True),
+        label="paths",
+    )
+    doc = json.loads(FIXTURE_JSON[name])
+    # Paths into one container hold keys of one type, so they sort: inner
+    # values and later list items go first, and every path still resolves.
+    for path in sorted(paths, reverse=True):
+        mutate(doc, path, data.draw(st.sampled_from(REPLACEMENTS), label=f"value at {path}"))
     work = tmp_path_factory.mktemp("mutant")
     instance = work / "mutant.json"
-    instance.write_text(json.dumps(mutant(name, path, value)))
+    instance.write_text(json.dumps(doc))
     runner = CliRunner()
     for args in (
         ["validate"], ["evaluate"], ["balance"], ["improve", "--max-iters", "1"],
