@@ -286,9 +286,14 @@ def _start(_, v) -> tuple[str, float]:
     raise _Bad("expected [building id, start]")
 
 
+def _detail(v) -> str:
+    if _str(v) in DETAIL_TYPES:
+        return v
+    raise _Bad("unknown detail type")
+
+
 def _capacity(detail, v) -> float:
-    if detail not in DETAIL_TYPES:
-        raise _Bad("unknown detail type")
+    _detail(detail)
     return _float(v)
 
 
@@ -301,7 +306,7 @@ def _improve(v) -> ImproveParams:
 
 def _reference(v) -> RequirementTable:
     v = _obj(v)
-    details = _get(v, "details", _strs, DETAIL_TYPES)
+    details = _get(v, "details", _list_of(_detail), DETAIL_TYPES)
     months = _get(v, "months", _list_of(_int))
     values = _get(v, "values", _list_of(_list_of(_float, len(details))))
     if len(values) != len(months):
@@ -562,15 +567,24 @@ def comparison_report(
 ) -> tuple[ComparisonRow, ...]:
     """Cell-by-cell comparison of a computed table against reference figures.
 
-    Relative deviation is |computed - reference| / reference (0 where both
-    vanish, +inf where only the reference does).
+    Cells are matched by month and detail name. Relative deviation is
+    |computed - reference| / reference (0 where both vanish, +inf where only
+    the reference does).
+
+    Raises:
+        ValueError: naming every reference month and detail the computed
+            table lacks.
     """
+    lacking = [f"month {m}" for m in reference.months if m not in table.months]
+    lacking += [f"detail {d}" for d in reference.details if d not in table.details]
+    if lacking:
+        raise ValueError(f"computed table lacks {', '.join(lacking)}")
+    columns = [table.details.index(d) for d in reference.details]
     rows = []
     for month in reference.months:
         computed_row = table.row(month)
-        reference_row = reference.row(month)
-        for j, detail in enumerate(reference.details):
-            c, r = computed_row[j], reference_row[j]
+        for detail, j, r in zip(reference.details, columns, reference.row(month)):
+            c = computed_row[j]
             if r > 0:
                 rel = abs(c - r) / r
             elif abs(c) < 1e-9:

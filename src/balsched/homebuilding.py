@@ -270,44 +270,9 @@ class Project:
         return self.building_types[building.building_type]
 
 
-def _progress_cap(project: Project, building_type: BuildingType) -> int:
-    """How many floor-units a section actually completes over the duration."""
-    u = building_type.total_units
-    return u - 1 if project.rate_basis == "U-1" else u
-
-
-def _ladder(
-    project: Project, building: Building
-) -> tuple[float, int, np.ndarray, np.ndarray]:
-    """(rate, cap, lo, hi) of a building's progress model: cap floor-units
-    at rate cap / duration, floor type f on the ladder range [lo_f, hi_f)."""
-    building_type = project.building_type_of(building)
-    cap = _progress_cap(project, building_type)
-    rate = cap / building.assembly_duration
-    counts = np.array(
-        [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
-    )
-    hi = np.cumsum(counts).astype(float)
-    lo = hi - counts
-    return rate, cap, lo, hi
-
-
 def _clamped_output(rate, cap, lo, hi, start, edges: np.ndarray) -> np.ndarray:
-    """The closed form of _floor_output over the months between
-    consecutive ``edges`` (a column of whole-month times); every argument
-    broadcasts. A month's start edge is the previous month's end edge, so
-    each edge is clipped once."""
-    done = np.clip(np.clip(rate * (edges - start), 0.0, cap), lo, hi)
-    return done[..., 1:, :] - done[..., :-1, :]
-
-
-def _floor_output(
-    project: Project,
-    building: Building,
-    start: float | np.ndarray,
-    months: Sequence[int],
-) -> np.ndarray:
-    """Floor-units one section of ``building`` completes in each month.
+    """Floor-units one section completes in each month between consecutive
+    ``edges`` (a column of whole-month times); every argument broadcasts.
 
     The whole progress model: a section placed at ``start`` has completed
     c(t) = clamp(rate * (t - start), 0, cap) floor-units at time t, with
@@ -315,14 +280,59 @@ def _floor_output(
     [lo_f, hi_f) and month m covers [m-1, m), so the month's f-output is
     clip(c(m), lo_f, hi_f) - clip(c(m-1), lo_f, hi_f). Progress never
     passes cap, so units above it (the terminal unit under "U-1") add
-    exactly zero.
-
-    ``months`` are consecutive. Returns a (len(months) x 8) array in
-    FLOOR_TYPES order, or an (S x len(months) x 8) stack for an
-    (S x 1 x 1) array of starts.
+    exactly zero. A month's start edge is the previous month's end edge,
+    so each edge is clipped once.
     """
-    edges = np.arange(months[0] - 1.0, months[-1] + 1)[:, None]
-    return _clamped_output(*_ladder(project, building), start, edges)
+    done = np.clip(np.clip(rate * (edges - start), 0.0, cap), lo, hi)
+    return done[..., 1:, :] - done[..., :-1, :]
+
+
+class RequirementKernel:
+    """The cascade: building placements to floor output and requirement
+    tables.
+
+    Each building's progress constants (rate, cap, ladder ranges) and its
+    combined 8 x 8 section matrix are stacked on a leading building axis,
+    so one call serves any buildings at any starts. Each section type's
+    matrix is converted once per kernel; a building's combined matrix adds
+    them, weighted by count, in ``section_counts`` order. Every
+    (months x 8) @ (8 x 8) product of the batched matmul keeps the
+    one-building shape, so the slices of a stacked call equal one-row
+    calls bit for bit.
+    """
+
+    def __init__(self, project: Project, buildings: Sequence[Building]):
+        self.row = {building.id: i for i, building in enumerate(buildings)}
+        ladders = [project.building_type_of(b).floor_counts for b in buildings]
+        counts = np.array(
+            [[ladder.get(f, 0) for f in FLOOR_TYPES] for ladder in ladders], dtype=float
+        ).reshape(-1, 1, len(FLOOR_TYPES))
+        self.hi = np.cumsum(counts, axis=2)
+        self.lo = self.hi - counts
+        # U floor-units in all; the terminal one is never entered under "U-1"
+        self.cap = self.hi[..., -1:] - (1 if project.rate_basis == "U-1" else 0)
+        durations = np.array([b.assembly_duration for b in buildings], dtype=float)
+        self.rate = self.cap / durations.reshape(-1, 1, 1)
+        matrices = {s: t.matrix_array() for s, t in project.section_types.items()}
+        self.matrix = np.zeros((len(buildings), len(FLOOR_TYPES), len(DETAIL_TYPES)))
+        for combined, building in zip(self.matrix, buildings):
+            for section, count in building.section_counts.items():
+                if count:
+                    combined += count * matrices[section]
+        self.edges = np.arange(0.0, project.horizon_months + 1)[:, None]
+
+    def output(self, rows, starts, edges: np.ndarray) -> np.ndarray:
+        """(P x months x 8) floor-units one section of building ``rows[i]``
+        (a kernel row, see ``row``) placed at ``starts[i]`` completes in
+        each month between consecutive ``edges``, in FLOOR_TYPES order."""
+        return _clamped_output(
+            self.rate[rows], self.cap[rows], self.lo[rows], self.hi[rows],
+            np.reshape(starts, (-1, 1, 1)), edges,
+        )
+
+    def tables(self, rows, starts) -> np.ndarray:
+        """(P x horizon x 8) requirement tables, placements as in ``output``."""
+        return self.output(rows, starts, self.edges) @ self.matrix[rows]
 
 
 def section_progress(
@@ -339,7 +349,8 @@ def section_progress(
     """
     if start is None:
         start = building.start
-    units = _floor_output(project, building, start, [month])[0]
+    edges = np.array([[month - 1.0], [month]])
+    units = RequirementKernel(project, [building]).output([0], [start], edges)[0, 0]
     return {floor: float(u) for floor, u in zip(FLOOR_TYPES, units)}
 
 
@@ -351,10 +362,15 @@ def monthly_floor_requirements(
     Every section of a building progresses in parallel, so a building
     contributes its per-section progress multiplied by its section counts.
     """
+    placements = schedule.placements()
+    placed = [project.buildings[b] for _team, b, _start in placements]
+    output = RequirementKernel(project, placed).output(
+        np.arange(len(placed)),
+        [start for _team, _b, start in placements],
+        np.array([[month - 1.0], [month]]),
+    )
     totals = {s: np.zeros(len(FLOOR_TYPES)) for s in project.section_types}
-    for _team, building_id, start in schedule.placements():
-        building = project.buildings[building_id]
-        units = _floor_output(project, building, start, [month])[0]
+    for building, units in zip(placed, output[:, 0]):
         for section, count in building.section_counts.items():
             if count:
                 totals[section] += count * units
@@ -363,15 +379,6 @@ def monthly_floor_requirements(
         for s, row in totals.items()
     }
     return MonthlyFloorProfile(month=month, sections=sections)
-
-
-def _combined_section_matrix(project: Project, building: Building) -> np.ndarray:
-    """Sum of section detail matrices weighted by the building's counts."""
-    combined = np.zeros((len(FLOOR_TYPES), len(DETAIL_TYPES)))
-    for section, count in building.section_counts.items():
-        if count:
-            combined += count * project.section_types[section].matrix_array()
-    return combined
 
 
 def building_requirement_table(
@@ -384,56 +391,7 @@ def building_requirement_table(
     """
     if start is None:
         start = building.start
-    months = range(1, project.horizon_months + 1)
-    return _floor_output(project, building, start, months) @ (
-        _combined_section_matrix(project, building)
-    )
-
-
-class RequirementKernel:
-    """The cascade of several buildings at once.
-
-    Each building's progress constants (rate, cap, ladder ranges) and its
-    combined 8 x 8 section matrix are computed once and stacked on a
-    leading building axis, so one call gives the requirement tables of
-    any buildings at any starts. Every (horizon x 8) @ (8 x 8) product of
-    the batched matmul keeps the single-building shape, so each slice
-    equals building_requirement_table bit for bit.
-    """
-
-    def __init__(self, project: Project, buildings: Sequence[Building]):
-        self.row = {building.id: i for i, building in enumerate(buildings)}
-        rates, caps, los, his = zip(*(_ladder(project, b) for b in buildings))
-        self.rate = np.array(rates)[:, None, None]
-        self.cap = np.array(caps, dtype=float)[:, None, None]
-        self.lo = np.array(los)[:, None, :]
-        self.hi = np.array(his)[:, None, :]
-        self.matrix = np.array(
-            [_combined_section_matrix(project, b) for b in buildings]
-        )
-        self.edges = np.arange(0.0, project.horizon_months + 1)[:, None]
-
-    def tables(self, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """(P x horizon x 8) tables: building ``rows[i]`` (a kernel row,
-        see ``row``) placed at ``starts[i]``."""
-        output = _clamped_output(
-            self.rate[rows], self.cap[rows], self.lo[rows], self.hi[rows],
-            np.reshape(starts, (-1, 1, 1)), self.edges,
-        )
-        return output @ self.matrix[rows]
-
-
-def monthly_detail_requirements(
-    project: Project, schedule: TeamSchedule, month: int
-) -> tuple[float, ...]:
-    """Detail requirement vector gamma for one month of the schedule."""
-    gamma = np.zeros(len(DETAIL_TYPES))
-    for _team, building_id, start in schedule.placements():
-        building = project.buildings[building_id]
-        gamma += _floor_output(project, building, start, [month])[0] @ (
-            _combined_section_matrix(project, building)
-        )
-    return tuple(float(v) for v in gamma)
+    return RequirementKernel(project, [building]).tables([0], [start])[0]
 
 
 def horizon_requirement_table(
@@ -441,18 +399,38 @@ def horizon_requirement_table(
     schedule: TeamSchedule,
     months: Sequence[int] | None = None,
 ) -> RequirementTable:
-    """Requirement rows for every month of the horizon (or a subrange)."""
-    if months is None:
-        months = range(1, project.horizon_months + 1)
-    months = tuple(months)
-    total = np.zeros((project.horizon_months, len(DETAIL_TYPES)))
-    for _team, building_id, start in schedule.placements():
-        building = project.buildings[building_id]
-        total += building_requirement_table(project, building, start)
+    """Requirement rows for every month of the horizon (or of ``months``).
+
+    The rows are the sum of the placements' tables in placement order, one
+    kernel row at a time, so no whole-project stack is ever held.
+
+    Raises:
+        ValueError: naming every month outside 1..horizon.
+    """
+    horizon = project.horizon_months
+    months = tuple(range(1, horizon + 1) if months is None else months)
+    outside = [str(m) for m in months if not 1 <= m <= horizon]
+    if outside:
+        raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
+    placements = schedule.placements()
+    kernel = RequirementKernel(
+        project, [project.buildings[b] for _team, b, _start in placements]
+    )
+    total = np.zeros((horizon, len(DETAIL_TYPES)))
+    for i, (_team, _b, start) in enumerate(placements):
+        total += kernel.tables(slice(i, i + 1), start)[0]
     values = tuple(
         tuple(float(v) for v in total[month - 1]) for month in months
     )
     return RequirementTable(months=months, values=values)
+
+
+def monthly_detail_requirements(
+    project: Project, schedule: TeamSchedule, month: int
+) -> tuple[float, ...]:
+    """Detail requirement vector gamma for one month of the schedule: its
+    row of horizon_requirement_table."""
+    return horizon_requirement_table(project, schedule, [month]).values[0]
 
 
 def detail_shares(gamma: Sequence[float]) -> tuple[float, ...]:

@@ -27,7 +27,6 @@ from .homebuilding import (
     Project,
     RequirementKernel,
     TeamSchedule,
-    building_requirement_table,
     team_schedule_violations,
 )
 
@@ -270,10 +269,7 @@ class CascadeCache:
     def building_table(self, building_id: str, start: float) -> np.ndarray:
         key = (building_id, start)
         if key not in self._tables:
-            building = self.project.buildings[building_id]
-            self._tables[key] = building_requirement_table(
-                self.project, building, start
-            )
+            self._tables[key] = self.kernel.tables([self.kernel.row[building_id]], [start])[0]
         return self._tables[key]
 
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:

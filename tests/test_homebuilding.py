@@ -264,7 +264,8 @@ KOPE_IDS = tuple(f"a{i}" for i in range(1, 10))
 @settings(max_examples=60, deadline=None)
 def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements):
     """Both of kope's building types and all its section mixes, at starts
-    before, inside and past the 19-month horizon."""
+    before, inside and past the 19-month horizon. Scoring a move as a stack
+    of one gives the generated profit only because of this equality."""
     project = dataclasses.replace(kope.project, rate_basis=rate_basis)
     buildings = list(project.buildings.values())
     kernel = RequirementKernel(project, buildings)
@@ -272,9 +273,27 @@ def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements
     starts = np.array([start for _b, start in placements])
     stack = kernel.tables(rows, starts)
     assert stack.shape == (len(placements), 19, 8)
-    for table, (b, start) in zip(stack, placements):
-        expected = building_requirement_table(project, project.buildings[b], start)
-        assert np.array_equal(table, expected)
+    for table, row, start in zip(stack, rows, starts):
+        assert np.array_equal(table, kernel.tables([row], [start])[0])
+
+
+def test_monthly_detail_vector_is_a_row_of_the_horizon_table(kope):
+    table = horizon_requirement_table(kope.project, kope.team_schedule)
+    for month in table.months:
+        gamma = monthly_detail_requirements(kope.project, kope.team_schedule, month)
+        assert gamma == table.row(month)
+
+
+@pytest.mark.parametrize("months, named", [([0], "0"), ([20], "20"), ([0, 5, 20], "0, 20")])
+def test_months_outside_the_horizon_are_refused(kope, months, named):
+    with pytest.raises(ValueError, match=f"months outside 1..19: {named}$"):
+        horizon_requirement_table(kope.project, kope.team_schedule, months)
+
+
+@pytest.mark.parametrize("month", [0, 20])
+def test_monthly_detail_vector_refuses_a_month_outside_the_horizon(kope, month):
+    with pytest.raises(ValueError, match=f"months outside 1..19: {month}$"):
+        monthly_detail_requirements(kope.project, kope.team_schedule, month)
 
 
 def test_month1_detail_vector_matches_hand_composition(kope):

@@ -369,6 +369,34 @@ def test_comparison_report_month1_d2(kope_table):
     assert row.rel_deviation == pytest.approx(2.0 / 122.0)
 
 
+def test_comparison_report_matches_cells_by_detail_name(kope_table):
+    f, table = kope_table
+    reference = RequirementTable(months=(1,), values=((70.0,),), details=("d3",))
+    (row,) = comparison_report(table, reference)
+    assert (row.month, row.detail) == (1, "d3")
+    assert round(row.computed, 2) == 69.67  # d1 of month 1 is 89.11
+    assert row.computed == table.row(1)[2]
+
+
+def test_comparison_report_names_what_the_computed_table_lacks(kope_table):
+    _f, table = kope_table
+    reference = RequirementTable(
+        months=(1, 20, 21), values=((1.0, 1.0),) * 3, details=("d9", "d2")
+    )
+    with pytest.raises(ValueError, match="^computed table lacks month 20, month 21, detail d9$"):
+        comparison_report(table, reference)
+
+
+def test_reference_with_an_unknown_detail_is_one_schema_issue():
+    data = instance_to_dict(build_fixture("kope-1982"))
+    data["homebuilding"]["reference_requirements"]["details"][2] = "d9"
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(data)
+    assert err.value.issues == [
+        "/homebuilding/reference_requirements/details/2: unknown detail type"
+    ]
+
+
 def test_comparison_rel_deviation_edge_cases():
     table = RequirementTable(
         months=(1,), values=((0.0, 3.0),), details=("d1", "d2")
