@@ -40,9 +40,7 @@ print("  ...")
 result = improvement_loop(project, schedule, capacity, f.improve_params)
 print("\nloop trace:")
 for rec in result.trace:
-    moves = [g.variants[j].describe(g.targets[0])
-             for g, j in zip(rec.groups, rec.selection.chosen)
-             if g.variants[j].kind != "none"]
+    moves = [variant.describe(target) for target, variant in rec.moves()]
     print(f"  iter {rec.iteration}: V {rec.v_before:.4f} -> {rec.v_after:.4f}"
           f" ({'accepted' if rec.accepted else 'rejected'}) {'; '.join(moves)}")
 print(f"stop: {result.stop_reason}")

@@ -103,8 +103,7 @@ def balance_verdict(
             f"interval capacity is {capacity}"
         )
     deltas = tuple(
-        proximity(e0, count_vector(bag, instance.universe))
-        for bag in interval_bags(instance, schedule, grid)
+        proximity(e0, bag.counts) for bag in interval_bags(instance, schedule, grid)
     )
     max_delta = max(deltas)
     violating = tuple(i + 1 for i, d in enumerate(deltas) if d > delta0)

@@ -242,11 +242,7 @@ def improve(file, budget, max_iters, out):
         instance.project, instance.team_schedule, instance.capacity, params
     )
     for record in result.trace:
-        moves = []
-        for group, j in zip(record.groups, record.selection.chosen):
-            variant = group.variants[j]
-            if variant.kind != "none":
-                moves.append(variant.describe(group.targets[0]))
+        moves = [variant.describe(target) for target, variant in record.moves()]
         chosen = ", ".join(moves) if moves else "none"
         status = "accepted" if record.accepted else "rejected"
         _echo(

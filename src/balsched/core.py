@@ -117,11 +117,14 @@ class IntervalBag:
     """Multiset of element types consumed in one interval (idle-padded).
 
     ``index`` is 1-based. ``elements`` is stored sorted by universe order so
-    equal bags compare equal regardless of construction order.
+    equal bags compare equal regardless of construction order. ``counts``
+    is the count row in universe order (balance.count_vector) of a bag
+    that interval_bags tallied; it takes no part in equality.
     """
 
     index: int
     elements: tuple[str, ...]
+    counts: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
 
     @property
     def cardinality(self) -> int:
@@ -344,5 +347,5 @@ def interval_bags(
         bag: list[str] = []
         for t, n in zip(universe.types, row):
             bag += [t] * n
-        bags.append(IntervalBag(index=i + 1, elements=tuple(bag)))
+        bags.append(IntervalBag(index=i + 1, elements=tuple(bag), counts=tuple(row)))
     return bags

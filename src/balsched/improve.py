@@ -13,7 +13,7 @@ falling.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
 from typing import Mapping, Sequence
@@ -31,6 +31,7 @@ from .homebuilding import (
 )
 
 VARIANT_KINDS = ("none", "shift_right", "shift_left", "exchange")
+EXCHANGE = VARIANT_KINDS.index("exchange")
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,36 @@ def _selection(problem: BudgetedMCKP, chosen: Sequence[int]) -> Selection:
 RATIO_DIGITS = 9
 
 
+def _pack(
+    group: np.ndarray, profit: np.ndarray, cost: np.ndarray, budget: float
+) -> list[int]:
+    """The rows the ratio greedy picks, at most one per group, in pick order.
+
+    Rows are the variants other than none, in (group, variant) order, given
+    as columns. Rows with non-positive profit are never taken; zero-cost
+    rows with positive profit rank first. Ratios are Python's
+    ``round(profit / cost, RATIO_DIGITS)``, so ratios equal up to float
+    noise tie, and a stable sort breaks ties on row order.
+    """
+    rows = np.flatnonzero(profit > 0).tolist()
+    profits, costs = profit[rows].tolist(), cost[rows].tolist()
+    groups = group[rows].tolist()
+    ratios = [
+        inf if c == 0 else round(p / c, RATIO_DIGITS) for p, c in zip(profits, costs)
+    ]
+    taken: set[int] = set()
+    picked = []
+    total_cost = 0.0
+    for k in np.argsort(np.negative(ratios), kind="stable").tolist():
+        if groups[k] in taken:
+            continue
+        if total_cost + costs[k] <= budget + 1e-9:
+            taken.add(groups[k])
+            picked.append(rows[k])
+            total_cost += costs[k]
+    return picked
+
+
 def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     """Ratio-greedy selection: pack variants by profit/cost until budget.
 
@@ -138,26 +169,20 @@ def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     ties break on (group index, variant index), so the result is
     deterministic and float noise in equal ratios does not pick the move.
     """
-    candidates = []
-    for gi, group in enumerate(problem.groups):
-        for j, variant in enumerate(group.variants):
-            if j == 0 or variant.profit <= 0:
-                continue
-            ratio = (
-                float("inf") if variant.cost == 0
-                else round(variant.profit / variant.cost, RATIO_DIGITS)
-            )
-            candidates.append((-ratio, gi, j, variant))
-    candidates.sort(key=lambda item: item[:3])
-
+    group, index, profit, cost = [], [], [], []
+    for gi, g in enumerate(problem.groups):
+        for j, variant in enumerate(g.variants[1:], start=1):
+            group.append(gi)
+            index.append(j)
+            profit.append(variant.profit)
+            cost.append(variant.cost)
     chosen = [0] * len(problem.groups)
-    total_cost = 0.0
-    for _neg_ratio, gi, j, variant in candidates:
-        if chosen[gi] != 0:
-            continue
-        if total_cost + variant.cost <= problem.budget + 1e-9:
-            chosen[gi] = j
-            total_cost += variant.cost
+    picked = _pack(
+        np.array(group, dtype=np.intp), np.array(profit, dtype=float),
+        np.array(cost, dtype=float), problem.budget,
+    )
+    for row in picked:
+        chosen[group[row]] = index[row]
     return _selection(problem, chosen)
 
 
@@ -394,7 +419,10 @@ class _Lanes:
             delta = variant.days / DAYS_PER_MONTH
             new_start = start + delta if variant.kind == "shift_right" else start - delta
             return [(target, team, start, team, new_start)]
-        b1, b2 = variant.buildings
+        return self.exchange(*variant.buildings)
+
+    def exchange(self, b1: str, b2: str) -> list[Move]:
+        """The moves of exchanging two buildings' placements."""
         if b1 == b2:
             raise ValueError(f"degenerate exchange: {b1} with itself")
         team1, start1 = self._placed(b1)
@@ -420,18 +448,24 @@ class _Lanes:
 
     def slots(self, ids: Sequence[str]) -> tuple[np.ndarray, ...]:
         """Per building of ``ids``: its team's position in ``teams``, its
-        start, its duration and the start of the next span on its lane
+        start, its duration, the start and the end of the previous span on
+        its lane (-inf at the lane's start) and the start of the next span
         (+inf at the lane's end)."""
-        following = {}
+        before, after = {}, {}
         for lane in self.lanes.values():
-            for (_s, _e, building_id), (next_start, _e2, _b2) in zip(lane, lane[1:]):
-                following[building_id] = next_start
+            for (start, end, building_id), (next_start, _e, next_id) in zip(lane, lane[1:]):
+                after[building_id] = next_start
+                before[next_id] = (start, end)
         team_position = {team: k for k, team in enumerate(self.teams)}
+        previous = np.array([before.get(b, (-inf, -inf)) for b in ids], dtype=float)
+        previous = previous.reshape(-1, 2)
         return (
             np.array([team_position[self.placement[b][0]] for b in ids]),
             np.array([self.placement[b][1] for b in ids], dtype=float),
             np.array([self.buildings[b].assembly_duration for b in ids], dtype=float),
-            np.array([following.get(b, inf) for b in ids], dtype=float),
+            previous[:, 0],
+            previous[:, 1],
+            np.array([after.get(b, inf) for b in ids], dtype=float),
         )
 
     def apply(self, moves: Sequence[Move]) -> None:
@@ -452,6 +486,41 @@ class _Lanes:
                 for team, lane in self.lanes.items()
             },
         )
+
+
+def _shift_starts(starts: np.ndarray, steps: Sequence[int]) -> np.ndarray:
+    """Each start moved right, then left, by each step in days, in the
+    float expressions of _Lanes.moves."""
+    offsets = np.array(steps) / DAYS_PER_MONTH
+    return np.hstack([starts[:, None] + offsets, starts[:, None] - offsets])
+
+
+def _shift_fits(
+    new_starts: np.ndarray,
+    durations: np.ndarray,
+    prev_starts: np.ndarray,
+    prev_ends: np.ndarray,
+    next_starts: np.ndarray,
+    horizon: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(fits, decided) for moving building i of the arrays of _Lanes.slots
+    to each new start of row i, on its own lane.
+
+    A new start strictly between the previous and the next start on the
+    lane keeps the building between the same neighbours, so _Lanes.fits
+    reduces to its own float expressions: the span stays inside
+    [0, horizon], starts no more than 1e-9 before the previous end, and
+    ends no more than 1e-9 past the next start. ``decided`` is False where
+    the shift passes a neighbour's start; there ``fits`` means nothing.
+    """
+    new_ends = new_starts + durations[:, None]
+    decided = (prev_starts[:, None] < new_starts) & (new_starts < next_starts[:, None])
+    fits = (
+        ~(new_starts < 0) & ~(new_ends > horizon)
+        & ~(new_starts < prev_ends[:, None] - 1e-9)
+        & ~(next_starts[:, None] < new_ends - 1e-9)
+    )
+    return fits, decided
 
 
 def _swap_fits(
@@ -496,41 +565,37 @@ class _Scorer:
         self.cache, self.base, self.cap, self.config = cache, base, cap, config
         self.base_v = violation_measure(base, cap, config)
 
-    def _moved(self, target: str, start: float, new_starts: np.ndarray) -> np.ndarray:
-        """One (starts x months x 8) stack: the base table with ``target``
-        moved from ``start`` to each of ``new_starts``, from one kernel
-        call. It is (base - T_t(start)) + T_t(new start) in that order of
-        operations, IEEE addition being commutative."""
-        kernel = self.cache.kernel
-        stack = kernel.tables(np.full(len(new_starts), kernel.row[target]), new_starts)
-        stack += self.base - self.cache.building_table(target, start)
-        return stack
-
-    def shifts(self, target: str, start: float, new_starts: np.ndarray) -> np.ndarray:
-        """Profits of moving ``target`` from ``start`` to each new start."""
-        if not len(new_starts):
-            return np.empty(0)
-        stack = self._moved(target, start, new_starts)
-        return self.base_v - _violation_measures(stack, self.cap, self.config)
-
-    def exchanges(
+    def profits(
         self,
         target: str,
         start: float,
+        new_starts: np.ndarray,
         partners: np.ndarray,
         partner_starts: np.ndarray,
         partner_tables: np.ndarray,
     ) -> np.ndarray:
-        """Profits of exchanging ``target``, placed at ``start``, with each
-        partner (kernel rows, their starts and their tables there): the
-        shift stack at the partners' starts, less each partner's table,
-        plus the partners' tables at ``start`` from one more kernel call."""
-        if not len(partners):
+        """Profits of moving ``target`` from ``start`` to each of
+        ``new_starts``, then of exchanging it with each partner (kernel
+        rows, their starts and their tables there), from one kernel call.
+
+        Its rows are the target at its new starts, the target at the
+        partners' starts, then the partners at ``start``. A moved table is
+        T_t(new start) + (base - T_t(start)); an exchanged one continues
+        with - T_p(its start) + T_p(start), in that order of operations.
+        """
+        shifts, exchanges = len(new_starts), len(partners)
+        if not shifts + exchanges:
             return np.empty(0)
-        stack = self._moved(target, start, partner_starts)
-        stack -= partner_tables
-        stack += self.cache.kernel.tables(partners, np.full(len(partners), start))
-        return self.base_v - _violation_measures(stack, self.cap, self.config)
+        kernel = self.cache.kernel
+        stack = kernel.tables(
+            np.concatenate([np.full(shifts + exchanges, kernel.row[target]), partners]),
+            np.concatenate([new_starts, partner_starts, np.full(exchanges, start)]),
+        )
+        moved = stack[: shifts + exchanges]
+        moved += self.base - self.cache.building_table(target, start)
+        moved[shifts:] -= partner_tables
+        moved[shifts:] += stack[shifts + exchanges:]
+        return self.base_v - _violation_measures(moved, self.cap, self.config)
 
 
 def score_variant(
@@ -557,16 +622,162 @@ def score_variant(
     cache = cache or CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
     building_id, _team, start, _new_team, new_start = moves[0]
-    score = _Scorer(cache, cache.schedule_table(schedule), cap, config)
+    base = cache.schedule_table(schedule)
+    score = _Scorer(cache, base, cap, config)
     if variant.kind == "exchange":
         partner = moves[1][0]  # placed at new_start
-        profits = score.exchanges(
-            building_id, start, np.array([cache.kernel.row[partner]]),
+        profits = score.profits(
+            building_id, start, np.empty(0), np.array([cache.kernel.row[partner]]),
             np.array([new_start]), cache.building_table(partner, new_start)[None],
         )
         return float(profits[0]), config.exchange_cost
-    profits = score.shifts(building_id, start, np.array([new_start]))
+    profits = score.profits(
+        building_id, start, np.array([new_start]), np.empty(0, dtype=np.intp),
+        np.empty(0), np.empty((0, *base.shape)),
+    )
     return float(profits[0]), config.day_cost * variant.days
+
+
+@dataclass(frozen=True, eq=False)
+class CorrectionMenu:
+    """One iteration's correction groups as columns.
+
+    Group g (0-based; its index is g + 1) serves the building at position
+    ``targets[g]`` of ``placed``. Each row is one variant other than none,
+    rows in (group, variant) order: ``group``, ``kind`` (a position in
+    VARIANT_KINDS), ``days`` (0 for exchanges), ``partner`` (the exchange
+    partner's position in ``placed``, -1 for shifts), ``profit`` and
+    ``cost``. CorrectionGroup and CorrectionVariant objects are built only
+    on request.
+    """
+
+    placed: Sequence[str]
+    targets: Sequence[int]
+    group: np.ndarray
+    kind: np.ndarray
+    days: np.ndarray
+    partner: np.ndarray
+    profit: np.ndarray
+    cost: np.ndarray
+
+    @cached_property
+    def first(self) -> list[int]:
+        """The row of each group's first variant after none."""
+        return np.searchsorted(self.group, np.arange(len(self.targets))).tolist()
+
+    def move(self, row: int) -> tuple[str, CorrectionVariant]:
+        """The target and the variant of one row."""
+        target = self.placed[self.targets[self.group[row]]]
+        kind = VARIANT_KINDS[self.kind[row]]
+        profit, cost = float(self.profit[row]), float(self.cost[row])
+        if kind == "exchange":
+            buildings = (target, self.placed[self.partner[row]])
+            return target, CorrectionVariant(kind, buildings=buildings, profit=profit, cost=cost)
+        days = self.days[row].item()
+        return target, CorrectionVariant(kind, days=days, profit=profit, cost=cost)
+
+    def groups(self) -> list[CorrectionGroup]:
+        """The menu as correction groups, one per target in index order."""
+        variants = [[NONE_VARIANT] for _ in self.targets]
+        for row, g in enumerate(self.group.tolist()):
+            variants[g].append(self.move(row)[1])
+        return [
+            CorrectionGroup(index=g + 1, targets=(self.placed[i],), variants=tuple(v))
+            for g, (i, v) in enumerate(zip(self.targets, variants))
+        ]
+
+    def pack(self, budget: float) -> list[int]:
+        """The rows mckp_greedy picks under ``budget``, in group order."""
+        return sorted(_pack(self.group, self.profit, self.cost, budget))
+
+    def selection(self, rows: Sequence[int]) -> Selection:
+        """The selection of ``rows`` (at most one per group, in group order)."""
+        chosen = [0] * len(self.targets)
+        for row in rows:
+            g = self.group[row]
+            chosen[g] = row - self.first[g] + 1
+        return Selection(
+            chosen=tuple(chosen),
+            total_profit=sum((float(self.profit[row]) for row in rows), 0.0),
+            total_cost=sum((float(self.cost[row]) for row in rows), 0.0),
+        )
+
+    def rows(self, selection: Selection) -> list[int]:
+        """The rows a selection of this menu chooses, in group order."""
+        return [self.first[g] + j - 1 for g, j in enumerate(selection.chosen) if j]
+
+
+def _correction_menu(
+    project: Project,
+    schedule: TeamSchedule,
+    cap: np.ndarray,
+    config: ScoreConfig,
+    cache: CascadeCache,
+    table: np.ndarray,
+) -> CorrectionMenu:
+    """generate_correction_groups' menu, as columns, for a valid schedule
+    whose requirement table is ``table``."""
+    lanes = _Lanes(project.buildings, schedule)
+    placed = sorted(lanes.placement)
+    months = violated_months(table, cap)
+    teams, starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
+    # the buildings active in a violated month m, i.e. over [m - 1, m)
+    m = np.array(months, dtype=float)[:, None]
+    is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
+    targets = np.flatnonzero(is_target)
+
+    steps = config.shift_steps
+    shift_kind = np.repeat(
+        [VARIANT_KINDS.index("shift_right"), VARIANT_KINDS.index("shift_left")], len(steps)
+    )
+    shift_days = np.tile(np.array(steps), 2)
+    new_starts = _shift_starts(starts[targets], steps)
+    fits, decided = _shift_fits(
+        new_starts, durations[targets], prev_starts[targets], prev_ends[targets],
+        following[targets], project.horizon_months,
+    )
+    for g, j in zip(*np.nonzero(~decided)):
+        target = placed[targets[g]]
+        team, start = lanes.placement[target]
+        fits[g, j] = lanes.fits(
+            [(target, team, start, team, new_starts[g, j])], project.horizon_months
+        )
+
+    score = _Scorer(cache, table, cap, config)
+    kernel_rows = np.array([cache.kernel.row[b] for b in placed])
+    own_tables = np.array([cache.building_table(b, s) for b, s in zip(placed, starts)])
+    positions = np.arange(len(placed))
+    kind, days, partner, profit, sizes = [], [], [], [], []
+    for g, i in enumerate(targets):
+        # An exchange is one move on a pair; list it only in the first
+        # group that can host it, so a selection can never pick the
+        # same swap twice and undo itself.
+        eligible = (positions > i) | ((positions < i) & ~is_target)
+        same_team = teams == teams[i]
+        swaps = eligible & ~same_team & _swap_fits(
+            starts, durations, following, project.horizon_months, i
+        )
+        # On one lane the two can be each other's neighbours.
+        for k in np.flatnonzero(eligible & same_team):
+            swaps[k] = lanes.fits(lanes.exchange(placed[i], placed[k]), project.horizon_months)
+        partners = np.flatnonzero(swaps)
+        shifts = fits[g]
+        kind += [shift_kind[shifts], np.full(len(partners), EXCHANGE)]
+        days += [shift_days[shifts], np.zeros(len(partners), dtype=int)]
+        partner += [np.full(shifts.sum(), -1), partners]
+        profit.append(score.profits(
+            placed[i], starts[i], new_starts[g, shifts],
+            kernel_rows[partners], starts[partners], own_tables[partners],
+        ))
+        sizes.append(len(profit[-1]))
+    kind, days, partner = (
+        np.concatenate([np.empty(0, dtype=int), *parts]) for parts in (kind, days, partner)
+    )
+    cost = np.where(kind == EXCHANGE, config.exchange_cost, config.day_cost * days)
+    return CorrectionMenu(
+        placed, targets.tolist(), np.repeat(np.arange(len(targets)), sizes),
+        kind, days, partner, np.concatenate([np.empty(0), *profit]), cost,
+    )
 
 
 def generate_correction_groups(
@@ -582,11 +793,13 @@ def generate_correction_groups(
     month: none + feasible shifts (both directions) + feasible exchanges.
 
     ``table`` is the schedule's requirement table when the caller already
-    holds it (``cache.schedule_table(schedule)``). Every move is checked on
-    a lane index of the schedule and scored against that one table. A
-    target's exchanges with buildings on other teams are checked as arrays
-    over every partner (_swap_fits). All its feasible shifts are priced in
-    one stack, and all its feasible exchanges in another (_Scorer).
+    holds it (``cache.schedule_table(schedule)``). The groups are a view of
+    one CorrectionMenu. Every move is checked on a lane index of the
+    schedule: every target's shifts as one array test (_shift_fits, with
+    _Lanes.fits for a shift that passes a neighbour), its exchanges with
+    buildings on other teams as arrays over every partner (_swap_fits).
+    All of a target's feasible moves are priced against that one table
+    from one kernel call (_Scorer.profits).
 
     Returns an empty list when no month exceeds capacity.
 
@@ -598,94 +811,28 @@ def generate_correction_groups(
     cache = cache or CascadeCache(project)
     if table is None:
         table = cache.schedule_table(schedule)
-    months = violated_months(table, cap)
-    if not months:
-        return []
-
-    lanes = _Lanes(project.buildings, schedule)
-    score = _Scorer(cache, table, cap, config)
-    horizon = project.horizon_months
-
-    placed = sorted(lanes.placement)
-    teams, starts, durations, following = lanes.slots(placed)
-    # the buildings active in a violated month m, i.e. over [m - 1, m)
-    m = np.array(months)[:, None]
-    is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
-    kernel_rows = np.array([cache.kernel.row[b] for b in placed])
-    own_tables = np.array([cache.building_table(b, s) for b, s in zip(placed, starts)])
-    positions = np.arange(len(placed))
-
-    groups: list[CorrectionGroup] = []
-    for index, i in enumerate(np.flatnonzero(is_target), start=1):
-        target = placed[i]
-        shifts, new_starts = [], []
-        for kind in ("shift_right", "shift_left"):
-            for days in config.shift_steps:
-                raw = CorrectionVariant(kind=kind, days=days)
-                moves = lanes.moves(raw, target)
-                if lanes.fits(moves, horizon):
-                    shifts.append(raw)
-                    new_starts.append(moves[0][4])
-        profits = score.shifts(target, starts[i], np.array(new_starts))
-        variants: list[CorrectionVariant] = [NONE_VARIANT]
-        variants.extend(
-            replace(raw, profit=float(profit), cost=config.day_cost * raw.days)
-            for raw, profit in zip(shifts, profits)
-        )
-        # An exchange is one move on a pair; list it only in the first
-        # group that can host it, so a selection can never pick the
-        # same swap twice and undo itself.
-        eligible = (positions > i) | ((positions < i) & ~is_target)
-        same_team = teams == teams[i]
-        fits = eligible & ~same_team & _swap_fits(starts, durations, following, horizon, i)
-        # On one lane the two can be each other's neighbours.
-        for k in np.flatnonzero(eligible & same_team):
-            raw = CorrectionVariant(kind="exchange", buildings=(target, placed[k]))
-            fits[k] = lanes.fits(lanes.moves(raw, target), horizon)
-        partners = np.flatnonzero(fits)
-        profits = score.exchanges(
-            target, starts[i], kernel_rows[partners], starts[partners], own_tables[partners]
-        )
-        variants.extend(
-            CorrectionVariant(
-                kind="exchange",
-                buildings=(target, placed[k]),
-                profit=float(profit),
-                cost=config.exchange_cost,
-            )
-            for k, profit in zip(partners, profits)
-        )
-        groups.append(
-            CorrectionGroup(
-                index=index, targets=(target,), variants=tuple(variants)
-            )
-        )
-    return groups
+    return _correction_menu(project, schedule, cap, config, cache, table).groups()
 
 
-def _compose_selection(
+def _compose(
     project: Project,
     schedule: TeamSchedule,
-    problem: BudgetedMCKP,
-    selection: Selection,
-) -> tuple[Selection, TeamSchedule]:
-    """apply_selection's walk over a valid schedule; see there."""
-    chosen = list(selection.chosen)
+    picks: Sequence[tuple[str | None, CorrectionVariant]],
+) -> tuple[list[bool], TeamSchedule]:
+    """apply_selection's walk over a valid schedule and the chosen (target,
+    variant) pairs in group order: which of them apply, and the schedule."""
     lanes = _Lanes(project.buildings, schedule)
     moved: set[str] = set()
-    for pos, (group, j) in enumerate(zip(problem.groups, selection.chosen)):
-        variant = group.variants[j]
-        if variant.kind == "none":
-            continue
-        target = group.targets[0] if group.targets else None
+    kept = []
+    for target, variant in picks:
         moves = lanes.moves(variant, target)
         touched = {building_id for building_id, *_ in moves}
-        if touched & moved or not lanes.fits(moves, project.horizon_months):
-            chosen[pos] = 0
-            continue
-        lanes.apply(moves)
-        moved |= touched
-    return _selection(problem, chosen), lanes.schedule() if moved else schedule
+        applies = not touched & moved and lanes.fits(moves, project.horizon_months)
+        if applies:
+            lanes.apply(moves)
+            moved |= touched
+        kept.append(applies)
+    return kept, lanes.schedule() if moved else schedule
 
 
 def apply_selection(
@@ -717,7 +864,17 @@ def apply_selection(
             a degenerate exchange, or a variant naming an unplaced building.
     """
     _refuse_invalid(schedule, project.buildings)
-    return _compose_selection(project, schedule, problem, selection)
+    picks = [
+        (pos, group.targets[0] if group.targets else None, group.variants[j])
+        for pos, (group, j) in enumerate(zip(problem.groups, selection.chosen))
+        if group.variants[j].kind != "none"
+    ]
+    kept, moved = _compose(project, schedule, [pick[1:] for pick in picks])
+    chosen = list(selection.chosen)
+    for (pos, _target, _variant), applies in zip(picks, kept):
+        if not applies:
+            chosen[pos] = 0
+    return _selection(problem, chosen), moved
 
 
 # --- the repair loop --------------------------------------------------------
@@ -740,15 +897,25 @@ class ImproveParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One loop pass: measures before, the selection, measure after."""
+    """One loop pass: measures before, the menu and the selection from it,
+    measure after."""
 
     iteration: int
     v_before: float
     max_violation: float
     selection: Selection
-    groups: tuple[CorrectionGroup, ...]
+    menu: CorrectionMenu
     v_after: float
     accepted: bool
+
+    @property
+    def groups(self) -> tuple[CorrectionGroup, ...]:
+        """The menu's correction groups, built on each access."""
+        return tuple(self.menu.groups())
+
+    def moves(self) -> list[tuple[str, CorrectionVariant]]:
+        """The selected (target, variant) pairs, in group order."""
+        return [self.menu.move(row) for row in self.menu.rows(self.selection)]
 
 
 @dataclass(frozen=True)
@@ -774,8 +941,8 @@ def improvement_loop(
 ) -> LoopResult:
     """Repair the schedule until balanced, stuck, or out of iterations.
 
-    Every iteration: find violated months, build and score correction
-    groups, select moves by greedy knapsack under the per-iteration budget,
+    Every iteration: find violated months, build and score the correction
+    menu, select moves by greedy knapsack under the per-iteration budget,
     compose the jointly applicable subset of the selection (earlier groups
     win conflicts), apply it, and keep the result only if the violation
     measure strictly dropped. The recorded measure sequence is therefore
@@ -799,19 +966,16 @@ def improvement_loop(
         if v <= 1e-12:
             stop_reason = "balanced"
             break
-        groups = generate_correction_groups(
-            project, current, cap, config, cache, table=table
-        )
-        if not groups:
+        menu = _correction_menu(project, current, cap, config, cache, table)
+        if not menu.targets:
             stop_reason = "no correction candidates"
             break
-        problem = BudgetedMCKP(groups=tuple(groups), budget=params.budget)
-        selection = mckp_greedy(problem)
+        rows = menu.pack(params.budget)
+        selection = menu.selection(rows)
         new_v, reason = v, "no improving selection"
         if selection.total_profit > 1e-12:
-            selection, candidate = _compose_selection(
-                project, current, problem, selection
-            )
+            kept, candidate = _compose(project, current, [menu.move(row) for row in rows])
+            selection = menu.selection([row for row, applies in zip(rows, kept) if applies])
             reason = "selection not applicable"
             if not selection.is_all_none():
                 new_table = cache.schedule_table(candidate)
@@ -824,7 +988,7 @@ def improvement_loop(
                 v_before=v,
                 max_violation=max_violation(table, cap),
                 selection=selection,
-                groups=problem.groups,
+                menu=menu,
                 v_after=new_v if accepted else v,
                 accepted=accepted,
             )

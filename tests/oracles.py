@@ -120,6 +120,29 @@ def mckp_enumerate(groups, budget):
     return best_profit, best_choice
 
 
+def ratio_greedy(groups, budget, digits=9):
+    """The ratio greedy as a plain loop over (profit, cost) lists, each
+    group's first entry being "none": candidates with positive profit,
+    sorted by (-round(profit / cost, digits), group, variant) with zero
+    cost first, each taken when its group is still free and it fits the
+    budget within 1e-9. Returns the chosen variant index per group."""
+    candidates = []
+    for gi, group in enumerate(groups):
+        for j, (profit, cost) in enumerate(group):
+            if j == 0 or profit <= 0:
+                continue
+            ratio = float("inf") if cost == 0 else round(profit / cost, digits)
+            candidates.append((-ratio, gi, j, cost))
+    candidates.sort(key=lambda item: item[:3])
+    chosen = [0] * len(groups)
+    total = 0.0
+    for _neg_ratio, gi, j, cost in candidates:
+        if chosen[gi] == 0 and total + cost <= budget + 1e-9:
+            chosen[gi] = j
+            total += cost
+    return tuple(chosen)
+
+
 # --- hand composition of one month of the building cascade -----------------
 #
 # The value below is the second route for the "first month, second detail

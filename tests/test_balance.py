@@ -200,6 +200,7 @@ def test_bags_counts_and_verdict_match_the_element_list_oracle(case, data):
     assert [b.elements for b in bags] == expected
     counts = [element_counts(elements, universe.types) for elements in expected]
     assert [count_vector(b, universe) for b in bags] == counts
+    assert [b.counts for b in bags] == counts
 
     capacity = grid.interval_len_slots * len(schedule.processors)
     cuts = sorted(data.draw(st.lists(
@@ -214,6 +215,19 @@ def test_bags_counts_and_verdict_match_the_element_list_oracle(case, data):
     assert verdict.max_delta == max(deltas)
     assert verdict.violating == tuple(i + 1 for i, d in enumerate(deltas) if d > delta0)
     assert verdict.satisfied == (max(deltas) <= delta0)
+
+
+@pytest.mark.parametrize("name", ["modular-demo", "jit-windows"])
+def test_bag_count_rows_are_the_count_vectors(name):
+    f = build_fixture(name)
+    instance = validate_instance(f.universe, f.jobs, f.processors, f.grid)
+    bags = interval_bags(instance, f.schedule)
+    assert [b.counts for b in bags] == [count_vector(b, f.universe) for b in bags]
+    if f.reference_profile is not None:
+        verdict = balance_verdict(instance, f.schedule, f.reference_profile, 15)
+        assert verdict.deltas == tuple(
+            proximity(f.reference_profile, count_vector(b, f.universe)) for b in bags
+        )
 
 
 def test_balance_verdict_satisfied_at_threshold_15():

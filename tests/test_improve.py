@@ -1,15 +1,19 @@
 """Correction variants, knapsack selectors, and the repair loop."""
 
 import dataclasses
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import balsched.homebuilding
 import balsched.improve
+from balsched.cli import main
+from balsched.fileio import save_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DAYS_PER_MONTH,
@@ -25,6 +29,7 @@ from balsched.improve import (
     BudgetedMCKP,
     CascadeCache,
     CorrectionGroup,
+    CorrectionMenu,
     CorrectionVariant,
     ImproveParams,
     ScoreConfig,
@@ -42,7 +47,7 @@ from balsched.improve import (
 )
 
 from catalogue import KOPE_CATALOGUE
-from oracles import mckp_enumerate, rebuild_feasible
+from oracles import mckp_enumerate, ratio_greedy, rebuild_feasible
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +174,62 @@ def test_greedy_ties_equal_ratios_despite_float_noise():
     g = group(1, [(r * 0.1 * d, 0.1 * d) for d in (3, 7, 14, 21)])
     sel = mckp_greedy(BudgetedMCKP(groups=(g,), budget=5.0))
     assert sel.chosen == (1,)
+
+
+# Profit/cost ratios that are equal up to float noise: a7's shift ratio at
+# 3/7/14/21 days and exact halves; two ratios that round(_, 9) ties and
+# np.round(_, 9) does not; free and worsening moves.
+MENU_ITEMS = st.sampled_from([
+    (0.07228158390949 * 0.1 * d, 0.1 * d) for d in (3, 7, 14, 21)
+] + [(0.5, 1.0), (1.0, 2.0), (0.25, 0.5), (0.1223599325, 1.0), (0.122359933, 1.0),
+     (0.3, 0.0), (0.0, 0.0), (-0.2, 0.3), (0.0, 2.0)])
+
+
+@st.composite
+def column_menus(draw):
+    """A CorrectionMenu of shifts and exchanges over random groups, and a
+    budget that sometimes equals a sum of its costs."""
+    n_groups = draw(st.integers(0, 6))
+    placed = [f"b{k}" for k in range(n_groups + 3)]
+    group, kind, days, partner, profit, cost = [], [], [], [], [], []
+    for g in range(n_groups):
+        for _ in range(draw(st.integers(0, 5))):
+            p, c = draw(MENU_ITEMS | st.tuples(
+                st.floats(-1.0, 1.0, allow_nan=False), st.floats(0.0, 3.0, allow_nan=False)
+            ))
+            code = draw(st.sampled_from((1, 2, 3)))
+            group.append(g)
+            kind.append(code)
+            days.append(0 if code == 3 else draw(st.sampled_from((3, 7, 14, 21))))
+            partner.append(n_groups if code == 3 else -1)
+            profit.append(p)
+            cost.append(c)
+    costs = sorted(set(cost))
+    budget = draw(st.floats(0.0, 8.0) | st.sampled_from([0.0, sum(costs[:2]), sum(costs)]))
+    menu = CorrectionMenu(
+        placed, list(range(n_groups)), np.array(group, dtype=np.intp), np.array(kind, dtype=int),
+        np.array(days, dtype=int), np.array(partner, dtype=int), np.array(profit, dtype=float),
+        np.array(cost, dtype=float),
+    )
+    return menu, budget
+
+
+@given(column_menus())
+@settings(max_examples=200, deadline=None)
+def test_column_greedy_equals_mckp_greedy_on_the_groups(case):
+    menu, budget = case
+    groups = tuple(menu.groups())
+    assert [g.index for g in groups] == list(range(1, len(menu.targets) + 1))
+    selection = menu.selection(menu.pack(budget))
+    assert selection == mckp_greedy(BudgetedMCKP(groups=groups, budget=budget))
+    assert selection.chosen == ratio_greedy(
+        [[(v.profit, v.cost) for v in g.variants] for g in groups], budget
+    )
+    assert [v for _target, v in
+            (menu.move(row) for row in menu.rows(selection))] == [
+        g.variants[j] for g, j in zip(groups, selection.chosen) if j
+    ]
+
 
 def test_exact_requires_integral_scaled_costs():
     g = group(1, [(1.0, 0.25)])
@@ -399,9 +460,45 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     exchanges = sum(v.kind == "exchange" for g in groups for v in g.variants)
     assert exchanges > 3 * len(groups)
     # every table at a current start is cached; the rest come from at most
-    # three kernel calls per target: its shifts, then both exchange sides.
-    # A cache miss per partner would be one more kernel call each.
-    assert len(calls) <= 3 * len(groups)
+    # one kernel call per target, which prices its shifts and both sides of
+    # its exchanges. A cache miss per partner would be one more call each.
+    assert len(calls) <= len(groups)
+
+
+# `improve --max-iters 3` on _small_synthetic(kope, rounds=8), recorded
+# from the repair loop that built every move as a CorrectionVariant and
+# checked every shift with _Lanes.fits; the closing "wrote" line is left out.
+SMALL_SYNTHETIC_TRANSCRIPT = [
+    "iteration 1: V 1.9523 -> 1.2967 accepted; chosen: exchange a3.3<->a7.5, "
+    "exchange a3.8<->a7.2, a5.3 +3d, a5.5 +3d, a6.7 +3d (profit 0.7062, cost 4.90)",
+    "iteration 2: V 1.2967 -> 0.8990 accepted; chosen: a2.3 -3d, a2.6 +3d, a5.3 +3d, "
+    "exchange a5.5<->a2.7, a6 -3d, a6.2 +3d, a6.6 -3d, a9 -3d, a9.2 +3d, a9.4 +3d "
+    "(profit 0.3977, cost 4.70)",
+    "iteration 3: V 0.8990 -> 0.7539 accepted; chosen: a2 -3d, a2.6 +3d, a3.3 -3d, "
+    "a3.8 -3d, a4.3 -3d, a5 +3d, exchange a5.3<->a2.8, a6 -3d, a6.5 +3d, a9.4 +3d "
+    "(profit 0.1559, cost 4.70)",
+    "stop: max iterations",
+    "final peak d1: 1072.79 (month 36)",
+]
+SMALL_SYNTHETIC_WRITTEN_SHA256 = (
+    "b7094564faad192d2bf9f6f81532d8c0ef011a8e5df8b008ac698b482132fb53"
+)
+
+
+def test_improve_transcript_and_written_file_at_72_buildings(kope, tmp_path):
+    project, schedule, capacity = _small_synthetic(kope, rounds=8)
+    assert len(project.buildings) == 72
+    save_instance(
+        dataclasses.replace(kope, project=project, team_schedule=schedule, capacity=capacity),
+        tmp_path / "in.json",
+    )
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(
+        main, ["improve", str(tmp_path / "in.json"), "--max-iters", "3", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines() == SMALL_SYNTHETIC_TRANSCRIPT + [f"wrote {out}"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_SYNTHETIC_WRITTEN_SHA256
 
 
 def test_horizon_table_converts_each_section_matrix_once(kope, monkeypatch):
@@ -531,6 +628,63 @@ def test_lane_check_agrees_with_rebuilding_every_lane(case):
 
 
 @st.composite
+def shift_lanes(draw):
+    """One to three lanes whose spans start at or near 0, touch or miss
+    their neighbours by up to 2e-9, are often shorter than 21 days (so a
+    shift can pass a whole neighbour), and end at or near the horizon."""
+    gap = st.sampled_from((0.0, 1e-9, -1e-9, 2e-9, -2e-9, 0.1)) | st.floats(0.0, 1.0)
+    duration = st.sampled_from((0.1, 0.2, 0.5, 0.7, 1.0, 2.5)) | st.floats(0.05, 3.0)
+    durations, assignments = {}, {}
+    for team in ("T1", "T2", "T3")[: draw(st.integers(1, 3))]:
+        at, pairs = draw(st.sampled_from((0.0, 1e-9, 0.05, 0.1))), []
+        for _ in range(draw(st.integers(1, 5))):
+            start = max(0.0, at + draw(gap))
+            building_id = f"b{len(durations)}"
+            durations[building_id] = draw(duration)
+            pairs.append((building_id, start))
+            at = start + durations[building_id]
+        assignments[team] = pairs
+    ends = [s + durations[b] for pairs in assignments.values() for b, s in pairs]
+    horizon = max(ends) + draw(st.sampled_from((0.0, 1e-9, -1e-9, 0.1, 0.5, 1.0)))
+    assume(rebuild_feasible(assignments, durations, horizon, []))
+    assume(max(ends) <= horizon)
+    return horizon, durations, assignments
+
+
+@given(shift_lanes())
+@settings(max_examples=300, deadline=None)
+def test_shift_arrays_agree_with_the_lane_check(case):
+    horizon, durations, assignments = case
+    buildings = {
+        b: Building(id=b, building_type="t", section_counts={"s": 1},
+                    assembly_duration=d, start=0.0)
+        for b, d in durations.items()
+    }
+    schedule = TeamSchedule(
+        teams=tuple(assignments),
+        assignments={t: tuple(pairs) for t, pairs in assignments.items()},
+    )
+    lanes = balsched.improve._Lanes(buildings, schedule)
+    ids = sorted(durations)
+    _teams, starts, lengths, before, before_ends, after = lanes.slots(ids)
+    steps = DEFAULT_SCORE_CONFIG.shift_steps
+    new_starts = balsched.improve._shift_starts(starts, steps)
+    fits, decided = balsched.improve._shift_fits(
+        new_starts, lengths, before, before_ends, after, horizon
+    )
+    variants = [
+        CorrectionVariant(kind=kind, days=days)
+        for kind in ("shift_right", "shift_left") for days in steps
+    ]
+    for i, building_id in enumerate(ids):
+        for j, variant in enumerate(variants):
+            moves = lanes.moves(variant, building_id)
+            assert moves[0][4] == new_starts[i, j]
+            if decided[i, j]:
+                assert fits[i, j] == lanes.fits(moves, horizon), (building_id, variant)
+
+
+@st.composite
 def valid_schedules(draw):
     """Two or three lanes back to back, with gaps and durations that put
     exchanged spans exactly against, or 1e-9 either side of, the next span
@@ -568,7 +722,9 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
         assignments={t: tuple(pairs) for t, pairs in assignments.items()},
     )
     ids = sorted(durations)
-    teams, starts, lengths, following = balsched.improve._Lanes(buildings, schedule).slots(ids)
+    teams, starts, lengths, _before, _ends, following = balsched.improve._Lanes(
+        buildings, schedule
+    ).slots(ids)
     placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
     for i, first in enumerate(ids):
         fits = balsched.improve._swap_fits(starts, lengths, following, horizon, i)
