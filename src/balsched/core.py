@@ -233,6 +233,9 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
     for proc in schedule.placements:
         if proc not in schedule.processors:
             violations.append(f"schedule: unknown processor '{proc}'")
+    for proc in schedule.processors:  # a subset of the instance's is fine
+        if proc not in instance.processors:
+            violations.append(f"schedule: unknown processor '{proc}'")
     for proc in schedule.processors:
         occupied: list[tuple[int, int, str]] = []
         for job_id, start in schedule.placements.get(proc, ()):

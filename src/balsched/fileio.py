@@ -13,9 +13,11 @@ equal instances serialize byte-identically; ``load(save(x)) == x``.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from typing import Any, Mapping, Sequence
@@ -85,6 +87,15 @@ class InstanceFile:
 # is collected only while a _Bad unwinds, so a valid file builds no paths.
 # _field and _each turn failures into issues: a bad field or entry is
 # reported and skipped, and reading goes on, so one run lists every problem.
+#
+# The bulk lists (modular jobs, each slot lane, window jobs) first get one
+# fast pass: exact type tests, defaults and records built in a plain loop,
+# no path bookkeeping and no issues. If any entry misses a test, or a
+# record's constructor refuses it, the pass gives up and the whole list is
+# read again by the path-tracking readers, so every issue keeps its text and
+# order. load_instance pauses the cyclic collector while it parses and
+# reads: a load allocates tens of thousands of containers and records but
+# makes no reference cycles, so collections during it would free nothing.
 
 class _Bad(Exception):
     """A value its reader refuses; ``keys`` is its path, innermost first."""
@@ -114,8 +125,13 @@ _MAX = sys.float_info.max
 _REQUIRED = object()
 
 
-def _float(v) -> float:
+def _finite(v) -> bool:
     # NaN, infinities and integers past the float range fail the bounds
+    return (type(v) is float or type(v) is int) and -_MAX <= v <= _MAX
+
+
+def _float(v) -> float:
+    # _finite, inlined: this runs once per number of every record
     if (type(v) is float or type(v) is int) and -_MAX <= v <= _MAX:
         return float(v)
     raise _Bad("expected a finite number")
@@ -182,13 +198,23 @@ def _field(data: dict, key: str, read, issues: list, path: str, default=_REQUIRE
 
 
 def _each(data: dict, key: str, kind, read, issues: list, path: str,
-          default=_REQUIRED):
+          default=_REQUIRED, fast=None):
     """data[key], an object (kind _obj) or a list (kind _list), read entry
     by entry with read(entry key, value) into a dict or a tuple. A bad
-    entry is reported and skipped; a bad container gives None."""
+    entry is reported and skipped; a bad container gives None.
+
+    fast, if given, reads a whole list at once and returns None (or raises
+    ValueError) where some entry needs read."""
     items = _field(data, key, kind, issues, path, default)
     if items is None:
         return None
+    if fast is not None:
+        try:
+            out = fast(items)
+        except ValueError:
+            out = None
+        if out is not None:
+            return out
     out = {}
     for k, value in items.items() if kind is _obj else enumerate(items):
         try:
@@ -200,10 +226,10 @@ def _each(data: dict, key: str, kind, read, issues: list, path: str,
     return out if kind is _obj else tuple(out.values())
 
 
-def _lanes(data: dict, key: str, pair, issues: list, path: str) -> dict:
+def _lanes(data: dict, key: str, pair, issues: list, path: str, fast=None) -> dict:
     """An optional object of lanes, each a list of [id, start] pairs."""
     lanes = _field(data, key, _obj, issues, path, None) or {}
-    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}")
+    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}", fast=fast)
             for lane in lanes}
 
 
@@ -218,6 +244,19 @@ def _job(_, v) -> CompositeJob:
     return CompositeJob(_get(v, "id", _str), tuple(_get(v, "chain", _list)))
 
 
+def _jobs(items: list) -> tuple[CompositeJob, ...] | None:
+    """The fast pass of _job over a whole list."""
+    out = []
+    for v in items:
+        if type(v) is not dict:
+            return None
+        job_id, chain = v.get("id"), v.get("chain")
+        if type(job_id) is not str or type(chain) is not list:
+            return None
+        out.append(CompositeJob(job_id, tuple(chain)))
+    return tuple(out)
+
+
 def _grid(v) -> TimeGrid:
     v = _obj(v)
     return TimeGrid(_get(v, "interval_len_slots", _int), _get(v, "k", _int))
@@ -229,11 +268,20 @@ def _slot(_, v) -> tuple[str, int]:
     raise _Bad("expected [job id, start slot]")
 
 
+def _slots(items: list) -> tuple[tuple[str, int], ...] | None:
+    """The fast pass of _slot over a whole lane."""
+    for v in items:
+        if not (type(v) is list and len(v) == 2 and type(v[0]) is str
+                and type(v[1]) is int):
+            return None
+    return tuple(map(tuple, items))
+
+
 def _load_modular(block: dict, issues: list) -> dict:
     at = "/modular"
     out = {
         "universe": _field(block, "universe", _universe, issues, at),
-        "jobs": _each(block, "jobs", _list, _job, issues, at),
+        "jobs": _each(block, "jobs", _list, _job, issues, at, fast=_jobs),
         "processors": _field(block, "processors", _strs, issues, at),
         "grid": _field(block, "grid", _grid, issues, at),
         "reference_profile": _field(
@@ -248,7 +296,7 @@ def _load_modular(block: dict, issues: list) -> dict:
         at += "/schedule"
         out["schedule"] = SlotSchedule(
             horizon_slots=_field(schedule, "horizon_slots", _int, issues, at),
-            placements=_lanes(schedule, "placements", _slot, issues, at),
+            placements=_lanes(schedule, "placements", _slot, issues, at, fast=_slots),
             processors=_field(schedule, "processors", _strs, issues, at),
         )
     return out
@@ -362,6 +410,32 @@ def _window_job(ids: set, _, v) -> WindowJob:
     )
 
 
+def _window_jobs(items: list) -> tuple[WindowJob, ...] | None:
+    """The fast pass of _window_job over a whole list, with its own
+    duplicate-id set."""
+    ids = set()
+    out = []
+    for v in items:
+        if type(v) is not dict:
+            return None
+        job_id = v.get("id")
+        p, t1, t2 = v.get("processing_time"), v.get("t1"), v.get("t2")
+        machine, position = v.get("machine"), v.get("position")
+        if machine is None:
+            machine = 1
+        if position is None:
+            position = 1
+        if not (
+            type(job_id) is str and job_id not in ids
+            and _finite(p) and _finite(t1) and _finite(t2)
+            and type(machine) is int and type(position) is int
+        ):
+            return None
+        ids.add(job_id)
+        out.append(WindowJob(job_id, float(p), float(t1), float(t2), machine, position))
+    return tuple(out)
+
+
 def _weights(v) -> PenaltyWeights:
     v = _obj(v)
     return PenaltyWeights(_get(v, "alpha", _float), _get(v, "beta", _float))
@@ -398,7 +472,8 @@ def instance_from_dict(data: Any) -> InstanceFile:
     out = (_load_modular if mode == "modular" else _load_homebuilding)(block, issues)
     ids: set = set()
     out["window_jobs"] = _each(
-        data, "window_jobs", _list, partial(_window_job, ids), issues, "", None
+        data, "window_jobs", _list, partial(_window_job, ids), issues, "", None,
+        fast=_window_jobs,
     )
     out["penalty_weights"] = _field(
         data, "penalty_weights", _weights, issues, "", None
@@ -408,17 +483,24 @@ def instance_from_dict(data: Any) -> InstanceFile:
     return InstanceFile(mode=mode, **out)
 
 
-def load_instance(path) -> InstanceFile:
-    """Read and schema-validate an instance file.
-
-    Raises:
-        SchemaError: on malformed JSON (with line/column) or schema issues.
-        OSError: if the file cannot be read.
-    """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector for the block. The pause is
+    process-wide: no thread collects until it ends. The collector is turned
+    back on only if it was on at entry, however the block exits."""
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        data = json.loads(text)
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str):
+    """The JSON document in text, or a SchemaError naming where it breaks."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             [f"/: invalid JSON at line {exc.lineno} column {exc.colno}: "
@@ -426,7 +508,22 @@ def load_instance(path) -> InstanceFile:
         ) from None
     except RecursionError:
         raise SchemaError(["/: invalid JSON: nested too deeply"]) from None
-    return instance_from_dict(data)
+
+
+def load_instance(path) -> InstanceFile:
+    """Read and schema-validate an instance file, with the cyclic garbage
+    collector paused (process-wide) while it parses and reads.
+
+    Raises:
+        SchemaError: on malformed JSON (with line/column) or schema issues.
+        OSError: if the file cannot be read.
+    """
+    with _collector_paused():
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+        # the parsed document is a temporary, freed before the collector
+        # resumes, so the first collection after a load scans only records
+        return instance_from_dict(_parse(text))
 
 
 # --- writing -----------------------------------------------------------------

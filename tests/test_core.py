@@ -131,6 +131,24 @@ def test_schedule_unknown_processor_and_job():
     assert any("zz" in v for v in violations)
 
 
+def test_schedule_processor_the_instance_lacks():
+    instance, f = demo_instance()
+    ghost = dataclasses.replace(
+        f.schedule, processors=f.schedule.processors + ("ghost",)
+    )
+    assert schedule_violations(instance, ghost) == [
+        "schedule: unknown processor 'ghost'"
+    ]
+
+
+def test_schedule_on_a_subset_of_the_processors_is_valid():
+    instance, _ = demo_instance()
+    subset = SlotSchedule(
+        processors=("P2",), placements={"P2": (("a2", 0),)}, horizon_slots=12
+    )
+    assert schedule_violations(instance, subset) == []
+
+
 def test_validate_schedule_passthrough():
     instance, f = demo_instance()
     assert validate_schedule(instance, f.schedule) is f.schedule

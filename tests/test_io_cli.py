@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from balsched import fileio
 from balsched.cli import main
 from balsched.core import CompositeJob, ElementUniverse, SlotSchedule, TimeGrid
 from balsched.fileio import (
@@ -208,6 +209,62 @@ def test_files_with_the_dropped_catalogue_key_still_load():
         {"index": 1, "targets": ["a6"], "variants": [{"kind": "none"}]}
     ]
     assert instance_from_dict(data) == build_fixture("kope-1982")
+
+
+def _bulk_documents():
+    """Parsed JSON of every fixture and of 100 random modular instances."""
+    rng = random.Random(7)
+    docs = [instance_to_dict(build_fixture(name)) for name in list_fixtures()]
+    docs += [instance_to_dict(_random_modular_instance(rng)) for _ in range(100)]
+    return [json.loads(json.dumps(doc)) for doc in docs]
+
+
+def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
+    docs = _bulk_documents()
+    fast = [instance_from_dict(doc) for doc in docs]
+    for name in ("_jobs", "_slots", "_window_jobs"):  # every list falls back
+        monkeypatch.setattr(fileio, name, lambda items: None)
+    assert [instance_from_dict(doc) for doc in docs] == fast
+
+
+def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
+    docs = _bulk_documents()
+    modular = [doc["modular"] for doc in docs if doc["mode"] == "modular"]
+    assert any(block["jobs"] for block in modular)
+    assert any(any(block["schedule"]["placements"].values()) for block in modular)
+    assert any(doc.get("window_jobs") for doc in docs)
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(tmp_path / f"{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    expected = [instance_from_dict(doc) for doc in docs]
+
+    def refuse(*args):
+        raise AssertionError("a path-tracking reader ran on a valid file")
+    for name in ("_job", "_slot", "_window_job"):
+        monkeypatch.setattr(fileio, name, refuse)
+    assert [load_instance(path) for path in paths] == expected
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text, error", [
+    (json.dumps(instance_to_dict(build_fixture("jit-windows"))), None),
+    ('{"mode": "modular",', SchemaError),
+    ('{"mode": "modular", "format_version": 1, "modular": {}}', SchemaError),
+    (None, OSError),
+], ids=["valid", "invalid-json", "schema-error", "missing-file"])
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, enabled, text, error):
+    path = tmp_path / "f.json"
+    if text is not None:
+        path.write_text(text)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            load_instance(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 amounts = st.floats(0.0, 1e4, allow_nan=False)
@@ -512,6 +569,18 @@ def test_cli_validate_rejects_broken_schedule(runner, tmp_path, emitted):
     assert "overlap" in result.output
 
 
+def test_cli_refuses_a_schedule_processor_the_instance_lacks(runner, tmp_path, emitted):
+    data = json.loads(emitted["modular-demo"].read_text())
+    data["modular"]["schedule"]["processors"].append("ghost")
+    bad = tmp_path / "ghost.json"
+    bad.write_text(json.dumps(data))
+    for command in ("validate", "evaluate", "balance"):
+        result = runner.invoke(main, [command, str(bad)])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == ["invalid: schedule: unknown processor 'ghost'"]
+
+
 def test_cli_validate_schema_error_exit_1(runner, tmp_path):
     path = tmp_path / "junk.json"
     path.write_text('{"mode": "modular", "format_version": 1, "modular": {}}')
@@ -759,6 +828,53 @@ def test_malformed_input_is_one_schema_error(runner, tmp_path, name, path, value
     result = runner.invoke(main, ["validate", str(bad)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+@pytest.mark.parametrize(
+    "name, changes, issues",
+    [
+        ("modular-demo", {("modular", "jobs", 0, "chain"): None},
+         ["/modular/jobs/0/chain: missing"]),
+        ("modular-demo", {("modular", "schedule", "placements", "P2", 1, 1): 3.0},
+         ["/modular/schedule/placements/P2/1: expected [job id, start slot]"]),
+        ("jit-windows", {("window_jobs", 1, "machine"): True},
+         ["/window_jobs/1/machine: expected an integer"]),
+        ("jit-windows", {("window_jobs", 0, "t1"): 1.5},
+         ["/window_jobs/0: job a1: window [1.5, 1.5] is empty"]),
+        ("jit-windows", {("window_jobs", 3, "t1"): 9.0},
+         ["/window_jobs/3: job a4: window [9.0, 5.0] is empty"]),
+        ("modular-demo", {
+            ("modular", "jobs", 0, "chain"): None,
+            ("modular", "jobs", 3, "id"): 7,
+            ("modular", "schedule", "placements", "P1", 1): ["a4b"],
+            ("modular", "schedule", "placements", "P3", 0, 1): True,
+        }, [
+            "/modular/jobs/0/chain: missing",
+            "/modular/jobs/3/id: expected a string",
+            "/modular/schedule/placements/P1/1: expected [job id, start slot]",
+            "/modular/schedule/placements/P3/0: expected [job id, start slot]",
+        ]),
+        # a refused entry still claims its id
+        ("jit-windows", {
+            ("window_jobs", 0, "t1"): 1.5,
+            ("window_jobs", 1, "id"): "a1",
+            ("window_jobs", 2, "processing_time"): -1,
+            ("window_jobs", 3, "machine"): False,
+        }, [
+            "/window_jobs/0: job a1: window [1.5, 1.5] is empty",
+            "/window_jobs/1/id: duplicate id 'a1'",
+            "/window_jobs/2: job a3: negative processing time -1.0",
+            "/window_jobs/3/machine: expected an integer",
+        ]),
+    ],
+)
+def test_a_bad_bulk_entry_reports_as_the_path_tracking_readers_do(name, changes, issues):
+    data = json.loads(FIXTURE_JSON[name])
+    for path, value in changes.items():
+        mutate(data, path, value)
+    with pytest.raises(SchemaError) as err:
+        instance_from_dict(data)
+    assert err.value.issues == issues
 
 
 @pytest.mark.parametrize(
