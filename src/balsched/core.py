@@ -230,6 +230,7 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
     """Check a schedule against its instance; returns all violations."""
     violations: list[str] = []
     placed: set[str] = set()
+    jobs = instance.jobs
     for proc in schedule.placements:
         if proc not in schedule.processors:
             violations.append(f"schedule: unknown processor '{proc}'")
@@ -239,7 +240,7 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
     for proc in schedule.processors:
         occupied: list[tuple[int, int, str]] = []
         for job_id, start in schedule.placements.get(proc, ()):
-            if job_id not in instance.jobs:
+            if job_id not in jobs:
                 violations.append(
                     f"processor {proc}: unknown job id '{job_id}'"
                 )
@@ -247,10 +248,9 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
             if job_id in placed:
                 violations.append(f"job {job_id}: placed more than once")
             placed.add(job_id)
-            length = instance.jobs[job_id].length
             if start < 0:
                 violations.append(f"job {job_id}: negative start slot {start}")
-            end = start + length
+            end = start + len(jobs[job_id].chain)
             if end > schedule.horizon_slots:
                 violations.append(
                     f"processor {proc}: job {job_id} ends at slot {end} "
@@ -280,10 +280,11 @@ def makespan(instance: Instance, schedule: SlotSchedule, grid: TimeGrid | None =
     An interval is occupied if any chain element of a placed job falls in it.
     """
     grid = grid or instance.grid
+    jobs = instance.jobs
     last_slot = -1
     for proc in schedule.processors:
         for job_id, start in schedule.placements.get(proc, ()):
-            end = start + instance.jobs[job_id].length - 1
+            end = start + len(jobs[job_id].chain) - 1
             last_slot = max(last_slot, end)
     if last_slot < 0:
         return 0

@@ -31,6 +31,9 @@ DAYS_PER_MONTH = 30.0
 
 RATE_BASES = ("U-1", "U")
 
+#: Placements per kernel call in horizon_requirement_table.
+HORIZON_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class SectionType:
@@ -270,7 +273,7 @@ class Project:
         return self.building_types[building.building_type]
 
 
-def _clamped_output(rate, cap, lo, hi, start, edges: np.ndarray) -> np.ndarray:
+def _clamped_output(rate, top, lo, start, edges: np.ndarray) -> np.ndarray:
     """Floor-units one section completes in each month between consecutive
     ``edges`` (a column of whole-month times); every argument broadcasts.
 
@@ -281,9 +284,18 @@ def _clamped_output(rate, cap, lo, hi, start, edges: np.ndarray) -> np.ndarray:
     clip(c(m), lo_f, hi_f) - clip(c(m-1), lo_f, hi_f). Progress never
     passes cap, so units above it (the terminal unit under "U-1") add
     exactly zero. A month's start edge is the previous month's end edge,
-    so each edge is clipped once.
+    so each edge is clamped once.
+
+    The two clips are computed as max(min(rate * (t - start), top), lo)
+    with top = min(cap, hi), which gives the same output bit for bit: min
+    and max are exact, 0 <= lo <= hi, and where lo > cap (a top floor type
+    of count 0 under "U-1") both give lo. Where rate is 0 (a one-unit
+    ladder under "U-1") the clips keep the -0.0 of rate * (t - start) for
+    t < start and the fused form gives 0.0; progress is 0 at every edge,
+    so each month's difference is 0.0 either way.
     """
-    done = np.clip(np.clip(rate * (edges - start), 0.0, cap), lo, hi)
+    done = np.minimum(rate * (edges - start), top)
+    np.maximum(done, lo, out=done)
     return done[..., 1:, :] - done[..., :-1, :]
 
 
@@ -291,34 +303,46 @@ class RequirementKernel:
     """The cascade: building placements to floor output and requirement
     tables.
 
-    Each building's progress constants (rate, cap, ladder ranges) and its
-    combined 8 x 8 section matrix are stacked on a leading building axis,
-    so one call serves any buildings at any starts. Each section type's
-    matrix is converted once per kernel; a building's combined matrix adds
-    them, weighted by count, in ``section_counts`` order. Every
-    (months x 8) @ (8 x 8) product of the batched matmul keeps the
-    one-building shape, so the slices of a stacked call equal one-row
-    calls bit for bit.
+    Each building's progress constants (rate, ladder floors ``lo`` and
+    clamped ceilings ``top``) and its combined 8 x 8 section matrix are
+    stacked on a leading building axis, so one call serves any buildings at
+    any starts. Each section type's matrix is converted once per kernel,
+    and each section composition's combined matrix is built once: the
+    first building with those ``section_counts`` items, in that order,
+    adds the section matrices weighted by count, and every other building
+    with the same items gets a copy. Every (months x 8) @ (8 x 8) product
+    of the batched matmul keeps the one-building shape, so the slices of a
+    stacked call equal one-row calls bit for bit.
     """
 
     def __init__(self, project: Project, buildings: Sequence[Building]):
         self.row = {building.id: i for i, building in enumerate(buildings)}
-        ladders = [project.building_type_of(b).floor_counts for b in buildings]
+        ladders = {
+            t: [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
+            for t, building_type in project.building_types.items()
+        }
         counts = np.array(
-            [[ladder.get(f, 0) for f in FLOOR_TYPES] for ladder in ladders], dtype=float
+            [ladders[b.building_type] for b in buildings], dtype=float
         ).reshape(-1, 1, len(FLOOR_TYPES))
-        self.hi = np.cumsum(counts, axis=2)
-        self.lo = self.hi - counts
+        hi = np.cumsum(counts, axis=2)
+        self.lo = hi - counts
         # U floor-units in all; the terminal one is never entered under "U-1"
-        self.cap = self.hi[..., -1:] - (1 if project.rate_basis == "U-1" else 0)
+        cap = hi[..., -1:] - (1 if project.rate_basis == "U-1" else 0)
+        self.top = np.minimum(cap, hi)
         durations = np.array([b.assembly_duration for b in buildings], dtype=float)
-        self.rate = self.cap / durations.reshape(-1, 1, 1)
+        self.rate = cap / durations.reshape(-1, 1, 1)
         matrices = {s: t.matrix_array() for s, t in project.section_types.items()}
         self.matrix = np.zeros((len(buildings), len(FLOOR_TYPES), len(DETAIL_TYPES)))
+        built: dict[tuple, np.ndarray] = {}
         for combined, building in zip(self.matrix, buildings):
-            for section, count in building.section_counts.items():
+            key = tuple(building.section_counts.items())
+            if key in built:
+                combined[...] = built[key]
+                continue
+            for section, count in key:
                 if count:
                     combined += count * matrices[section]
+            built[key] = combined
         self.edges = np.arange(0.0, project.horizon_months + 1)[:, None]
 
     def output(self, rows, starts, edges: np.ndarray) -> np.ndarray:
@@ -326,7 +350,7 @@ class RequirementKernel:
         (a kernel row, see ``row``) placed at ``starts[i]`` completes in
         each month between consecutive ``edges``, in FLOOR_TYPES order."""
         return _clamped_output(
-            self.rate[rows], self.cap[rows], self.lo[rows], self.hi[rows],
+            self.rate[rows], self.top[rows], self.lo[rows],
             np.reshape(starts, (-1, 1, 1)), edges,
         )
 
@@ -401,8 +425,11 @@ def horizon_requirement_table(
 ) -> RequirementTable:
     """Requirement rows for every month of the horizon (or of ``months``).
 
-    The rows are the sum of the placements' tables in placement order, one
-    kernel row at a time, so no whole-project stack is ever held.
+    The rows are the sum of the placements' tables in placement order. The
+    tables come from one kernel call per HORIZON_BLOCK placements, and a
+    slice of a stacked call equals the one-row call, so the sum is the
+    same bit for bit as one call per placement while no stack larger than
+    a block is held.
 
     Raises:
         ValueError: naming every month outside 1..horizon.
@@ -416,12 +443,13 @@ def horizon_requirement_table(
     kernel = RequirementKernel(
         project, [project.buildings[b] for _team, b, _start in placements]
     )
+    starts = [start for _team, _b, start in placements]
     total = np.zeros((horizon, len(DETAIL_TYPES)))
-    for i, (_team, _b, start) in enumerate(placements):
-        total += kernel.tables(slice(i, i + 1), start)[0]
-    values = tuple(
-        tuple(float(v) for v in total[month - 1]) for month in months
-    )
+    for first in range(0, len(placements), HORIZON_BLOCK):
+        block = slice(first, first + HORIZON_BLOCK)
+        for table in kernel.tables(block, starts[block]):
+            total += table
+    values = tuple(map(tuple, total[[month - 1 for month in months]].tolist()))
     return RequirementTable(months=months, values=values)
 
 

@@ -531,13 +531,15 @@ def _swap_fits(
     i: int,
 ) -> np.ndarray:
     """Whether building i and each building k can exchange placements, for
-    k on another team than i, from the arrays of _Lanes.slots.
+    k that is not i's neighbour on its lane (on another team, or on i's
+    team with other spans between them), from the arrays of _Lanes.slots.
 
     A building that takes over the other's slot keeps that slot's start,
-    so the previous span on the lane still fits, and _Lanes.fits reduces
-    to two tests per side in its own float expressions: the new end stays
-    within the horizon, and the next span on the lane starts no more than
-    1e-9 before it. Valid schedules never start below 0.
+    and the spans before and after that slot stay where they are. So the
+    previous span on the lane still fits, and _Lanes.fits reduces to two
+    tests per side in its own float expressions: the new end stays within
+    the horizon, and the next span on the lane starts no more than 1e-9
+    before it. Valid schedules never start below 0.
     """
     ends_there = starts + durations[i]
     ends_here = starts[i] + durations
@@ -753,12 +755,12 @@ def _correction_menu(
         # group that can host it, so a selection can never pick the
         # same swap twice and undo itself.
         eligible = (positions > i) | ((positions < i) & ~is_target)
-        same_team = teams == teams[i]
-        swaps = eligible & ~same_team & _swap_fits(
+        # Lane neighbours: one follows the other on the same team.
+        neighbours = (teams == teams[i]) & ((starts == following[i]) | (following == starts[i]))
+        swaps = eligible & ~neighbours & _swap_fits(
             starts, durations, following, project.horizon_months, i
         )
-        # On one lane the two can be each other's neighbours.
-        for k in np.flatnonzero(eligible & same_team):
+        for k in np.flatnonzero(eligible & neighbours):
             swaps[k] = lanes.fits(lanes.exchange(placed[i], placed[k]), project.horizon_months)
         partners = np.flatnonzero(swaps)
         shifts = fits[g]
@@ -796,8 +798,9 @@ def generate_correction_groups(
     holds it (``cache.schedule_table(schedule)``). The groups are a view of
     one CorrectionMenu. Every move is checked on a lane index of the
     schedule: every target's shifts as one array test (_shift_fits, with
-    _Lanes.fits for a shift that passes a neighbour), its exchanges with
-    buildings on other teams as arrays over every partner (_swap_fits).
+    _Lanes.fits for a shift that passes a neighbour), its exchanges as
+    arrays over every partner (_swap_fits, with _Lanes.fits for a partner
+    that is its neighbour on its lane).
     All of a target's feasible moves are priced against that one table
     from one kernel call (_Scorer.profits).
 

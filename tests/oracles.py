@@ -10,6 +10,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
+import numpy as np
+
 
 def unit_move_distance(e0, e):
     """Minimum number of single-unit moves between ADJACENT positions that
@@ -199,6 +201,30 @@ def unit_overlap_progress(floor_counts, duration, start, month, rate_basis):
         if overlap > 0:
             out[layout[unit]] += overlap
     return out
+
+
+# --- the two-clip form of the closed-form cascade ----------------------------
+#
+# The library fuses the clamp of cumulative progress into one min and one
+# max per floor type. This route clips twice, as the formula reads: progress
+# to [0, cap], then to each floor type's ladder range [lo, hi].
+
+def double_clip_output(floor_counts, duration, starts, edges, rate_basis):
+    """(starts x months x floor types) floor-units one section completes
+    between consecutive ``edges``, for a section started at each of
+    ``starts``: clip(clip(rate * (t - start), 0, cap), lo, hi) differenced
+    over the edges. ``floor_counts`` lists the unit count of each floor type
+    in ladder order (zeros allowed); cap is U - 1 under "U-1", U under "U",
+    and rate is cap / ``duration``.
+    """
+    hi = np.cumsum(np.asarray(floor_counts, dtype=float))
+    lo = hi - np.asarray(floor_counts, dtype=float)
+    cap = hi[-1] - (1 if rate_basis == "U-1" else 0)
+    rate = cap / duration
+    t = np.asarray(edges, dtype=float).reshape(1, -1, 1)
+    start = np.asarray(starts, dtype=float).reshape(-1, 1, 1)
+    done = np.clip(np.clip(rate * (t - start), 0.0, cap), lo, hi)
+    return done[:, 1:, :] - done[:, :-1, :]
 
 
 # --- team-schedule feasibility by rebuilding every lane -----------------------

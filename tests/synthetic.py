@@ -1,0 +1,25 @@
+"""The benchmark's seeded synthetic home-building instances, for tests.
+
+``perfbench/generators.py`` grows them from the kope-1982 templates with the
+standard library only; it is loaded from its file, so the tests need no
+package layout for the benchmark directory.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from balsched.fileio import instance_from_dict, instance_to_dict
+from balsched.fixtures import build_fixture
+
+_GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
+
+
+def synthetic_instance(n_buildings, n_teams, seed):
+    """The loaded instance of ``synthetic_project(n_buildings, n_teams, seed)``."""
+    spec = importlib.util.spec_from_file_location("perfbench_generators", _GENERATORS)
+    generators = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generators)
+    kope = instance_to_dict(build_fixture("kope-1982"))
+    return instance_from_dict(
+        generators.synthetic_project(kope, n_buildings, n_teams, seed)
+    )

@@ -4,13 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DETAIL_TYPES,
     FLOOR_TYPES,
+    HORIZON_BLOCK,
     RATE_BASES,
     Building,
     BuildingType,
@@ -30,7 +31,8 @@ from balsched.homebuilding import (
     validate_team_schedule,
 )
 
-from oracles import hand_month1_d2, unit_overlap_progress
+from oracles import double_clip_output, hand_month1_d2, unit_overlap_progress
+from synthetic import synthetic_instance
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +277,107 @@ def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements
     assert stack.shape == (len(placements), 19, 8)
     for table, row, start in zip(stack, rows, starts):
         assert np.array_equal(table, kernel.tables([row], [start])[0])
+
+
+@given(
+    floor_counts=st.lists(
+        st.integers(min_value=0, max_value=4), min_size=8, max_size=8
+    ).filter(any),
+    duration=st.floats(min_value=0.25, max_value=15.0),
+    starts=st.lists(
+        st.floats(min_value=-5.0, max_value=30.0)
+        | st.sampled_from((-0.5, 0.0, 1.0, 24.0, 30.0)),
+        min_size=1,
+        max_size=6,
+    ),
+    horizon=st.integers(min_value=1, max_value=24),
+    rate_basis=st.sampled_from(RATE_BASES),
+)
+# a zero-count top floor (lo > cap under "U-1"), and a one-unit ladder,
+# whose rate is 0 under "U-1"
+@example([2, 0, 3, 0, 1, 0, 4, 0], 6.5, [-3.0, 0.0, 2.25, 30.0], 12, "U-1")
+@example([2, 0, 3, 0, 1, 0, 4, 0], 6.5, [-3.0, 0.0, 2.25, 30.0], 12, "U")
+@example([1, 0, 0, 0, 0, 0, 0, 0], 2.0, [-1.0, 0.5, 3.0], 4, "U-1")
+@settings(max_examples=150, deadline=None)
+def test_fused_clamp_equals_the_double_clip_oracle(
+    floor_counts, duration, starts, horizon, rate_basis
+):
+    building = Building(
+        id="b", building_type="t", section_counts={"s": 1},
+        assembly_duration=duration, start=0.0,
+    )
+    project = Project(
+        section_types={"s": SectionType(id="s", detail_matrix=((1.0,) * 8,) * 8)},
+        building_types={
+            "t": BuildingType(id="t", floor_counts=dict(zip(FLOOR_TYPES, floor_counts)))
+        },
+        buildings={"b": building},
+        horizon_months=horizon,
+        rate_basis=rate_basis,
+    )
+    kernel = RequirementKernel(project, [building])
+    got = kernel.output(np.zeros(len(starts), dtype=int), starts, kernel.edges)
+    expected = double_clip_output(
+        floor_counts, duration, starts, np.arange(horizon + 1.0), rate_basis
+    )
+    assert got.shape == expected.shape == (len(starts), horizon, 8)
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_shared_compositions_keep_each_buildings_matrix():
+    """Buildings with equal section counts share one combined matrix;
+    equal counts listed in another order are summed in that order."""
+    sections = {
+        s: SectionType(id=s, detail_matrix=((v,) * 8,) * 8)
+        for s, v in (("x", 0.1), ("y", 0.2), ("z", 0.3))
+    }
+    mixes = [
+        {"x": 1, "y": 1, "z": 1}, {"z": 1, "y": 1, "x": 1}, {"x": 1, "y": 1, "z": 1},
+        {"y": 3, "z": 0}, {"z": 1, "y": 1, "x": 1}, {"y": 3, "z": 0},
+    ]
+    buildings = {
+        f"b{i}": Building(id=f"b{i}", building_type="t", section_counts=mix,
+                          assembly_duration=4.0, start=0.0)
+        for i, mix in enumerate(mixes)
+    }
+    project = Project(
+        section_types=sections,
+        building_types={"t": BuildingType(id="t", floor_counts={"r1": 2, "r2": 3})},
+        buildings=buildings,
+        horizon_months=6,
+    )
+    shared = RequirementKernel(project, list(buildings.values())).matrix
+    alone = [RequirementKernel(project, [b]).matrix[0] for b in buildings.values()]
+    for row, matrix in zip(shared, alone):
+        assert row.tobytes() == matrix.tobytes()
+    # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the order is kept, not sorted
+    assert shared[0].tobytes() != shared[1].tobytes()
+
+
+@pytest.fixture(scope="module")
+def synthetic_288():
+    return synthetic_instance(288, 8, 3)
+
+
+@pytest.mark.parametrize(
+    "count", [0, 1, HORIZON_BLOCK - 1, HORIZON_BLOCK, HORIZON_BLOCK + 1, 288]
+)
+def test_blocked_horizon_table_is_the_placement_order_sum(synthetic_288, count):
+    project = synthetic_288.project
+    placements = synthetic_288.team_schedule.placements()[:count]
+    assignments = {}
+    for team, building_id, start in placements:
+        assignments.setdefault(team, []).append((building_id, start))
+    schedule = TeamSchedule(
+        teams=synthetic_288.team_schedule.teams,
+        assignments={team: tuple(pairs) for team, pairs in assignments.items()},
+    )
+    assert schedule.placements() == placements
+    expected = np.zeros((project.horizon_months, 8))
+    for _team, building_id, start in placements:
+        expected += building_requirement_table(project, project.buildings[building_id], start)
+    table = horizon_requirement_table(project, schedule)
+    assert table.to_array().tobytes() == expected.tobytes()
 
 
 def test_monthly_detail_vector_is_a_row_of_the_horizon_table(kope):

@@ -48,6 +48,7 @@ from balsched.improve import (
 
 from catalogue import KOPE_CATALOGUE
 from oracles import mckp_enumerate, ratio_greedy, rebuild_feasible
+from synthetic import synthetic_instance
 
 
 @pytest.fixture(scope="module")
@@ -501,6 +502,40 @@ def test_improve_transcript_and_written_file_at_72_buildings(kope, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_SYNTHETIC_WRITTEN_SHA256
 
 
+def test_menus_check_only_lane_neighbour_exchanges_one_by_one(monkeypatch):
+    """A same-team exchange of two buildings with spans between them keeps
+    both slots' neighbours, so the array test decides it; only lane
+    neighbours are rebuilt with _Lanes.fits, each pair at most once a menu."""
+    instance = synthetic_instance(72, 16, 12)
+    state = {"in_menu": False, "exchange_checks": 0, "neighbour_pairs": 0}
+    menu, fits = balsched.improve._correction_menu, balsched.improve._Lanes.fits
+
+    def counted_menu(project, schedule, *args):
+        state["neighbour_pairs"] += sum(
+            max(len(pairs) - 1, 0) for pairs in schedule.assignments.values()
+        )
+        state["in_menu"] = True
+        try:
+            return menu(project, schedule, *args)
+        finally:
+            state["in_menu"] = False
+
+    def counted_fits(self, moves, horizon):
+        if state["in_menu"] and len(moves) == 2:
+            state["exchange_checks"] += 1
+        return fits(self, moves, horizon)
+
+    monkeypatch.setattr(balsched.improve, "_correction_menu", counted_menu)
+    monkeypatch.setattr(balsched.improve._Lanes, "fits", counted_fits)
+    result = improvement_loop(
+        instance.project, instance.team_schedule, instance.capacity,
+        ImproveParams(max_iters=3),
+    )
+    assert len(result.trace) == 3
+    assert state["neighbour_pairs"] == 3 * (72 - 16)
+    assert 0 < state["exchange_checks"] <= state["neighbour_pairs"]
+
+
 def test_horizon_table_converts_each_section_matrix_once(kope, monkeypatch):
     project, schedule, _capacity = _small_synthetic(kope, rounds=8)
     assert len(project.buildings) == 72
@@ -726,10 +761,14 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
         buildings, schedule
     ).slots(ids)
     placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
+    neighbours = set()
+    for pairs in assignments.values():
+        lane = [b for b, _s in sorted(pairs, key=lambda p: p[1])]
+        neighbours |= {frozenset(pair) for pair in zip(lane, lane[1:])}
     for i, first in enumerate(ids):
         fits = balsched.improve._swap_fits(starts, lengths, following, horizon, i)
         for k, second in enumerate(ids):
-            if teams[k] == teams[i]:
+            if k == i or frozenset((first, second)) in neighbours:
                 continue
             (team1, start1), (team2, start2) = placement[first], placement[second]
             expected = rebuild_feasible(
