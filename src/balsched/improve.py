@@ -447,20 +447,17 @@ class _Lanes:
         )
 
     def slots(self, ids: Sequence[str]) -> tuple[np.ndarray, ...]:
-        """Per building of ``ids``: its team's position in ``teams``, its
-        start, its duration, the start and the end of the previous span on
-        its lane (-inf at the lane's start) and the start of the next span
-        (+inf at the lane's end)."""
+        """Per building of ``ids``: its start, its duration, the start and
+        the end of the previous span on its lane (-inf at the lane's start)
+        and the start of the next span (+inf at the lane's end)."""
         before, after = {}, {}
         for lane in self.lanes.values():
             for (start, end, building_id), (next_start, _e, next_id) in zip(lane, lane[1:]):
                 after[building_id] = next_start
                 before[next_id] = (start, end)
-        team_position = {team: k for k, team in enumerate(self.teams)}
         previous = np.array([before.get(b, (-inf, -inf)) for b in ids], dtype=float)
         previous = previous.reshape(-1, 2)
         return (
-            np.array([team_position[self.placement[b][0]] for b in ids]),
             np.array([self.placement[b][1] for b in ids], dtype=float),
             np.array([self.buildings[b].assembly_duration for b in ids], dtype=float),
             previous[:, 0],
@@ -530,16 +527,18 @@ def _swap_fits(
     horizon: int,
     i: int,
 ) -> np.ndarray:
-    """Whether building i and each building k can exchange placements, for
-    k that is not i's neighbour on its lane (on another team, or on i's
-    team with other spans between them), from the arrays of _Lanes.slots.
+    """Whether building i and each other building k can exchange
+    placements, from the arrays of _Lanes.slots.
 
     A building that takes over the other's slot keeps that slot's start,
     and the spans before and after that slot stay where they are. So the
     previous span on the lane still fits, and _Lanes.fits reduces to two
     tests per side in its own float expressions: the new end stays within
     the horizon, and the next span on the lane starts no more than 1e-9
-    before it. Valid schedules never start below 0.
+    before it. Valid schedules never start below 0. This holds for lane
+    neighbours too: when k follows i, i's next start is k's start, the
+    slot k takes over, so the test on i's side is the lane check of k
+    against i's new span, and k's next span is the one after i's new span.
     """
     ends_there = starts + durations[i]
     ends_here = starts[i] + durations
@@ -722,7 +721,7 @@ def _correction_menu(
     lanes = _Lanes(project.buildings, schedule)
     placed = sorted(lanes.placement)
     months = violated_months(table, cap)
-    teams, starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
+    starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
     # the buildings active in a violated month m, i.e. over [m - 1, m)
     m = np.array(months, dtype=float)[:, None]
     is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
@@ -755,13 +754,7 @@ def _correction_menu(
         # group that can host it, so a selection can never pick the
         # same swap twice and undo itself.
         eligible = (positions > i) | ((positions < i) & ~is_target)
-        # Lane neighbours: one follows the other on the same team.
-        neighbours = (teams == teams[i]) & ((starts == following[i]) | (following == starts[i]))
-        swaps = eligible & ~neighbours & _swap_fits(
-            starts, durations, following, project.horizon_months, i
-        )
-        for k in np.flatnonzero(eligible & neighbours):
-            swaps[k] = lanes.fits(lanes.exchange(placed[i], placed[k]), project.horizon_months)
+        swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, i)
         partners = np.flatnonzero(swaps)
         shifts = fits[g]
         kind += [shift_kind[shifts], np.full(len(partners), EXCHANGE)]
@@ -799,8 +792,7 @@ def generate_correction_groups(
     one CorrectionMenu. Every move is checked on a lane index of the
     schedule: every target's shifts as one array test (_shift_fits, with
     _Lanes.fits for a shift that passes a neighbour), its exchanges as
-    arrays over every partner (_swap_fits, with _Lanes.fits for a partner
-    that is its neighbour on its lane).
+    arrays over every partner (_swap_fits).
     All of a target's feasible moves are priced against that one table
     from one kernel call (_Scorer.profits).
 
