@@ -23,8 +23,7 @@ f = build_fixture("kope-1982")
 project, schedule, capacity = f.project, f.team_schedule, f.capacity
 
 table = horizon_requirement_table(project, schedule)
-cap = capacity_vector(dict(capacity))
-months = violated_months(table.to_array(), cap, table.months)
+months = violated_months(table.to_array(), capacity_vector(capacity))
 month, peak = table.peak("d1")
 print(f"d1 capacity {capacity['d1']:.0f}/month; initial peak {peak:.0f} in month {month}")
 print(f"violated months: {months}")

@@ -24,9 +24,7 @@ from .balance import (
     BalanceVerdict,
     balance_verdict,
     count_vector,
-    dominance_leq,
     proximity,
-    violation,
 )
 from .core import (
     CompositeJob,
@@ -84,14 +82,12 @@ from .improve import (
     ImproveParams,
     IterationRecord,
     LoopResult,
-    ScoreConfig,
     Selection,
     apply_selection,
     capacity_vector,
     generate_correction_groups,
     improvement_loop,
     max_violation,
-    mckp_exact,
     mckp_greedy,
     score_variant,
     violated_months,
@@ -132,7 +128,6 @@ __all__ = [
     "Project",
     "RequirementTable",
     "SchemaError",
-    "ScoreConfig",
     "SectionType",
     "Selection",
     "SlotSchedule",
@@ -150,7 +145,6 @@ __all__ = [
     "comparison_report",
     "count_vector",
     "detail_shares",
-    "dominance_leq",
     "earliness",
     "export_balance_curve",
     "export_comparison_csv",
@@ -166,7 +160,6 @@ __all__ = [
     "load_instance",
     "makespan",
     "max_violation",
-    "mckp_exact",
     "mckp_greedy",
     "monthly_detail_requirements",
     "monthly_floor_requirements",
@@ -185,6 +178,5 @@ __all__ = [
     "validate_schedule",
     "validate_team_schedule",
     "violated_months",
-    "violation",
     "violation_measure",
 ]

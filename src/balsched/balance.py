@@ -1,11 +1,10 @@
-"""Count vectors, the interval proximity metric, and dominance checks.
+"""Count vectors, the interval proximity metric, and balance verdicts.
 
 The proximity between two equal-total count vectors is the L1 distance of
 their prefix sums over the fixed type order -- the discrete earth-mover
 distance where moving one unit between adjacent positions costs 1. A
 schedule is balanced when every interval's bag sits within proximity
-``delta0`` of the reference profile; requirement vectors are compared to a
-capacity profile component-wise (dominance).
+``delta0`` of the reference profile.
 """
 
 from __future__ import annotations
@@ -114,28 +113,3 @@ def balance_verdict(
         satisfied=max_delta <= delta0,
         violating=violating,
     )
-
-
-def dominance_leq(gamma: Sequence[float], cap: Sequence[float]) -> bool:
-    """True iff gamma <= cap component-wise.
-
-    Raises:
-        ValueError: on length mismatch.
-    """
-    if len(gamma) != len(cap):
-        raise ValueError(f"length mismatch: {len(gamma)} vs {len(cap)}")
-    return all(g <= c for g, c in zip(gamma, cap))
-
-
-def violation(gamma: Sequence[float], cap: Sequence[float]) -> tuple:
-    """Component-wise excess of a requirement vector over capacity.
-
-    Entry i is max(0, gamma_i - cap_i); all-zero exactly when dominance
-    holds.
-
-    Raises:
-        ValueError: on length mismatch.
-    """
-    if len(gamma) != len(cap):
-        raise ValueError(f"length mismatch: {len(gamma)} vs {len(cap)}")
-    return tuple(max(0, g - c) for g, c in zip(gamma, cap))

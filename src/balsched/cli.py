@@ -195,8 +195,7 @@ def balance(file):
         if not instance.capacity:
             _fail("instance has no capacity profile")
         table = horizon_requirement_table(instance.project, instance.team_schedule)
-        cap = capacity_vector(dict(instance.capacity))
-        months = violated_months(table.to_array(), cap, table.months)
+        months = violated_months(table.to_array(), capacity_vector(instance.capacity))
         for detail in sorted(instance.capacity):
             month, value = table.peak(detail)
             _echo(

@@ -342,7 +342,10 @@ def _detail(v) -> str:
 
 def _capacity(detail, v) -> float:
     _detail(detail)
-    return _float(v)
+    capacity = _float(v)
+    if capacity < 0:
+        raise _Bad("expected a non-negative number")
+    return capacity
 
 
 def _improve(v) -> ImproveParams:
@@ -622,28 +625,24 @@ def export_requirements_csv(table: RequirementTable, path) -> None:
 
 
 def export_balance_curve(
-    table: RequirementTable,
-    capacity: Mapping[str, float] | float,
-    detail: str,
-    path,
+    table: RequirementTable, capacity: float, detail: str, path
 ) -> None:
     """Per-month required vs capacity curve for one detail type.
 
     Raises:
-        ValueError: on an unknown detail id or a missing/non-finite capacity.
+        ValueError: on an unknown detail id or a negative or non-finite
+            capacity.
     """
     if detail not in table.details:
         raise ValueError(f"unknown detail type '{detail}'")
-    cap = (
-        capacity if isinstance(capacity, (int, float))
-        else capacity.get(detail, float("inf"))
-    )
-    if not math.isfinite(cap):
+    if not math.isfinite(capacity):
         raise ValueError(f"no finite capacity for detail '{detail}'")
+    if capacity < 0:
+        raise ValueError(f"negative capacity for detail '{detail}'")
     lines = ["month,required,capacity,violation"]
     for month, required in zip(table.months, table.column(detail)):
-        excess = max(0.0, required - cap)
-        lines.append(f"{month},{required:.2f},{cap:.2f},{excess:.2f}")
+        excess = max(0.0, required - capacity)
+        lines.append(f"{month},{required:.2f},{capacity:.2f},{excess:.2f}")
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
 

@@ -5,9 +5,8 @@ builds correction groups -- per building, a menu of mutually exclusive moves
 (do nothing, shift the start left/right by a few days, or exchange two
 buildings' placements) -- scores each move's profit (drop in the violation
 measure) and cost, picks at most one move per group under a cost budget
-(multiple-choice knapsack, greedy with an exact dynamic-programming oracle),
-applies the selection, and repeats while the violation measure keeps
-falling.
+(multiple-choice knapsack, ratio greedy), applies the selection, and
+repeats while the violation measure keeps falling.
 """
 
 from __future__ import annotations
@@ -186,81 +185,16 @@ def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     return _selection(problem, chosen)
 
 
-#: mckp_exact refuses instances whose DP table would exceed this many cells.
-EXACT_STATE_CAP = 2_000_000
-
-
-def mckp_exact(problem: BudgetedMCKP, cost_scale: int = 10) -> Selection:
-    """Exact optimum by dynamic programming over integer-scaled costs.
-
-    Among optima, returns the lexicographically smallest variant-index
-    tuple (group order, then variant index).
-
-    Raises:
-        ValueError: if some cost is not integral at ``cost_scale`` (within
-            1e-6), or the state space exceeds the cap
-            ("instance too large for exact oracle").
-    """
-    groups = problem.groups
-    scaled: list[list[int]] = []
-    for group in groups:
-        row = []
-        for variant in group.variants:
-            s = variant.cost * cost_scale
-            r = round(s)
-            if abs(s - r) > 1e-6:
-                raise ValueError(
-                    f"cost {variant.cost} is not integral at scale {cost_scale}"
-                )
-            row.append(int(r))
-        scaled.append(row)
-    budget_units = int(problem.budget * cost_scale + 1e-9)
-
-    if (len(groups) + 1) * (budget_units + 1) > EXACT_STATE_CAP:
-        raise ValueError("instance too large for exact oracle")
-
-    neg = float("-inf")
-    # best[i][w]: max profit achievable by groups i.. with w cost units left
-    best = [[neg] * (budget_units + 1) for _ in range(len(groups) + 1)]
-    best[len(groups)] = [0.0] * (budget_units + 1)
-    for i in range(len(groups) - 1, -1, -1):
-        for w in range(budget_units + 1):
-            value = neg
-            for j, variant in enumerate(groups[i].variants):
-                b = scaled[i][j]
-                if b <= w and best[i + 1][w - b] != neg:
-                    value = max(value, variant.profit + best[i + 1][w - b])
-            best[i][w] = value
-
-    if best[0][budget_units] == neg:
-        raise ValueError("no feasible selection within budget")
-
-    chosen = []
-    w = budget_units
-    for i, group in enumerate(groups):
-        for j, variant in enumerate(group.variants):
-            b = scaled[i][j]
-            if b <= w and variant.profit + best[i + 1][w - b] == best[i][w]:
-                chosen.append(j)
-                w -= b
-                break
-    return _selection(problem, chosen)
-
-
 # --- violation measure and cascade caching ---------------------------------
 
-@dataclass(frozen=True)
-class ScoreConfig:
-    """Knobs of the default scoring model."""
-
-    day_cost: float = 0.1
-    exchange_cost: float = 2.0
-    weights: tuple[float, ...] = (1.0,) * len(DETAIL_TYPES)
-    eps: float = 1e-9
-    shift_steps: tuple[int, ...] = (3, 7, 14, 21)
-
-
-DEFAULT_SCORE_CONFIG = ScoreConfig()
+#: Cost of a shift per day moved.
+DAY_COST = 0.1
+#: Cost of an exchange of two buildings' placements.
+EXCHANGE_COST = 2.0
+#: The shift steps in days, each tried right and left.
+SHIFT_STEPS = (3, 7, 14, 21)
+#: Floor of the divisor of a violation, so a zero capacity divides by EPS.
+EPS = 1e-9
 
 
 def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
@@ -304,27 +238,17 @@ class CascadeCache:
         return total
 
 
-def violation_measure(
-    table: np.ndarray,
-    cap: np.ndarray,
-    config: ScoreConfig = DEFAULT_SCORE_CONFIG,
-) -> float:
-    """Aggregate capacity excess: sum over months and details of
-    weight * max(0, gamma - cap) / max(cap, eps)."""
-    excess = np.maximum(0.0, table - cap)
-    denom = np.maximum(cap, config.eps)
-    return float(np.sum(np.asarray(config.weights) * excess / denom))
+def _violation_measures(stack: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """The violation measure of each (months x 8) table of a C-contiguous
+    stack: sum over months and details of max(0, gamma - cap) / max(cap,
+    EPS). The months and details of one table reduce as one run."""
+    return np.sum(np.maximum(0.0, stack - cap) / np.maximum(cap, EPS), axis=(1, 2))
 
 
-def _violation_measures(
-    stack: np.ndarray, cap: np.ndarray, config: ScoreConfig
-) -> np.ndarray:
-    """violation_measure of each (months x 8) table of a C-contiguous
-    stack. The months and details of one table reduce as one run, as in
-    violation_measure's plain sum, so each value equals it bit for bit."""
-    excess = np.maximum(0.0, stack - cap)
-    denom = np.maximum(cap, config.eps)
-    return np.sum(np.asarray(config.weights) * excess / denom, axis=(1, 2))
+def violation_measure(table: np.ndarray, cap: np.ndarray) -> float:
+    """Aggregate capacity excess of one table: _violation_measures on a
+    stack of one."""
+    return float(_violation_measures(table[None], cap)[0])
 
 
 def max_violation(table: np.ndarray, cap: np.ndarray) -> float:
@@ -332,14 +256,9 @@ def max_violation(table: np.ndarray, cap: np.ndarray) -> float:
     return float(np.max(np.maximum(0.0, table - cap)))
 
 
-def violated_months(
-    table: np.ndarray, cap: np.ndarray, months: Sequence[int] | None = None
-) -> tuple[int, ...]:
+def violated_months(table: np.ndarray, cap: np.ndarray) -> tuple[int, ...]:
     """1-based months in which any detail requirement exceeds capacity."""
-    if months is None:
-        months = range(1, table.shape[0] + 1)
-    over = (table - cap > 0).any(axis=1)
-    return tuple(m for m, flag in zip(months, over) if flag)
+    return tuple((np.flatnonzero((table - cap > 0).any(axis=1)) + 1).tolist())
 
 
 # --- moves: feasibility, scoring, application -------------------------------
@@ -556,15 +475,9 @@ class _Scorer:
     V(base) minus V of that table over every month.
     """
 
-    def __init__(
-        self,
-        cache: CascadeCache,
-        base: np.ndarray,
-        cap: np.ndarray,
-        config: ScoreConfig,
-    ):
-        self.cache, self.base, self.cap, self.config = cache, base, cap, config
-        self.base_v = violation_measure(base, cap, config)
+    def __init__(self, cache: CascadeCache, base: np.ndarray, cap: np.ndarray):
+        self.cache, self.base, self.cap = cache, base, cap
+        self.base_v = violation_measure(base, cap)
 
     def profits(
         self,
@@ -596,47 +509,46 @@ class _Scorer:
         moved += self.base - self.cache.building_table(target, start)
         moved[shifts:] -= partner_tables
         moved[shifts:] += stack[shifts + exchanges:]
-        return self.base_v - _violation_measures(moved, self.cap, self.config)
+        return self.base_v - _violation_measures(moved, self.cap)
 
 
 def score_variant(
     project: Project,
     schedule: TeamSchedule,
     variant: CorrectionVariant,
-    capacity: Mapping[str, float] | np.ndarray,
-    config: ScoreConfig = DEFAULT_SCORE_CONFIG,
+    capacity: Mapping[str, float],
     target: str | None = None,
     cache: CascadeCache | None = None,
 ) -> tuple[float, float]:
     """(profit, cost) of one move: profit is the violation-measure drop.
 
-    Profit can be negative for worsening moves. Cost follows the config
-    model: day_cost * |days| for shifts, exchange_cost for exchanges. The
-    move is priced as a stack of one, as generate_correction_groups does.
+    Profit can be negative for worsening moves. Cost is DAY_COST per day
+    for shifts and EXCHANGE_COST for exchanges. The move is priced as a
+    stack of one, as generate_correction_groups does.
 
     Raises:
         ValueError: for a variant that cannot be applied to this schedule.
     """
     if variant.kind == "none":
         return 0.0, 0.0
-    cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
+    cap = capacity_vector(capacity)
     cache = cache or CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
     building_id, _team, start, _new_team, new_start = moves[0]
     base = cache.schedule_table(schedule)
-    score = _Scorer(cache, base, cap, config)
+    score = _Scorer(cache, base, cap)
     if variant.kind == "exchange":
         partner = moves[1][0]  # placed at new_start
         profits = score.profits(
             building_id, start, np.empty(0), np.array([cache.kernel.row[partner]]),
             np.array([new_start]), cache.building_table(partner, new_start)[None],
         )
-        return float(profits[0]), config.exchange_cost
+        return float(profits[0]), EXCHANGE_COST
     profits = score.profits(
         building_id, start, np.array([new_start]), np.empty(0, dtype=np.intp),
         np.empty(0), np.empty((0, *base.shape)),
     )
-    return float(profits[0]), config.day_cost * variant.days
+    return float(profits[0]), DAY_COST * variant.days
 
 
 @dataclass(frozen=True, eq=False)
@@ -712,7 +624,6 @@ def _correction_menu(
     project: Project,
     schedule: TeamSchedule,
     cap: np.ndarray,
-    config: ScoreConfig,
     cache: CascadeCache,
     table: np.ndarray,
 ) -> CorrectionMenu:
@@ -727,12 +638,12 @@ def _correction_menu(
     is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
     targets = np.flatnonzero(is_target)
 
-    steps = config.shift_steps
     shift_kind = np.repeat(
-        [VARIANT_KINDS.index("shift_right"), VARIANT_KINDS.index("shift_left")], len(steps)
+        [VARIANT_KINDS.index("shift_right"), VARIANT_KINDS.index("shift_left")],
+        len(SHIFT_STEPS),
     )
-    shift_days = np.tile(np.array(steps), 2)
-    new_starts = _shift_starts(starts[targets], steps)
+    shift_days = np.tile(np.array(SHIFT_STEPS), 2)
+    new_starts = _shift_starts(starts[targets], SHIFT_STEPS)
     fits, decided = _shift_fits(
         new_starts, durations[targets], prev_starts[targets], prev_ends[targets],
         following[targets], project.horizon_months,
@@ -744,7 +655,7 @@ def _correction_menu(
             [(target, team, start, team, new_starts[g, j])], project.horizon_months
         )
 
-    score = _Scorer(cache, table, cap, config)
+    score = _Scorer(cache, table, cap)
     kernel_rows = np.array([cache.kernel.row[b] for b in placed])
     own_tables = np.array([cache.building_table(b, s) for b, s in zip(placed, starts)])
     positions = np.arange(len(placed))
@@ -768,7 +679,7 @@ def _correction_menu(
     kind, days, partner = (
         np.concatenate([np.empty(0, dtype=int), *parts]) for parts in (kind, days, partner)
     )
-    cost = np.where(kind == EXCHANGE, config.exchange_cost, config.day_cost * days)
+    cost = np.where(kind == EXCHANGE, EXCHANGE_COST, DAY_COST * days)
     return CorrectionMenu(
         placed, targets.tolist(), np.repeat(np.arange(len(targets)), sizes),
         kind, days, partner, np.concatenate([np.empty(0), *profit]), cost,
@@ -778,8 +689,7 @@ def _correction_menu(
 def generate_correction_groups(
     project: Project,
     schedule: TeamSchedule,
-    capacity: Mapping[str, float] | np.ndarray,
-    config: ScoreConfig = DEFAULT_SCORE_CONFIG,
+    capacity: Mapping[str, float],
     cache: CascadeCache | None = None,
     *,
     table: np.ndarray | None = None,
@@ -802,11 +712,11 @@ def generate_correction_groups(
         ValueError: naming the violations, when the schedule is invalid.
     """
     _refuse_invalid(schedule, project.buildings)
-    cap = capacity if isinstance(capacity, np.ndarray) else capacity_vector(capacity)
     cache = cache or CascadeCache(project)
     if table is None:
         table = cache.schedule_table(schedule)
-    return _correction_menu(project, schedule, cap, config, cache, table).groups()
+    cap = capacity_vector(capacity)
+    return _correction_menu(project, schedule, cap, cache, table).groups()
 
 
 def _compose(
@@ -932,7 +842,6 @@ def improvement_loop(
     schedule: TeamSchedule,
     capacity: Mapping[str, float],
     params: ImproveParams = ImproveParams(),
-    config: ScoreConfig = DEFAULT_SCORE_CONFIG,
 ) -> LoopResult:
     """Repair the schedule until balanced, stuck, or out of iterations.
 
@@ -949,11 +858,11 @@ def improvement_loop(
         ValueError: naming the violations, when the schedule is invalid.
     """
     _refuse_invalid(schedule, project.buildings)
-    cap = capacity_vector(dict(capacity))
+    cap = capacity_vector(capacity)
     cache = CascadeCache(project)
     current = schedule
     table = cache.schedule_table(current)
-    v = violation_measure(table, cap, config)
+    v = violation_measure(table, cap)
     trace: list[IterationRecord] = []
     stop_reason = "balanced" if v <= 1e-12 else "max iterations"
 
@@ -961,7 +870,7 @@ def improvement_loop(
         if v <= 1e-12:
             stop_reason = "balanced"
             break
-        menu = _correction_menu(project, current, cap, config, cache, table)
+        menu = _correction_menu(project, current, cap, cache, table)
         if not menu.targets:
             stop_reason = "no correction candidates"
             break
@@ -974,7 +883,7 @@ def improvement_loop(
             reason = "selection not applicable"
             if not selection.is_all_none():
                 new_table = cache.schedule_table(candidate)
-                new_v = violation_measure(new_table, cap, config)
+                new_v = violation_measure(new_table, cap)
                 reason = "no decrease in violation measure"
         accepted = new_v < v - 1e-12
         trace.append(

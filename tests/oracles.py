@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,6 +121,81 @@ def mckp_enumerate(groups, budget):
             best_profit = profit
             best_choice = choice
     return best_profit, best_choice
+
+
+class ExactSelection(NamedTuple):
+    """mckp_exact's answer: the variant index per group and its totals."""
+
+    chosen: tuple
+    total_profit: float
+    total_cost: float
+
+
+#: mckp_exact refuses instances whose DP table would exceed this many cells.
+EXACT_STATE_CAP = 2_000_000
+
+
+def mckp_exact(problem, cost_scale=10):
+    """Exact multiple-choice knapsack optimum by dynamic programming over
+    integer-scaled costs (Sinha & Zoltners, Oper. Res. 1979).
+
+    ``problem`` has ``groups`` (each with ``variants`` carrying ``profit``
+    and ``cost``) and ``budget``, as balsched.improve.BudgetedMCKP does.
+    Among optima, returns the lexicographically smallest variant-index
+    tuple (group order, then variant index).
+
+    Raises:
+        ValueError: if some cost is not integral at ``cost_scale`` (within
+            1e-6), or the state space exceeds the cap
+            ("instance too large for exact oracle").
+    """
+    groups = problem.groups
+    scaled = []
+    for group in groups:
+        row = []
+        for variant in group.variants:
+            s = variant.cost * cost_scale
+            r = round(s)
+            if abs(s - r) > 1e-6:
+                raise ValueError(
+                    f"cost {variant.cost} is not integral at scale {cost_scale}"
+                )
+            row.append(int(r))
+        scaled.append(row)
+    budget_units = int(problem.budget * cost_scale + 1e-9)
+
+    if (len(groups) + 1) * (budget_units + 1) > EXACT_STATE_CAP:
+        raise ValueError("instance too large for exact oracle")
+
+    neg = float("-inf")
+    # best[i][w]: max profit achievable by groups i.. with w cost units left
+    best = [[neg] * (budget_units + 1) for _ in range(len(groups) + 1)]
+    best[len(groups)] = [0.0] * (budget_units + 1)
+    for i in range(len(groups) - 1, -1, -1):
+        for w in range(budget_units + 1):
+            value = neg
+            for j, variant in enumerate(groups[i].variants):
+                b = scaled[i][j]
+                if b <= w and best[i + 1][w - b] != neg:
+                    value = max(value, variant.profit + best[i + 1][w - b])
+            best[i][w] = value
+
+    if best[0][budget_units] == neg:
+        raise ValueError("no feasible selection within budget")
+
+    chosen = []
+    w = budget_units
+    for i, group in enumerate(groups):
+        for j, variant in enumerate(group.variants):
+            b = scaled[i][j]
+            if b <= w and variant.profit + best[i + 1][w - b] == best[i][w]:
+                chosen.append(j)
+                w -= b
+                break
+    picked = [g.variants[j] for g, j in zip(groups, chosen)]
+    return ExactSelection(
+        tuple(chosen), sum(v.profit for v in picked), sum(v.cost for v in picked)
+    )
 
 
 def ratio_greedy(groups, budget, digits=9):

@@ -28,14 +28,13 @@ from balsched.improve import (
     BudgetedMCKP,
     ImproveParams,
     improvement_loop,
-    mckp_exact,
     mckp_greedy,
 )
 from balsched.jit import WindowJob, schedule_windows
 from balsched.fileio import comparison_report
 
 from catalogue import KOPE_CATALOGUE
-from oracles import hand_month1_d2, mckp_enumerate
+from oracles import hand_month1_d2, mckp_enumerate, mckp_exact
 
 REFERENCE_PROFILE = (2, 3, 2, 1, 1, 0)
 

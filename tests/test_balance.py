@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from balsched.balance import (
     balance_verdict,
     count_vector,
-    dominance_leq,
     proximity,
-    violation,
 )
 from balsched.core import (
     CompositeJob,
@@ -260,21 +258,3 @@ def test_balance_verdict_capacity_mismatch():
     wrong_total = (1, 1, 1, 1, 1, 1)  # sums to 6, capacity is 9
     with pytest.raises(ValueError, match="capacity mismatch"):
         balance_verdict(instance, f.schedule, wrong_total, 15)
-
-
-# --- dominance ---------------------------------------------------------------
-
-def test_dominance_componentwise():
-    assert dominance_leq((1, 2, 3), (1, 2, 3))
-    assert dominance_leq((0, 2, 3), (1, 2, 3))
-    assert not dominance_leq((2, 2, 3), (1, 2, 3))
-
-
-def test_violation_clamps_at_zero():
-    assert violation((5, 1, 4), (3, 2, 4)) == (2, 0, 0)
-
-
-def test_violation_zero_iff_dominated():
-    gamma, cap = (5, 1, 4), (3, 2, 4)
-    assert (violation(gamma, cap) == (0, 0, 0)) == dominance_leq(gamma, cap)
-    assert violation((3, 2), (3, 2)) == (0, 0)

@@ -387,13 +387,6 @@ def test_balance_curve_csv(tmp_path, kope_table):
     assert month1[3] == "0.00"
 
 
-def test_balance_curve_accepts_capacity_mapping(tmp_path, kope_table):
-    f, table = kope_table
-    path = tmp_path / "curve.csv"
-    export_balance_curve(table, f.capacity, "d1", path)
-    assert path.read_text().splitlines()[0] == "month,required,capacity,violation"
-
-
 def test_balance_curve_rejects_unknown_detail(tmp_path, kope_table):
     _, table = kope_table
     with pytest.raises(ValueError, match="unknown detail"):
@@ -401,10 +394,18 @@ def test_balance_curve_rejects_unknown_detail(tmp_path, kope_table):
 
 
 def test_balance_curve_rejects_unbounded_capacity(tmp_path, kope_table):
-    f, table = kope_table
-    # the fixture's capacity mapping has no d2 entry -> +inf, not plottable
+    _, table = kope_table
+    # an unconstrained detail has capacity +inf, which is not plottable
     with pytest.raises(ValueError, match="capacity"):
-        export_balance_curve(table, f.capacity, "d2", tmp_path / "x.csv")
+        export_balance_curve(table, float("inf"), "d2", tmp_path / "x.csv")
+
+
+def test_balance_curve_rejects_negative_capacity(tmp_path, kope_table):
+    _, table = kope_table
+    with pytest.raises(ValueError, match="negative capacity"):
+        export_balance_curve(table, -5.0, "d1", tmp_path / "x.csv")
+    export_balance_curve(table, 0.0, "d1", tmp_path / "zero.csv")
+    assert (tmp_path / "zero.csv").read_text().splitlines()[12] == "12,1934.60,0.00,1934.60"
 
 
 # --- comparison report -----------------------------------------------------------
@@ -681,6 +682,7 @@ def test_cli_improve_matches_readme_transcript(runner, tmp_path, emitted):
         ("capacity", "d9", 5, "/homebuilding/capacity/d9: unknown detail type"),
         ("capacity", "d1", "abc", "/homebuilding/capacity/d1: expected a finite number"),
         ("capacity", "d1", float("nan"), "/homebuilding/capacity/d1: expected a finite number"),
+        ("capacity", "d1", -5, "/homebuilding/capacity/d1: expected a non-negative number"),
         ("a1", "assembly_duration", float("nan"),
          "/homebuilding/buildings/a1/assembly_duration: expected a finite number"),
         ("a2", "start", float("inf"), "/homebuilding/buildings/a2/start: expected a finite number"),
@@ -708,6 +710,16 @@ def test_cli_improve_rejects_bad_numbers_with_one_error_line(
     result = runner.invoke(main, ["improve", str(bad)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+def test_cli_balance_accepts_zero_capacity(runner, tmp_path, emitted):
+    data = json.loads(emitted["kope-1982"].read_text())
+    data["homebuilding"]["capacity"] = {"d1": 0}
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(data))
+    result = runner.invoke(main, ["balance", str(zero)])
+    assert result.exit_code == 0
+    assert "violated months: " + " ".join(map(str, range(1, 20))) in result.stdout
 
 
 @pytest.mark.parametrize("option", ["--budget", "--max-iters"])
@@ -774,6 +786,18 @@ def test_cli_report_unknown_detail(runner, tmp_path, emitted):
         ],
     )
     assert result.exit_code == 1
+
+
+def test_cli_report_refuses_negative_capacity(runner, tmp_path, emitted):
+    csv_path = tmp_path / "x.csv"
+    result = runner.invoke(
+        main,
+        ["report", str(emitted["kope-1982"]), "--detail", "d1", "--capacity", "-5",
+         "--csv", str(csv_path)],
+    )
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == ["error: negative capacity for detail 'd1'"]
+    assert not csv_path.exists()
 
 
 # --- malformed input -------------------------------------------------------------
