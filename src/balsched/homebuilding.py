@@ -31,9 +31,6 @@ DAYS_PER_MONTH = 30.0
 
 RATE_BASES = ("U-1", "U")
 
-#: Placements per kernel call in horizon_requirement_table.
-HORIZON_BLOCK = 8
-
 
 @dataclass(frozen=True)
 class SectionType:
@@ -312,11 +309,16 @@ class RequirementKernel:
     adds the section matrices weighted by count, and every other building
     with the same items gets a copy. Every (months x 8) @ (8 x 8) product
     of the batched matmul keeps the one-building shape, so the slices of a
-    stacked call equal one-row calls bit for bit.
+    stacked call equal one-row calls bit for bit. Inside the horizon a
+    table is exactly 0.0 outside ``width`` months from its start's month:
+    ceil of the longest duration (in the project or ``buildings``) plus
+    one, at most the horizon. Tables are computed on those windows, whose
+    edges are the horizon's own whole floats, so the values are the same.
     """
 
     def __init__(self, project: Project, buildings: Sequence[Building]):
         self.row = {building.id: i for i, building in enumerate(buildings)}
+        self.horizon = project.horizon_months
         ladders = {
             t: [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
             for t, building_type in project.building_types.items()
@@ -343,7 +345,8 @@ class RequirementKernel:
                 if count:
                     combined += count * matrices[section]
             built[key] = combined
-        self.edges = np.arange(0.0, project.horizon_months + 1)[:, None]
+        others = [b.assembly_duration for b in project.buildings.values()]
+        self.width = min(int(np.ceil(max([*durations, *others], default=0.0))) + 1, self.horizon)
 
     def output(self, rows, starts, edges: np.ndarray) -> np.ndarray:
         """(P x months x 8) floor-units one section of building ``rows[i]``
@@ -354,9 +357,23 @@ class RequirementKernel:
             np.reshape(starts, (-1, 1, 1)), edges,
         )
 
-    def tables(self, rows, starts) -> np.ndarray:
-        """(P x horizon x 8) requirement tables, placements as in ``output``."""
-        return self.output(rows, starts, self.edges) @ self.matrix[rows]
+    def window(self, rows, starts, cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(first, tables): each placement's first window month (0-based)
+        and its (P x width x len(cols)) table there, placements as in
+        ``output``, for the detail columns ``cols``."""
+        first = np.clip(np.floor(starts), 0, self.horizon)
+        edges = first.reshape(-1, 1, 1) + np.arange(self.width + 1.0)[:, None]
+        tables = self.output(rows, starts, edges) @ self.matrix[:, :, cols][rows]
+        return first.astype(np.intp), tables
+
+    def total(self, rows, starts) -> np.ndarray:
+        """(horizon x 8) sum of the placements' tables: each window added
+        in placement order into +0.0, months past the horizon dropped."""
+        first, tables = self.window(rows, starts)
+        months = first[:, None] + np.arange(self.width)
+        total = np.zeros((self.horizon, len(DETAIL_TYPES)))
+        np.add.at(total, months[months < self.horizon], tables[months < self.horizon])
+        return total
 
 
 def section_progress(
@@ -415,7 +432,7 @@ def building_requirement_table(
     """
     if start is None:
         start = building.start
-    return RequirementKernel(project, [building]).tables([0], [start])[0]
+    return RequirementKernel(project, [building]).total([0], [start])
 
 
 def horizon_requirement_table(
@@ -425,11 +442,9 @@ def horizon_requirement_table(
 ) -> RequirementTable:
     """Requirement rows for every month of the horizon (or of ``months``).
 
-    The rows are the sum of the placements' tables in placement order. The
-    tables come from one kernel call per HORIZON_BLOCK placements, and a
-    slice of a stacked call equals the one-row call, so the sum is the
-    same bit for bit as one call per placement while no stack larger than
-    a block is held.
+    The rows are the sum of the placements' tables in placement order,
+    from one windowed kernel call. A table is exactly 0.0 outside its
+    window, so this is the whole-horizon sum bit for bit.
 
     Raises:
         ValueError: naming every month outside 1..horizon.
@@ -443,12 +458,7 @@ def horizon_requirement_table(
     kernel = RequirementKernel(
         project, [project.buildings[b] for _team, b, _start in placements]
     )
-    starts = [start for _team, _b, start in placements]
-    total = np.zeros((horizon, len(DETAIL_TYPES)))
-    for first in range(0, len(placements), HORIZON_BLOCK):
-        block = slice(first, first + HORIZON_BLOCK)
-        for table in kernel.tables(block, starts[block]):
-            total += table
+    total = kernel.total(np.arange(len(placements)), [start for *_, start in placements])
     values = tuple(map(tuple, total[[month - 1 for month in months]].tolist()))
     return RequirementTable(months=months, values=values)
 

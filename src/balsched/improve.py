@@ -131,17 +131,17 @@ RATIO_DIGITS = 9
 
 
 def _pack(
-    group: np.ndarray, profit: np.ndarray, cost: np.ndarray, budget: float
+    group: np.ndarray, profit: np.ndarray, cost: np.ndarray, budget: float, floor: float = 0.0
 ) -> list[int]:
     """The rows the ratio greedy picks, at most one per group, in pick order.
 
     Rows are the variants other than none, in (group, variant) order, given
-    as columns. Rows with non-positive profit are never taken; zero-cost
-    rows with positive profit rank first. Ratios are Python's
+    as columns. Rows with profit at or below ``floor`` are never taken;
+    zero-cost rows with a larger profit rank first. Ratios are Python's
     ``round(profit / cost, RATIO_DIGITS)``, so ratios equal up to float
     noise tie, and a stable sort breaks ties on row order.
     """
-    rows = np.flatnonzero(profit > 0).tolist()
+    rows = np.flatnonzero(profit > floor).tolist()
     profits, costs = profit[rows].tolist(), cost[rows].tolist()
     groups = group[rows].tolist()
     ratios = [
@@ -195,6 +195,12 @@ EXCHANGE_COST = 2.0
 SHIFT_STEPS = (3, 7, 14, 21)
 #: Floor of the divisor of a violation, so a zero capacity divides by EPS.
 EPS = 1e-9
+#: Menu rows priced per kernel call; bounds the (rows x width x 8)
+#: floor-output stacks a call holds.
+PRICE_BLOCK = 256
+#: The repair loop treats a profit or a drop in V at or below
+#: REL_TOL * max(1, V) as rounding noise, and V at or below REL_TOL as 0.
+REL_TOL = 1e-12
 
 
 def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
@@ -210,11 +216,9 @@ def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
 
 class CascadeCache:
     """Memo of per-building isolated requirement tables, keyed by the exact
-    start.
-
-    Requirement tables are linear in placements, so what-if tables for
-    shifted/exchanged buildings are sums of cached blocks.
-    """
+    start. Tables are linear in placements, so a schedule's table is the
+    sum of its buildings' cached tables, and a schedule a few moves away
+    computes only the moved buildings' tables."""
 
     def __init__(self, project: Project):
         self.project = project
@@ -228,7 +232,7 @@ class CascadeCache:
     def building_table(self, building_id: str, start: float) -> np.ndarray:
         key = (building_id, start)
         if key not in self._tables:
-            self._tables[key] = self.kernel.tables([self.kernel.row[building_id]], [start])[0]
+            self._tables[key] = self.kernel.total([self.kernel.row[building_id]], [start])
         return self._tables[key]
 
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
@@ -239,9 +243,10 @@ class CascadeCache:
 
 
 def _violation_measures(stack: np.ndarray, cap: np.ndarray) -> np.ndarray:
-    """The violation measure of each (months x 8) table of a C-contiguous
-    stack: sum over months and details of max(0, gamma - cap) / max(cap,
-    EPS). The months and details of one table reduce as one run."""
+    """The violation measure of each (months x details) table of a
+    C-contiguous stack: sum over months and details of max(0, gamma -
+    cap) / max(cap, EPS). The months and details of one table reduce as
+    one run."""
     return np.sum(np.maximum(0.0, stack - cap) / np.maximum(cap, EPS), axis=(1, 2))
 
 
@@ -338,10 +343,7 @@ class _Lanes:
             delta = variant.days / DAYS_PER_MONTH
             new_start = start + delta if variant.kind == "shift_right" else start - delta
             return [(target, team, start, team, new_start)]
-        return self.exchange(*variant.buildings)
-
-    def exchange(self, b1: str, b2: str) -> list[Move]:
-        """The moves of exchanging two buildings' placements."""
+        b1, b2 = variant.buildings
         if b1 == b2:
             raise ValueError(f"degenerate exchange: {b1} with itself")
         team1, start1 = self._placed(b1)
@@ -444,10 +446,10 @@ def _swap_fits(
     durations: np.ndarray,
     following: np.ndarray,
     horizon: int,
-    i: int,
+    targets: np.ndarray,
 ) -> np.ndarray:
-    """Whether building i and each other building k can exchange
-    placements, from the arrays of _Lanes.slots.
+    """(targets x buildings): whether building ``targets[g]`` and building
+    k can exchange placements, from the arrays of _Lanes.slots.
 
     A building that takes over the other's slot keeps that slot's start,
     and the spans before and after that slot stay where they are. So the
@@ -459,57 +461,69 @@ def _swap_fits(
     slot k takes over, so the test on i's side is the lane check of k
     against i's new span, and k's next span is the one after i's new span.
     """
-    ends_there = starts + durations[i]
-    ends_here = starts[i] + durations
+    ends_there = starts + durations[targets, None]
+    ends_here = starts[targets, None] + durations
     return (
         (ends_there <= horizon) & ~(following < ends_there - 1e-9)
-        & (ends_here <= horizon) & ~(following[i] < ends_here - 1e-9)
+        & (ends_here <= horizon) & ~(following[targets, None] < ends_here - 1e-9)
     )
 
 
-class _Scorer:
-    """Profits of moves against one base table.
+def _profits(
+    cache: CascadeCache,
+    table: np.ndarray,
+    cap: np.ndarray,
+    placed: Sequence[str],
+    starts: np.ndarray,
+    target: np.ndarray,
+    new_starts: np.ndarray,
+    partner: np.ndarray,
+) -> np.ndarray:
+    """Profits of moves on the buildings ``placed`` at ``starts``, whose
+    table is ``table``: row r moves ``placed[target[r]]`` to
+    ``new_starts[r]``, and unless ``partner[r]`` is -1 it exchanges it
+    with ``placed[partner[r]]``, which starts there.
 
-    Tables are linear in placements, so a move's table is the base less
-    the moved buildings' old tables plus their new ones; the profit is
-    V(base) minus V of that table over every month.
+    Tables are linear in placements and V reads only the details with a
+    finite capacity, so a row changes those columns on two windows: its
+    new tables less its old ones, from the months of the new and the old
+    start. Its profit is V less V of the changed table over both windows,
+    merged into one span of twice their width where they overlap. Rows
+    are priced independently, from one kernel call for the placed
+    buildings' windows and one per PRICE_BLOCK rows for the new ones.
     """
-
-    def __init__(self, cache: CascadeCache, base: np.ndarray, cap: np.ndarray):
-        self.cache, self.base, self.cap = cache, base, cap
-        self.base_v = violation_measure(base, cap)
-
-    def profits(
-        self,
-        target: str,
-        start: float,
-        new_starts: np.ndarray,
-        partners: np.ndarray,
-        partner_starts: np.ndarray,
-        partner_tables: np.ndarray,
-    ) -> np.ndarray:
-        """Profits of moving ``target`` from ``start`` to each of
-        ``new_starts``, then of exchanging it with each partner (kernel
-        rows, their starts and their tables there), from one kernel call.
-
-        Its rows are the target at its new starts, the target at the
-        partners' starts, then the partners at ``start``. A moved table is
-        T_t(new start) + (base - T_t(start)); an exchanged one continues
-        with - T_p(its start) + T_p(start), in that order of operations.
-        """
-        shifts, exchanges = len(new_starts), len(partners)
-        if not shifts + exchanges:
-            return np.empty(0)
-        kernel = self.cache.kernel
-        stack = kernel.tables(
-            np.concatenate([np.full(shifts + exchanges, kernel.row[target]), partners]),
-            np.concatenate([new_starts, partner_starts, np.full(exchanges, start)]),
+    kernel = cache.kernel
+    cols = np.flatnonzero(np.isfinite(cap))
+    rows = np.array([kernel.row[b] for b in placed])
+    here_first, here = kernel.window(rows, starts, cols)
+    table, cap, width, steps = table[:, cols], cap[cols], kernel.width, np.arange(kernel.width)
+    profits = [np.empty(0)]
+    for block in range(0, len(target), PRICE_BLOCK):
+        block = slice(block, block + PRICE_BLOCK)
+        moving, partners = target[block], partner[block]
+        n, swap = len(moving), np.flatnonzero(partners >= 0)
+        first, moved = kernel.window(
+            np.concatenate([rows[moving], rows[partners[swap]]]),
+            np.concatenate([new_starts[block], starts[moving[swap]]]),
+            cols,
         )
-        moved = stack[: shifts + exchanges]
-        moved += self.base - self.cache.building_table(target, start)
-        moved[shifts:] -= partner_tables
-        moved[shifts:] += stack[shifts + exchanges:]
-        return self.base_v - _violation_measures(moved, self.cap)
+        gained = moved[:n]
+        gained[swap] -= here[partners[swap]]
+        lost = -here[moving]
+        lost[swap] += moved[n:]
+        new, old = first[:n], here_first[moving]
+        lo, apart = np.minimum(new, old), np.abs(new - old) >= width
+        halves = np.where(apart, [new, old], [lo, lo + width]).T
+        months = (halves[:, :, None] + steps).reshape(n, 2 * width)
+        delta = np.zeros((n, 2 * width, len(cols)))
+        at = np.arange(n)[:, None]
+        delta[at, np.where(apart, 0, new - lo)[:, None] + steps] += gained
+        delta[at, np.where(apart, width, old - lo)[:, None] + steps] += lost
+        inside = months < len(table)
+        delta[~inside] = 0.0
+        base = table[np.where(inside, months, 0)]
+        profits.append(_violation_measures(base, cap) - _violation_measures(base + delta, cap))
+    return np.concatenate(profits)
 
 
 def score_variant(
@@ -524,31 +538,22 @@ def score_variant(
 
     Profit can be negative for worsening moves. Cost is DAY_COST per day
     for shifts and EXCHANGE_COST for exchanges. The move is priced as a
-    stack of one, as generate_correction_groups does.
+    menu of one row, as generate_correction_groups prices it.
 
     Raises:
         ValueError: for a variant that cannot be applied to this schedule.
     """
     if variant.kind == "none":
         return 0.0, 0.0
-    cap = capacity_vector(capacity)
     cache = cache or CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
-    building_id, _team, start, _new_team, new_start = moves[0]
-    base = cache.schedule_table(schedule)
-    score = _Scorer(cache, base, cap)
-    if variant.kind == "exchange":
-        partner = moves[1][0]  # placed at new_start
-        profits = score.profits(
-            building_id, start, np.empty(0), np.array([cache.kernel.row[partner]]),
-            np.array([new_start]), cache.building_table(partner, new_start)[None],
-        )
-        return float(profits[0]), EXCHANGE_COST
-    profits = score.profits(
-        building_id, start, np.array([new_start]), np.empty(0, dtype=np.intp),
-        np.empty(0), np.empty((0, *base.shape)),
+    placed, _teams, starts, _new_teams, new_starts = zip(*moves)
+    exchange = variant.kind == "exchange"
+    profit = _profits(
+        cache, cache.schedule_table(schedule), capacity_vector(capacity), placed,
+        np.array(starts), np.array([0]), np.array(new_starts[:1]), np.array([1 if exchange else -1]),
     )
-    return float(profits[0]), DAY_COST * variant.days
+    return float(profit[0]), EXCHANGE_COST if exchange else DAY_COST * variant.days
 
 
 @dataclass(frozen=True, eq=False)
@@ -599,9 +604,10 @@ class CorrectionMenu:
             for g, (i, v) in enumerate(zip(self.targets, variants))
         ]
 
-    def pack(self, budget: float) -> list[int]:
-        """The rows mckp_greedy picks under ``budget``, in group order."""
-        return sorted(_pack(self.group, self.profit, self.cost, budget))
+    def pack(self, budget: float, floor: float = 0.0) -> list[int]:
+        """The rows mckp_greedy picks under ``budget``, in group order,
+        leaving out every row whose profit is at or below ``floor``."""
+        return sorted(_pack(self.group, self.profit, self.cost, budget, floor))
 
     def selection(self, rows: Sequence[int]) -> Selection:
         """The selection of ``rows`` (at most one per group, in group order)."""
@@ -638,11 +644,6 @@ def _correction_menu(
     is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
     targets = np.flatnonzero(is_target)
 
-    shift_kind = np.repeat(
-        [VARIANT_KINDS.index("shift_right"), VARIANT_KINDS.index("shift_left")],
-        len(SHIFT_STEPS),
-    )
-    shift_days = np.tile(np.array(SHIFT_STEPS), 2)
     new_starts = _shift_starts(starts[targets], SHIFT_STEPS)
     fits, decided = _shift_fits(
         new_starts, durations[targets], prev_starts[targets], prev_ends[targets],
@@ -655,35 +656,24 @@ def _correction_menu(
             [(target, team, start, team, new_starts[g, j])], project.horizon_months
         )
 
-    score = _Scorer(cache, table, cap)
-    kernel_rows = np.array([cache.kernel.row[b] for b in placed])
-    own_tables = np.array([cache.building_table(b, s) for b, s in zip(placed, starts)])
+    # An exchange is one move on a pair; list it only in the first group
+    # that can host it, so a selection can never pick the same swap twice
+    # and undo itself.
     positions = np.arange(len(placed))
-    kind, days, partner, profit, sizes = [], [], [], [], []
-    for g, i in enumerate(targets):
-        # An exchange is one move on a pair; list it only in the first
-        # group that can host it, so a selection can never pick the
-        # same swap twice and undo itself.
-        eligible = (positions > i) | ((positions < i) & ~is_target)
-        swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, i)
-        partners = np.flatnonzero(swaps)
-        shifts = fits[g]
-        kind += [shift_kind[shifts], np.full(len(partners), EXCHANGE)]
-        days += [shift_days[shifts], np.zeros(len(partners), dtype=int)]
-        partner += [np.full(shifts.sum(), -1), partners]
-        profit.append(score.profits(
-            placed[i], starts[i], new_starts[g, shifts],
-            kernel_rows[partners], starts[partners], own_tables[partners],
-        ))
-        sizes.append(len(profit[-1]))
-    kind, days, partner = (
-        np.concatenate([np.empty(0, dtype=int), *parts]) for parts in (kind, days, partner)
-    )
+    eligible = (positions > targets[:, None]) | ((positions < targets[:, None]) & ~is_target)
+    swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, targets)
+    # a column per shift (right by each step, then left, as VARIANT_KINDS
+    # orders them), then one per exchange partner: the rows are the
+    # feasible cells in (group, variant) order
+    group, column = np.nonzero(np.hstack([fits, swaps]))
+    steps, shift = len(SHIFT_STEPS), column < 2 * len(SHIFT_STEPS)
+    kind = np.where(shift, VARIANT_KINDS.index("shift_right") + column // steps, EXCHANGE)
+    days = np.where(shift, np.array(SHIFT_STEPS)[column % steps], 0)
+    partner = np.where(shift, -1, column - 2 * steps)
+    new_start = np.hstack([new_starts, np.tile(starts, (len(targets), 1))])[group, column]
+    profit = _profits(cache, table, cap, placed, starts, targets[group], new_start, partner)
     cost = np.where(kind == EXCHANGE, EXCHANGE_COST, DAY_COST * days)
-    return CorrectionMenu(
-        placed, targets.tolist(), np.repeat(np.arange(len(targets)), sizes),
-        kind, days, partner, np.concatenate([np.empty(0), *profit]), cost,
-    )
+    return CorrectionMenu(placed, targets.tolist(), group, kind, days, partner, profit, cost)
 
 
 def generate_correction_groups(
@@ -699,12 +689,10 @@ def generate_correction_groups(
 
     ``table`` is the schedule's requirement table when the caller already
     holds it (``cache.schedule_table(schedule)``). The groups are a view of
-    one CorrectionMenu. Every move is checked on a lane index of the
-    schedule: every target's shifts as one array test (_shift_fits, with
-    _Lanes.fits for a shift that passes a neighbour), its exchanges as
-    arrays over every partner (_swap_fits).
-    All of a target's feasible moves are priced against that one table
-    from one kernel call (_Scorer.profits).
+    one CorrectionMenu, whose moves are all checked as arrays on a lane
+    index of the schedule (_shift_fits, _swap_fits; _Lanes.fits for a
+    shift that passes a neighbour) and priced against that table
+    (_profits).
 
     Returns an empty list when no month exceeds capacity.
 
@@ -849,10 +837,11 @@ def improvement_loop(
     menu, select moves by greedy knapsack under the per-iteration budget,
     compose the jointly applicable subset of the selection (earlier groups
     win conflicts), apply it, and keep the result only if the violation
-    measure strictly dropped. The recorded measure sequence is therefore
-    monotone non-increasing. An already balanced schedule records zero
-    iterations; a zero budget stops after one recorded iteration with the
-    schedule unchanged.
+    measure dropped by more than REL_TOL * max(1, V), the noise floor
+    below which no move is selected either. The recorded measure sequence
+    is therefore monotone non-increasing. An already balanced schedule
+    records zero iterations; a zero budget stops after one recorded
+    iteration with the schedule unchanged.
 
     Raises:
         ValueError: naming the violations, when the schedule is invalid.
@@ -864,20 +853,21 @@ def improvement_loop(
     table = cache.schedule_table(current)
     v = violation_measure(table, cap)
     trace: list[IterationRecord] = []
-    stop_reason = "balanced" if v <= 1e-12 else "max iterations"
+    stop_reason = "balanced" if v <= REL_TOL else "max iterations"
 
     for iteration in range(1, params.max_iters + 1):
-        if v <= 1e-12:
+        if v <= REL_TOL:
             stop_reason = "balanced"
             break
         menu = _correction_menu(project, current, cap, cache, table)
         if not menu.targets:
             stop_reason = "no correction candidates"
             break
-        rows = menu.pack(params.budget)
+        noise = REL_TOL * max(1.0, v)
+        rows = menu.pack(params.budget, noise)
         selection = menu.selection(rows)
         new_v, reason = v, "no improving selection"
-        if selection.total_profit > 1e-12:
+        if selection.total_profit > noise:
             kept, candidate = _compose(project, current, [menu.move(row) for row in rows])
             selection = menu.selection([row for row, applies in zip(rows, kept) if applies])
             reason = "selection not applicable"
@@ -885,7 +875,7 @@ def improvement_loop(
                 new_table = cache.schedule_table(candidate)
                 new_v = violation_measure(new_table, cap)
                 reason = "no decrease in violation measure"
-        accepted = new_v < v - 1e-12
+        accepted = new_v < v - noise
         trace.append(
             IterationRecord(
                 iteration=iteration,

@@ -335,6 +335,122 @@ def rebuild_feasible(assignments, durations, horizon, moves):
     return True
 
 
+# --- move pricing over the whole horizon and every detail ---------------------
+#
+# The library prices a move on the windows of the moved buildings' old and
+# new placements, and on the details with a finite capacity only. This route
+# builds every table over the whole horizon and all eight details, from the
+# two-clip progress above, and prices a move as the base table less the
+# moved buildings' old tables plus their new ones. It also decides every
+# move by rebuilding the lanes.
+
+FLOOR_ORDER = ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")
+DETAIL_ORDER = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
+
+
+def whole_horizon_table(project, building_id, start):
+    """(horizon x 8) requirement table of one building placed at ``start``,
+    on every whole month of ``project``'s horizon."""
+    building = project.buildings[building_id]
+    ladder = project.building_types[building.building_type].floor_counts
+    matrix = sum(
+        count * np.asarray(project.section_types[section].detail_matrix, dtype=float)
+        for section, count in building.section_counts.items()
+    )
+    output = double_clip_output(
+        [ladder.get(f, 0) for f in FLOOR_ORDER], building.assembly_duration,
+        [start], np.arange(project.horizon_months + 1.0), project.rate_basis,
+    )[0]
+    return output @ matrix
+
+
+def whole_violation(table, capacity):
+    """sum over every month and detail of max(0, x - cap) / max(cap, 1e-9);
+    a detail without a capacity has cap +inf."""
+    cap = np.array([capacity.get(d, np.inf) for d in DETAIL_ORDER])
+    return float(np.sum(np.maximum(0.0, table - cap) / np.maximum(cap, 1e-9)))
+
+
+def _whole_base(project, schedule):
+    """(placement, base): each placed building's (team, start), and the
+    sum of their whole-horizon tables."""
+    placement = {
+        b: (team, s) for team in schedule.teams for b, s in schedule.assignments.get(team, ())
+    }
+    base = np.zeros((project.horizon_months, len(DETAIL_ORDER)))
+    for b, (_team, s) in placement.items():
+        base = base + whole_horizon_table(project, b, s)
+    return placement, base
+
+
+def _moved_profit(project, placement, base, capacity, moves):
+    """V of ``base`` less V of it with each moved building's old table
+    taken out and its table at the new start put in; ``moves`` are
+    (building id, new team, new start)."""
+    table = base.copy()
+    for b, _new_team, new_start in moves:
+        table = table - whole_horizon_table(project, b, placement[b][1])
+        table = table + whole_horizon_table(project, b, new_start)
+    return whole_violation(base, capacity) - whole_violation(table, capacity)
+
+
+def whole_horizon_profit(project, schedule, capacity, moves):
+    """The profit of one move on ``schedule``, valid or not, priced as
+    whole_horizon_menu prices it; ``moves`` are (building id, new team,
+    new start)."""
+    placement, base = _whole_base(project, schedule)
+    return _moved_profit(project, placement, base, capacity, moves)
+
+
+def whole_horizon_menu(project, schedule, capacity, shift_steps):
+    """(V, rows): the violation measure of ``schedule`` and its correction
+    menu as (target, kind, days, partner, profit) rows, in the library's
+    (group, variant) order.
+
+    Targets are the placed buildings active in a month where some detail
+    exceeds its capacity, by id. Each gets every shift right, then left,
+    by each of ``shift_steps`` days (days / 30 months) that keeps the
+    schedule valid, then an exchange with every placed building after it,
+    or before it and not a target, that keeps the schedule valid. Profit
+    is V less V of the base table with the moved buildings' old tables
+    taken out and their new ones put in.
+    """
+    horizon = project.horizon_months
+    assignments = {team: list(schedule.assignments.get(team, ())) for team in schedule.teams}
+    placement, base = _whole_base(project, schedule)
+    durations = {b: project.buildings[b].assembly_duration for b in placement}
+    v = whole_violation(base, capacity)
+    cap = np.array([capacity.get(d, np.inf) for d in DETAIL_ORDER])
+    months = [m for m in range(1, horizon + 1) if np.any(base[m - 1] > cap)]
+    ids = sorted(placement)
+    targets = [
+        b for b in ids
+        if any(placement[b][1] < m and placement[b][1] + durations[b] > m - 1 for m in months)
+    ]
+
+    rows = []
+    for i, b in enumerate(ids):
+        if b not in targets:
+            continue
+        team, start = placement[b]
+        for kind in ("shift_right", "shift_left"):
+            for days in shift_steps:
+                step = days / 30.0
+                moves = [(b, team, start + step if kind == "shift_right" else start - step)]
+                if rebuild_feasible(assignments, durations, horizon, moves):
+                    profit = _moved_profit(project, placement, base, capacity, moves)
+                    rows.append((b, kind, days, None, profit))
+        for k, other in enumerate(ids):
+            if k == i or (k < i and other in targets):
+                continue
+            other_team, other_start = placement[other]
+            moves = [(b, other_team, other_start), (other, team, start)]
+            if rebuild_feasible(assignments, durations, horizon, moves):
+                profit = _moved_profit(project, placement, base, capacity, moves)
+                rows.append((b, "exchange", None, other, profit))
+    return v, rows
+
+
 if __name__ == "__main__":
     # Freeze-run: print the oracle values the tests assert as literals.
     e0 = (2, 3, 2, 1, 1, 0)

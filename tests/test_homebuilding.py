@@ -11,7 +11,6 @@ from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DETAIL_TYPES,
     FLOOR_TYPES,
-    HORIZON_BLOCK,
     RATE_BASES,
     Building,
     BuildingType,
@@ -273,10 +272,54 @@ def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements
     kernel = RequirementKernel(project, buildings)
     rows = np.array([kernel.row[b] for b, _start in placements])
     starts = np.array([start for _b, start in placements])
-    stack = kernel.tables(rows, starts)
-    assert stack.shape == (len(placements), 19, 8)
-    for table, row, start in zip(stack, rows, starts):
-        assert np.array_equal(table, kernel.tables([row], [start])[0])
+    first, stack = kernel.window(rows, starts)
+    assert stack.shape == (len(placements), kernel.width, 8)
+    for at, table, row, start in zip(first, stack, rows, starts):
+        assert kernel.window([row], [start])[0] == at
+        assert np.array_equal(table, kernel.window([row], [start])[1][0])
+
+
+@given(
+    rate_basis=st.sampled_from(RATE_BASES),
+    placements=st.lists(
+        st.tuples(
+            st.sampled_from(KOPE_IDS),
+            st.floats(min_value=-2.0, max_value=25.0)
+            | st.sampled_from((0.0, 0.5, 8.8, 9.999999999999998, 10.0, 18.5, 24.5))
+            | st.integers(0, 18).map(lambda m: m + 1 - 2.0 ** -40),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_whole_horizon_rows_vanish_outside_their_windows(kope, rate_basis, placements):
+    """A kernel row over every month of the horizon is exactly 0.0 outside
+    its window and equals the window's table inside it, bit for bit."""
+    project = dataclasses.replace(kope.project, rate_basis=rate_basis)
+    kernel = RequirementKernel(project, list(project.buildings.values()))
+    rows = np.array([kernel.row[b] for b, _start in placements])
+    starts = np.array([start for _b, start in placements])
+    whole = kernel.output(rows, starts, np.arange(20.0)[:, None]) @ kernel.matrix[rows]
+    first, windows = kernel.window(rows, starts)
+    assert kernel.width == 10  # ceil of a1's 9.0 months, plus one
+    for row, at, window in zip(whole, first, windows):
+        inside = row[at: at + kernel.width]
+        assert inside.tobytes() == window[: len(inside)].tobytes()
+        assert not row[:at].any() and not row[at + kernel.width:].any()
+
+
+def test_a_window_one_month_shorter_leaves_a_cell_outside(kope):
+    """The longest building, started just after a month begins, is active
+    in ceil(duration) + 1 months, so the width comes from the durations."""
+    project = kope.project
+    kernel = RequirementKernel(project, list(project.buildings.values()))
+    longest = max(project.buildings.values(), key=lambda b: b.assembly_duration)
+    row, start = kernel.row[longest.id], 2 + 1 / 64
+    whole = kernel.output([row], [start], np.arange(20.0)[:, None]) @ kernel.matrix[[row]]
+    assert kernel.width == np.ceil(longest.assembly_duration) + 1
+    assert whole[0, 2 + kernel.width - 1].any()
+    assert not whole[0, 2 + kernel.width:].any()
 
 
 @given(
@@ -315,11 +358,10 @@ def test_fused_clamp_equals_the_double_clip_oracle(
         horizon_months=horizon,
         rate_basis=rate_basis,
     )
+    edges = np.arange(horizon + 1.0)
     kernel = RequirementKernel(project, [building])
-    got = kernel.output(np.zeros(len(starts), dtype=int), starts, kernel.edges)
-    expected = double_clip_output(
-        floor_counts, duration, starts, np.arange(horizon + 1.0), rate_basis
-    )
+    got = kernel.output(np.zeros(len(starts), dtype=int), starts, edges[:, None])
+    expected = double_clip_output(floor_counts, duration, starts, edges, rate_basis)
     assert got.shape == expected.shape == (len(starts), horizon, 8)
     assert got.tobytes() == expected.tobytes()
 
@@ -359,9 +401,7 @@ def synthetic_288():
     return synthetic_instance(288, 8, 3)
 
 
-@pytest.mark.parametrize(
-    "count", [0, 1, HORIZON_BLOCK - 1, HORIZON_BLOCK, HORIZON_BLOCK + 1, 288]
-)
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 288])
 def test_blocked_horizon_table_is_the_placement_order_sum(synthetic_288, count):
     project = synthetic_288.project
     placements = synthetic_288.team_schedule.placements()[:count]

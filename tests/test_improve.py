@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import random
+from math import ceil
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from balsched.fileio import save_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DAYS_PER_MONTH,
+    DETAIL_TYPES,
     Building,
     SectionType,
     TeamSchedule,
@@ -46,7 +48,14 @@ from balsched.improve import (
 )
 
 from catalogue import KOPE_CATALOGUE
-from oracles import mckp_enumerate, mckp_exact, ratio_greedy, rebuild_feasible
+from oracles import (
+    mckp_enumerate,
+    mckp_exact,
+    ratio_greedy,
+    rebuild_feasible,
+    whole_horizon_menu,
+    whole_horizon_profit,
+)
 from synthetic import synthetic_instance
 
 
@@ -355,6 +364,38 @@ def test_score_late_shift_of_a8_pays_off(kope):
     assert cost == pytest.approx(2.1)
 
 
+@pytest.mark.parametrize("capacity", [None, {"d1": 300.0, "d2": 90.0}])
+def test_single_move_scores_agree_with_whole_horizon_pricing(kope, capacity):
+    """Every shift of every kope building, also past month 0 or the
+    horizon, and every exchange, feasible or not; at kope's capacity and
+    at one that even the first month exceeds."""
+    project, schedule, capacity = kope.project, kope.team_schedule, capacity or kope.capacity
+    placement = {b: (team, start) for team, b, start in schedule.placements()}
+    v = violation_measure(
+        horizon_requirement_table(project, schedule).to_array(), capacity_vector(capacity)
+    )
+    for b, (team, start) in placement.items():
+        for days in (*SHIFT_STEPS, 45, 90, 300):
+            for kind, new_start in (("shift_right", start + days / DAYS_PER_MONTH),
+                                    ("shift_left", start - days / DAYS_PER_MONTH)):
+                profit, _cost = score_variant(
+                    project, schedule, CorrectionVariant(kind, days=days), capacity, target=b
+                )
+                oracle = whole_horizon_profit(project, schedule, capacity, [(b, team, new_start)])
+                assert abs(profit - oracle) <= 1e-12 * max(1.0, v), (b, kind, days)
+        for other, (other_team, other_start) in placement.items():
+            if other != b:
+                profit, _cost = score_variant(
+                    project, schedule, CorrectionVariant("exchange", buildings=(b, other)),
+                    capacity,
+                )
+                oracle = whole_horizon_profit(
+                    project, schedule, capacity,
+                    [(b, other_team, other_start), (other, team, start)],
+                )
+                assert abs(profit - oracle) <= 1e-12 * max(1.0, v), (b, other)
+
+
 def test_score_unplaced_target_is_an_error(kope):
     variant = CorrectionVariant(kind="shift_right", days=7)
     with pytest.raises(ValueError, match="not placed"):
@@ -453,6 +494,113 @@ def test_generated_profits_equal_single_move_scores(kope):
                 assert cost == v.cost
 
 
+def _assert_menu_matches_the_oracle(project, schedule, capacity):
+    """The generated menu has the oracle's rows, kinds, days and partners,
+    and its profits are within 1e-12 * max(1, V) of the oracle's."""
+    v, expected = whole_horizon_menu(project, schedule, capacity, SHIFT_STEPS)
+    got = [
+        (g.targets[0], v.kind, v.days, v.buildings and v.buildings[1], v.profit)
+        for g in generate_correction_groups(project, schedule, capacity)
+        for v in g.variants[1:]
+    ]
+    assert [row[:4] for row in got] == [row[:4] for row in expected]
+    tolerance = 1e-12 * max(1.0, v)
+    for row, oracle in zip(got, expected):
+        assert abs(row[4] - oracle[4]) <= tolerance, (row, oracle[4])
+    return got
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_menu_profits_agree_with_whole_horizon_pricing(kope, data):
+    """Kope buildings on one to three lanes, starts on and off whole months,
+    and one to three details capped anywhere from 0 to near their peak."""
+    project = kope.project
+    ids = data.draw(st.lists(st.sampled_from(sorted(project.buildings)),
+                             min_size=2, max_size=9, unique=True))
+    teams = ("T1", "T2", "T3")[: data.draw(st.integers(1, 3))]
+    gap = st.sampled_from((0.0, 0.1, 1 / 30, 0.5, 1.0)) | st.floats(0.0, 3.0)
+    assignments, ends = {team: [] for team in teams}, dict.fromkeys(teams, 0.0)
+    for building_id in ids:
+        team = data.draw(st.sampled_from(teams))
+        start = ends[team] + data.draw(gap)
+        assignments[team].append((building_id, start))
+        ends[team] = start + project.buildings[building_id].assembly_duration
+    project = dataclasses.replace(
+        project, horizon_months=ceil(max(ends.values())) + data.draw(st.integers(0, 2))
+    )
+    schedule = TeamSchedule(
+        teams=teams, assignments={team: tuple(pairs) for team, pairs in assignments.items()}
+    )
+    table = horizon_requirement_table(project, schedule)
+    details = data.draw(st.lists(st.sampled_from(DETAIL_TYPES), min_size=1, max_size=3,
+                                 unique=True))
+    # below the peak, so no month sits on its capacity, where the oracle's
+    # own rounding could call the month violated and the library not
+    share = st.sampled_from((0.0, 0.5, 0.8)) | st.floats(0.0, 0.95)
+    capacity = {d: data.draw(share) * table.peak(d)[1] for d in details}
+    _assert_menu_matches_the_oracle(project, schedule, capacity)
+
+
+@pytest.mark.parametrize("seed", [None, 12, 13, 14, 15])
+def test_menu_profits_agree_with_whole_horizon_pricing_when_seeded(kope, seed):
+    """kope (seed None) and the benchmark's 72-building, 16-team instances."""
+    instance = kope if seed is None else synthetic_instance(72, 16, seed)
+    rows = _assert_menu_matches_the_oracle(
+        instance.project, instance.team_schedule, instance.capacity
+    )
+    assert len(rows) > 20
+
+
+# improvement_loop(budget=5, max_iters=3): each iteration's chosen moves and
+# the final V, recorded from the loop that priced every move on the whole
+# horizon and all eight details.
+THREE_ITERATION_PINS = {
+    (72, 16, 12): ([
+        "b0006 -3d, exchange b0009<->b0069",
+        "b0024 -3d, exchange b0027<->b0066, b0061 +3d, b0070 +3d",
+        "b0024 -3d, exchange b0036<->b0067, b0059 +3d, b0070 +3d",
+    ], 2.002667996793994),
+    (72, 16, 13): ([
+        "b0006 -3d, exchange b0018<->b0069",
+        "exchange b0036<->b0066, b0054 +3d, b0068 +3d, b0070 +3d",
+        "exchange b0009<->b0067, exchange b0045<->b0070, b0051 -3d, b0054 +3d",
+    ], 1.7827971892753198),
+    (72, 16, 14): ([
+        "exchange b0009<->b0069, b0015 -3d",
+        "b0007 +3d, b0016 +3d, exchange b0027<->b0066, b0054 +3d",
+        "exchange b0045<->b0067, b0068 +3d, b0070 +3d, b0071 +3d",
+    ], 1.9465033670685572),
+    (72, 16, 15): ([
+        "exchange b0036<->b0069, b0054 +3d, b0070 +3d",
+        "exchange b0009<->b0066, b0068 +3d, b0070 +7d",
+        "exchange b0027<->b0067, b0054 +3d, b0068 +3d, b0070 +3d",
+    ], 2.0429164564822893),
+    (144, 32, 5): ([
+        "exchange b0009<->b0132, b0133 +3d, b0141 +3d, b0142 +3d",
+        "exchange b0018<->b0138, b0133 +3d, b0141 +3d, b0142 +3d",
+        "exchange b0027<->b0129, b0133 +3d, b0141 +3d, b0142 +3d",
+    ], 3.4966331120350316),
+}
+
+
+@pytest.mark.parametrize("size", THREE_ITERATION_PINS, ids=lambda n: "-".join(map(str, n)))
+def test_three_iteration_loops_keep_their_selections(size):
+    instance = synthetic_instance(*size)
+    result = improvement_loop(
+        instance.project, instance.team_schedule, instance.capacity,
+        ImproveParams(budget=5, max_iters=3),
+    )
+    chosen = [
+        ", ".join(variant.describe(target) for target, variant in record.moves())
+        for record in result.trace
+    ]
+    expected, final_v = THREE_ITERATION_PINS[size]
+    assert chosen == expected
+    assert result.v_sequence()[-1] == final_v
+    assert result.stop_reason == "max iterations"
+
+
 @pytest.mark.parametrize("target, days", [("a1", 3), ("a2", 3), ("a8", 14)])
 def test_cache_serves_only_the_exact_start(kope, target, days):
     """A table cached at a start a few ulps away is not served for x."""
@@ -472,20 +620,21 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     cache = CascadeCache(project)
     table = cache.schedule_table(schedule)
     calls = []
-    kernel_tables = balsched.homebuilding.RequirementKernel.tables
+    kernel_window = balsched.homebuilding.RequirementKernel.window
 
-    def counted_kernel(self, rows, starts):
+    def counted_kernel(self, rows, starts, cols=slice(None)):
         calls.append(len(rows))
-        return kernel_tables(self, rows, starts)
+        return kernel_window(self, rows, starts, cols)
 
-    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "tables", counted_kernel)
+    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "window", counted_kernel)
     groups = generate_correction_groups(project, schedule, capacity, cache=cache, table=table)
     exchanges = sum(v.kind == "exchange" for g in groups for v in g.variants)
     assert exchanges > 3 * len(groups)
-    # every table at a current start is cached; the rest come from at most
-    # one kernel call per target, which prices its shifts and both sides of
-    # its exchanges. A cache miss per partner would be one more call each.
-    assert len(calls) <= len(groups)
+    # one call for the placed buildings' windows where they stand, one per
+    # PRICE_BLOCK rows for every new placement: the targets' shifts and both
+    # sides of their exchanges. A call per target or per partner would be more.
+    rows = sum(len(g.variants) - 1 for g in groups)
+    assert len(calls) <= 1 + ceil(rows / balsched.improve.PRICE_BLOCK) == 2
 
 
 # `improve --max-iters 3` on _small_synthetic(kope, rounds=8), recorded
@@ -574,13 +723,13 @@ def test_horizon_table_converts_each_section_matrix_once(kope, monkeypatch):
 
 def test_a_target_with_no_move_of_a_kind_makes_no_kernel_call(kope, monkeypatch):
     sizes = []
-    kernel_tables = balsched.homebuilding.RequirementKernel.tables
+    kernel_window = balsched.homebuilding.RequirementKernel.window
 
-    def sized_kernel(self, rows, starts):
+    def sized_kernel(self, rows, starts, cols=slice(None)):
         sizes.append(len(rows))
-        return kernel_tables(self, rows, starts)
+        return kernel_window(self, rows, starts, cols)
 
-    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "tables", sized_kernel)
+    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "window", sized_kernel)
     groups = generate_correction_groups(kope.project, kope.team_schedule, kope.capacity)
     # kope's last target has no exchange partner
     assert any(all(v.kind != "exchange" for v in g.variants) for g in groups)
@@ -780,8 +929,9 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
         buildings, schedule
     ).slots(ids)
     placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
+    every = np.arange(len(ids))
+    fits = balsched.improve._swap_fits(starts, lengths, following, horizon, every)
     for i, first in enumerate(ids):
-        fits = balsched.improve._swap_fits(starts, lengths, following, horizon, i)
         for k, second in enumerate(ids):
             if k == i:
                 continue
@@ -790,7 +940,7 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
                 assignments, durations, horizon,
                 [(first, team2, start2), (second, team1, start1)],
             )
-            assert fits[k] == expected, (first, second)
+            assert fits[i, k] == expected, (first, second)
 
 
 # --- applying selections ----------------------------------------------------------

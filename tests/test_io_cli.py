@@ -722,6 +722,25 @@ def test_cli_balance_accepts_zero_capacity(runner, tmp_path, emitted):
     assert "violated months: " + " ".join(map(str, range(1, 20))) in result.stdout
 
 
+def test_cli_improve_treats_rounding_noise_at_zero_capacity_as_no_move(
+    runner, tmp_path, emitted
+):
+    """A zero capacity divides by 1e-9, so V is about 1.4e13 and every
+    move's profit is a few ulps of V: below the loop's relative threshold."""
+    data = json.loads(emitted["kope-1982"].read_text())
+    data["homebuilding"]["capacity"] = {"d1": 0}
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(data))
+    result = runner.invoke(main, ["improve", str(zero)])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == [
+        "iteration 1: V 14142999999999.9980 -> 14142999999999.9980 rejected; "
+        "chosen: none (profit 0.0000, cost 0.00)",
+        "stop: no improving selection",
+        "final peak d1: 1934.60 (month 12)",
+    ]
+
+
 @pytest.mark.parametrize("option", ["--budget", "--max-iters"])
 def test_cli_improve_rejects_negative_limits(runner, emitted, option):
     result = runner.invoke(main, ["improve", str(emitted["kope-1982"]), option, "-1"])
