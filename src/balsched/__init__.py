@@ -31,6 +31,7 @@ from .core import (
     ElementUniverse,
     Instance,
     IntervalBag,
+    JobTable,
     SlotSchedule,
     TimeGrid,
     ValidationError,
@@ -97,6 +98,7 @@ from .jit import (
     PenaltyWeights,
     WindowJob,
     WindowScheduleResult,
+    WindowTable,
     earliness,
     penalty_max,
     penalty_sum,
@@ -122,6 +124,7 @@ __all__ = [
     "InstanceFile",
     "IntervalBag",
     "IterationRecord",
+    "JobTable",
     "LoopResult",
     "MonthlyFloorProfile",
     "PenaltyWeights",
@@ -136,6 +139,7 @@ __all__ = [
     "ValidationError",
     "WindowJob",
     "WindowScheduleResult",
+    "WindowTable",
     "apply_selection",
     "balance_verdict",
     "build_fixture",

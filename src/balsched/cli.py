@@ -42,7 +42,7 @@ from .improve import (
     improvement_loop,
     violated_months,
 )
-from .jit import penalty_max, penalty_sum, schedule_windows
+from .jit import WindowTable, penalty_max, penalty_sum, schedule_windows
 
 
 def _echo(message: str = "", err: bool = False, nl: bool = True) -> None:
@@ -132,13 +132,11 @@ def evaluate(file):
                 _echo(
                     "outside window: " + " ".join(result.infeasible_jobs)
                 )
-            by_machine: dict[int, list] = {}
-            for job in instance.window_jobs:
-                by_machine.setdefault(job.machine, []).append(job)
-            for machine in sorted(by_machine):
-                jobs = sorted(by_machine[machine], key=lambda j: j.position)
+            table = WindowTable.of(instance.window_jobs)
+            for machine, rows in table.sequences():
                 cells = "  ".join(
-                    f"{j.id} C={result.completions[j.id]:.2f}" for j in jobs
+                    f"{job_id} C={result.completions[job_id]:.2f}"
+                    for job_id in map(table.id.__getitem__, rows.tolist())
                 )
                 _echo(f"machine {machine}: {cells}")
             if weights:

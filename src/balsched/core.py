@@ -7,16 +7,20 @@ bag (multiset) of the element types consumed there, padded with an explicit
 idle type so that every bag has the same cardinality. Downstream balance
 checks compare those bags against a reference output profile.
 
-All types are immutable values after validation and every operation is pure,
-so instances and schedules can be shared freely across threads.
+A validated instance holds its jobs as a JobTable: ids, CSR chain offsets
+and one flat array of universe type codes. Validation, makespans and bags
+read only the codes and lengths; CompositeJob records are built only when
+something asks for one. All types are immutable values after validation
+(the table's arrays are read-only) and every operation is pure, so
+instances and schedules can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
-from operator import index
-from typing import Iterable, Mapping, Sequence
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -87,6 +91,84 @@ class CompositeJob:
         return len(self.chain)
 
 
+@dataclass(frozen=True, eq=False)
+class JobTable(Sequence):
+    """Composite jobs over one universe as columns: ``ids``, CSR ``offsets``
+    (row i's chain is ``codes[offsets[i]:offsets[i + 1]]``) and the flat
+    universe ``codes`` of every chain element, in read-only arrays. It is a
+    sequence of CompositeJob records, each built on request, and equals a
+    table or tuple of equal records. ``row`` maps each id to its last row,
+    and ``lengths`` holds the chain lengths.
+    """
+
+    universe: ElementUniverse
+    ids: tuple[str, ...]
+    offsets: np.ndarray
+    codes: np.ndarray
+    row: dict[str, int] = field(init=False, repr=False)
+    lengths: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", dict(zip(self.ids, range(len(self.ids)))))
+        object.__setattr__(self, "lengths", np.diff(self.offsets))
+        for column in (self.offsets, self.codes, self.lengths):
+            column.flags.writeable = False
+
+    @classmethod
+    def from_chains(cls, universe: ElementUniverse, ids: Sequence[str], chains) -> JobTable:
+        """The table of jobs ids[i] with chains[i], by one ``universe.codes``
+        lookup per element.
+
+        Raises:
+            KeyError, TypeError: on an unknown or unhashable element.
+        """
+        offsets = np.zeros(len(chains) + 1, np.intp)
+        np.cumsum(np.fromiter(map(len, chains), np.intp, len(chains)), out=offsets[1:])
+        elements = chain.from_iterable(chains)
+        codes = np.fromiter(map(universe.codes.__getitem__, elements), np.intp, offsets[-1])
+        return cls(universe, tuple(ids), offsets, codes)
+
+    @classmethod
+    def of(cls, universe: ElementUniverse, jobs: Iterable[CompositeJob]) -> JobTable:
+        """jobs as a table of universe: such a table itself, or the records
+        turned into columns (raising as from_chains)."""
+        if isinstance(jobs, JobTable) and jobs.universe == universe:
+            return jobs
+        jobs = list(jobs)
+        return cls.from_chains(universe, [job.id for job in jobs], [job.chain for job in jobs])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> CompositeJob:
+        i = range(len(self.ids))[i]
+        codes = self.codes[self.offsets[i]:self.offsets[i + 1]].tolist()
+        return CompositeJob(self.ids[i], tuple(map(self.universe.types.__getitem__, codes)))
+
+    def __eq__(self, other):
+        if isinstance(other, (JobTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
+class JobIndex(Mapping):
+    """A job table's jobs by id, each CompositeJob built on request."""
+
+    def __init__(self, table: JobTable):
+        self.table = table
+
+    def __getitem__(self, job_id: str) -> CompositeJob:
+        return self.table[self.table.row[job_id]]
+
+    def __iter__(self):
+        return iter(self.table.ids)
+
+    def __len__(self) -> int:
+        return len(self.table.ids)
+
+
 @dataclass(frozen=True)
 class SlotSchedule:
     """Per-processor placements of jobs at integer start slots.
@@ -133,7 +215,11 @@ class IntervalBag:
 
 @dataclass(frozen=True)
 class Instance:
-    """A validated problem instance: alphabet, jobs, processors, grid."""
+    """A validated problem instance: alphabet, jobs, processors, grid.
+
+    validate_instance gives ``jobs`` as a JobIndex over the instance's job
+    table. A hand-built mapping of records is read record by record.
+    """
 
     universe: ElementUniverse
     jobs: Mapping[str, CompositeJob]
@@ -150,8 +236,15 @@ def collect_violations(
     """Structural checks on raw inputs; returns all violations found.
 
     Each entry names the offending entity and the rule, e.g.
-    ``"job a3: empty chain"``.
+    ``"job a3: empty chain"``. A job table of this universe is checked on
+    its columns; only one that breaks a job rule, and jobs given as
+    records, are walked job by job, so the entries keep their order.
     """
+    if isinstance(jobs, JobTable) and jobs.universe == universe and (
+        len(jobs.row) == len(jobs) and jobs.lengths.all()
+        and not (jobs.codes == universe.idle_index).any()
+    ):
+        jobs = ()  # the walk below would find nothing
     violations: list[str] = []
 
     seen_types = set()
@@ -209,34 +302,88 @@ def validate_instance(
     processors: Sequence[str],
     grid: TimeGrid,
 ) -> Instance:
-    """Validate raw inputs and return an immutable Instance.
+    """Validate raw inputs and return an immutable Instance whose jobs are
+    a JobIndex over ``jobs``, if that is a job table of this universe, or
+    over a table built from the records.
 
     Raises:
         ValidationError: listing every broken rule, one entry per violation.
     """
-    jobs = list(jobs)
+    jobs = jobs if isinstance(jobs, JobTable) else list(jobs)
+    try:
+        jobs = JobTable.of(universe, jobs)
+    except (KeyError, TypeError):
+        pass  # an unknown element, which collect_violations reports
     violations = collect_violations(universe, jobs, processors, grid)
     if violations:
         raise ValidationError(violations)
     return Instance(
         universe=universe,
-        jobs={job.id: job for job in jobs},
+        jobs=JobIndex(jobs),
         processors=tuple(processors),
         grid=grid,
     )
 
 
-def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]:
-    """Check a schedule against its instance; returns all violations."""
-    violations: list[str] = []
-    placed: set[str] = set()
+def _placed(instance: Instance, schedule: SlotSchedule):
+    """(table, rows, starts): the instance's job table, and the row and
+    start slot of each placement on the schedule's processors, in
+    processor order. None unless the jobs are a table of the instance's
+    universe, every id is in it and every start is an integer in [0, 2**62),
+    so that no start plus chain length overflows."""
     jobs = instance.jobs
+    if not (isinstance(jobs, JobIndex) and jobs.table.universe == instance.universe):
+        return None
+    table = jobs.table
+    lanes = (schedule.placements.get(proc, ()) for proc in schedule.processors)
+    pairs = list(chain.from_iterable(lanes))
+    n = len(pairs)
+    try:  # a KeyError is an unknown id
+        starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
+        rows = np.fromiter(map(table.row.__getitem__, map(itemgetter(0), pairs)), np.intp, n)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if not ((starts >= 0) & (starts < 2**62)).all():
+        return None
+    return table, rows, starts
+
+
+def _lanes_clean(instance: Instance, schedule: SlotSchedule) -> bool:
+    """Whether the placements on a validated instance break no rule of
+    schedule_violations, decided on the job table's columns."""
+    placed = _placed(instance, schedule)
+    if placed is None:
+        return False
+    table, rows, starts = placed
+    if np.bincount(rows).max(initial=0) > 1:  # a job placed more than once
+        return False
+    ends = starts + table.lengths[rows]
+    sizes = [len(schedule.placements.get(proc, ())) for proc in schedule.processors]
+    lane = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.lexsort((starts, lane))
+    lane, starts, ends = lane[order], starts[order], ends[order]
+    overlaps = (lane[1:] == lane[:-1]) & (starts[1:] < ends[:-1])
+    return bool((ends <= schedule.horizon_slots).all() and not overlaps.any())
+
+
+def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]:
+    """Check a schedule against its instance; returns all violations.
+
+    The placements on a validated instance are checked on its job table's
+    columns; only placements that break a rule, and hand-built jobs, are
+    walked placement by placement, so the entries keep their order.
+    """
+    violations: list[str] = []
     for proc in schedule.placements:
         if proc not in schedule.processors:
             violations.append(f"schedule: unknown processor '{proc}'")
     for proc in schedule.processors:  # a subset of the instance's is fine
         if proc not in instance.processors:
             violations.append(f"schedule: unknown processor '{proc}'")
+    if _lanes_clean(instance, schedule):
+        return violations
+    placed: set[str] = set()
+    jobs = instance.jobs
     for proc in schedule.processors:
         occupied: list[tuple[int, int, str]] = []
         for job_id, start in schedule.placements.get(proc, ()):
@@ -280,15 +427,26 @@ def makespan(instance: Instance, schedule: SlotSchedule, grid: TimeGrid | None =
     An interval is occupied if any chain element of a placed job falls in it.
     """
     grid = grid or instance.grid
-    jobs = instance.jobs
-    last_slot = -1
-    for proc in schedule.processors:
-        for job_id, start in schedule.placements.get(proc, ()):
-            end = start + len(jobs[job_id].chain) - 1
-            last_slot = max(last_slot, end)
+    placed = _placed(instance, schedule)
+    if placed is not None:
+        table, rows, starts = placed
+        last_slot = int((starts + table.lengths[rows]).max(initial=0)) - 1
+    else:  # hand-built jobs, or placements _placed refuses
+        jobs = instance.jobs
+        last_slot = -1
+        for proc in schedule.processors:
+            for job_id, start in schedule.placements.get(proc, ()):
+                last_slot = max(last_slot, start + len(jobs[job_id].chain) - 1)
     if last_slot < 0:
         return 0
     return last_slot // grid.interval_len_slots + 1
+
+
+def _ramps(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """For each i in turn, the lengths[i] values firsts[i], firsts[i] + 1, ..."""
+    out = np.repeat(firsts - (np.cumsum(lengths) - lengths), lengths)
+    out += np.arange(len(out))
+    return out
 
 
 def interval_bags(
@@ -301,12 +459,13 @@ def interval_bags(
     Every occupied slot lands in exactly one bag; each bag's cardinality is
     interval_len_slots x number of processors, or more where overlapping
     placements overfill an interval. The bags are tallied from the chains'
-    integer codes in one bincount.
+    integer codes (the job table's, or those of hand-built records) in one
+    bincount.
 
     Raises:
         ValueError: if the grid covers fewer slots than the schedule horizon,
-            if a placement runs outside the grid, or on an element type not
-            in the universe.
+            if a placement runs outside the grid, on an element type not in
+            the universe, or if the grid has too many intervals to tally.
     """
     grid = grid or instance.grid
     if grid.horizon_slots < schedule.horizon_slots:
@@ -315,16 +474,20 @@ def interval_bags(
             f"{schedule.horizon_slots}"
         )
     universe = instance.universe
-    starts, chains = [], []
-    for proc in schedule.processors:
-        for job_id, start in schedule.placements.get(proc, ()):
-            starts.append(start)
-            chains.append(instance.jobs[job_id].chain)
-    lengths = np.array([len(c) for c in chains], dtype=np.intp)
-    starts = np.fromiter(map(index, starts), np.intp, len(starts))  # ints only
-    # each element's slot: its chain's start plus its offset in the chain
-    slots = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    slots += np.arange(len(slots))
+    placed = _placed(instance, schedule)
+    if placed is not None:
+        table, rows, starts = placed
+        lengths = table.lengths[rows]
+    else:  # hand-built jobs, or placements _placed refuses
+        starts, chains = [], []
+        for proc in schedule.processors:
+            for job_id, start in schedule.placements.get(proc, ()):
+                starts.append(start)
+                chains.append(instance.jobs[job_id].chain)
+        lengths = np.array([len(c) for c in chains], dtype=np.intp)
+        starts = np.fromiter(map(index, starts), np.intp, len(starts))  # ints only
+        table = None
+    slots = _ramps(starts, lengths)  # each element's slot
     if len(slots) and (slots.min() < 0 or slots.max() >= grid.horizon_slots):
         raise ValueError(
             f"placement outside the grid's {grid.horizon_slots} slots"
@@ -333,23 +496,29 @@ def interval_bags(
     keys = slots  # turned into interval * size + code in place, to save memory
     keys //= grid.interval_len_slots
     keys *= size
+    if table is not None:
+        keys += table.codes[_ramps(table.offsets[rows], lengths)]
+    else:
+        try:
+            keys += np.fromiter(
+                map(universe.codes.__getitem__, chain.from_iterable(chains)), np.intp, len(keys)
+            )
+        except (KeyError, TypeError):
+            # position() raises on the first unknown element in bag order
+            elements = list(chain.from_iterable(chains))
+            for i in np.argsort(keys, kind="stable"):
+                universe.position(elements[i])
+            raise
     try:
-        keys += np.fromiter(
-            map(universe.codes.__getitem__, chain.from_iterable(chains)), np.intp, len(keys)
-        )
-    except (KeyError, TypeError):
-        # position() raises on the first unknown element in bag order
-        elements = list(chain.from_iterable(chains))
-        for i in np.argsort(keys, kind="stable"):
-            universe.position(elements[i])
-        raise
-    counts = np.bincount(keys, minlength=grid.k * size).reshape(grid.k, size)
+        counts = np.bincount(keys, minlength=grid.k * size).reshape(grid.k, size)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"grid of {grid.k} intervals is too large to tally") from None
     capacity = grid.interval_len_slots * len(schedule.processors)
     counts[:, universe.codes[universe.idle]] += np.maximum(capacity - counts.sum(1), 0)
-    bags = []
-    for i, row in enumerate(counts.tolist()):
-        bag: list[str] = []
-        for t, n in zip(universe.types, row):
-            bag += [t] * n
-        bags.append(IntervalBag(index=i + 1, elements=tuple(bag), counts=tuple(row)))
-    return bags
+    types = np.array(universe.types, dtype=object)
+    elements = np.repeat(np.tile(types, grid.k), counts.ravel()).tolist()
+    ends = np.cumsum(counts.sum(1)).tolist()
+    return [
+        IntervalBag(index=i + 1, elements=tuple(elements[a:b]), counts=tuple(row))
+        for i, (row, a, b) in enumerate(zip(counts.tolist(), [0] + ends, ends))
+    ]

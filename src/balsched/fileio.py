@@ -20,11 +20,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
+from itertools import repeat
 from typing import Any, Mapping, Sequence
 
 from .core import (
     CompositeJob,
     ElementUniverse,
+    JobTable,
     SlotSchedule,
     TimeGrid,
 )
@@ -39,7 +41,7 @@ from .homebuilding import (
     TeamSchedule,
 )
 from .improve import ImproveParams
-from .jit import PenaltyWeights, WindowJob
+from .jit import PenaltyWeights, WindowJob, WindowTable
 
 FORMAT_VERSION = 1
 
@@ -59,18 +61,23 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """Everything one run needs, as loaded from a single JSON file."""
+    """Everything one run needs, as loaded from a single JSON file.
+
+    A loaded file holds its modular jobs as a JobTable and its window jobs
+    as a WindowTable; an instance built by hand may hold tuples of records
+    instead, and compares equal to its loaded form.
+    """
 
     mode: str
     # modular
     universe: ElementUniverse | None = None
-    jobs: tuple[CompositeJob, ...] | None = None
+    jobs: JobTable | tuple[CompositeJob, ...] | None = None
     processors: tuple[str, ...] | None = None
     grid: TimeGrid | None = None
     schedule: SlotSchedule | None = None
     reference_profile: tuple[float, ...] | None = None
     proximity_threshold: float | None = None
-    window_jobs: tuple[WindowJob, ...] | None = None
+    window_jobs: WindowTable | tuple[WindowJob, ...] | None = None
     penalty_weights: PenaltyWeights | None = None
     # homebuilding
     project: Project | None = None
@@ -89,13 +96,15 @@ class InstanceFile:
 # reported and skipped, and reading goes on, so one run lists every problem.
 #
 # The bulk lists (modular jobs, each slot lane, window jobs) first get one
-# fast pass: exact type tests, defaults and records built in a plain loop,
-# no path bookkeeping and no issues. If any entry misses a test, or a
-# record's constructor refuses it, the pass gives up and the whole list is
-# read again by the path-tracking readers, so every issue keeps its text and
-# order. load_instance pauses the cyclic collector while it parses and
-# reads: a load allocates tens of thousands of containers and records but
-# makes no reference cycles, so collections during it would free nothing.
+# fast pass: exact type tests and defaults over whole columns, no path
+# bookkeeping and no issues. Jobs become a JobTable of universe codes and
+# window jobs a WindowTable, so a valid file builds no job records. If any
+# entry misses a test, an element is not in the universe, or a table
+# refuses an entry, the pass gives up and the whole list is read again by
+# the path-tracking readers, so every issue keeps its text and order.
+# load_instance pauses the cyclic collector while it parses and reads: a
+# load allocates tens of thousands of containers but makes no reference
+# cycles, so collections during it would free nothing.
 
 class _Bad(Exception):
     """A value its reader refuses; ``keys`` is its path, innermost first."""
@@ -125,13 +134,8 @@ _MAX = sys.float_info.max
 _REQUIRED = object()
 
 
-def _finite(v) -> bool:
-    # NaN, infinities and integers past the float range fail the bounds
-    return (type(v) is float or type(v) is int) and -_MAX <= v <= _MAX
-
-
 def _float(v) -> float:
-    # _finite, inlined: this runs once per number of every record
+    # NaN, infinities and integers past the float range fail the bounds
     if (type(v) is float or type(v) is int) and -_MAX <= v <= _MAX:
         return float(v)
     raise _Bad("expected a finite number")
@@ -244,17 +248,21 @@ def _job(_, v) -> CompositeJob:
     return CompositeJob(_get(v, "id", _str), tuple(_get(v, "chain", _list)))
 
 
-def _jobs(items: list) -> tuple[CompositeJob, ...] | None:
-    """The fast pass of _job over a whole list."""
-    out = []
-    for v in items:
-        if type(v) is not dict:
-            return None
-        job_id, chain = v.get("id"), v.get("chain")
-        if type(job_id) is not str or type(chain) is not list:
-            return None
-        out.append(CompositeJob(job_id, tuple(chain)))
-    return tuple(out)
+def _column(items: list, key: str) -> list:
+    """items[i].get(key) for every entry; a TypeError unless each is a dict."""
+    return list(map(dict.get, items, repeat(key)))
+
+
+def _job_table(universe: ElementUniverse | None, items: list) -> JobTable | None:
+    """The fast pass of _job over a whole list, as a table of universe."""
+    try:
+        ids, chains = _column(items, "id"), _column(items, "chain")
+        if (universe is not None and set(map(type, ids)) <= {str}
+                and set(map(type, chains)) <= {list}):
+            return JobTable.from_chains(universe, ids, chains)
+    except (KeyError, TypeError):  # an entry that is no object, or an element not in universe
+        pass
+    return None
 
 
 def _grid(v) -> TimeGrid:
@@ -280,8 +288,9 @@ def _slots(items: list) -> tuple[tuple[str, int], ...] | None:
 def _load_modular(block: dict, issues: list) -> dict:
     at = "/modular"
     out = {
-        "universe": _field(block, "universe", _universe, issues, at),
-        "jobs": _each(block, "jobs", _list, _job, issues, at, fast=_jobs),
+        "universe": (universe := _field(block, "universe", _universe, issues, at)),
+        "jobs": _each(block, "jobs", _list, _job, issues, at,
+                      fast=partial(_job_table, universe)),
         "processors": _field(block, "processors", _strs, issues, at),
         "grid": _field(block, "grid", _grid, issues, at),
         "reference_profile": _field(
@@ -413,30 +422,31 @@ def _window_job(ids: set, _, v) -> WindowJob:
     )
 
 
-def _window_jobs(items: list) -> tuple[WindowJob, ...] | None:
-    """The fast pass of _window_job over a whole list, with its own
-    duplicate-id set."""
-    ids = set()
-    out = []
-    for v in items:
-        if type(v) is not dict:
-            return None
-        job_id = v.get("id")
-        p, t1, t2 = v.get("processing_time"), v.get("t1"), v.get("t2")
-        machine, position = v.get("machine"), v.get("position")
-        if machine is None:
-            machine = 1
-        if position is None:
-            position = 1
-        if not (
-            type(job_id) is str and job_id not in ids
-            and _finite(p) and _finite(t1) and _finite(t2)
-            and type(machine) is int and type(position) is int
-        ):
-            return None
-        ids.add(job_id)
-        out.append(WindowJob(job_id, float(p), float(t1), float(t2), machine, position))
-    return tuple(out)
+def _numbers(values: list) -> list | None:
+    """values, if each is a finite number (ints as floats), else None."""
+    if set(map(type, values)) <= {float}:  # the usual case
+        return values if all(map(math.isfinite, values)) else None
+    try:
+        return list(map(_float, values))
+    except _Bad:
+        return None
+
+
+def _window_table(items: list) -> WindowTable | None:
+    """The fast pass of _window_job over a whole list; the table's own
+    check refuses an empty window or a negative processing time."""
+    try:
+        ids = _column(items, "id")
+        numbers = [_numbers(_column(items, key)) for key in ("processing_time", "t1", "t2")]
+        ints = [[1 if n is None else n for n in _column(items, key)]
+                for key in ("machine", "position")]
+    except TypeError:
+        return None
+    if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
+            and None not in numbers
+            and all(set(map(type, column)) <= {int} for column in ints)):
+        return None
+    return WindowTable(tuple(ids), *numbers, *ints)
 
 
 def _weights(v) -> PenaltyWeights:
@@ -476,7 +486,7 @@ def instance_from_dict(data: Any) -> InstanceFile:
     ids: set = set()
     out["window_jobs"] = _each(
         data, "window_jobs", _list, partial(_window_job, ids), issues, "", None,
-        fast=_window_jobs,
+        fast=_window_table,
     )
     out["penalty_weights"] = _field(
         data, "penalty_weights", _weights, issues, "", None
@@ -513,6 +523,11 @@ def _parse(text: str):
         raise SchemaError(["/: invalid JSON: nested too deeply"]) from None
 
 
+def _read(path) -> str:
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()
+
+
 def load_instance(path) -> InstanceFile:
     """Read and schema-validate an instance file, with the cyclic garbage
     collector paused (process-wide) while it parses and reads.
@@ -522,11 +537,10 @@ def load_instance(path) -> InstanceFile:
         OSError: if the file cannot be read.
     """
     with _collector_paused():
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-        # the parsed document is a temporary, freed before the collector
-        # resumes, so the first collection after a load scans only records
-        return instance_from_dict(_parse(text))
+        # the text and the parsed document are temporaries: the text is
+        # freed once parsed, and the document before the collector resumes,
+        # so the first collection after a load scans only the instance
+        return instance_from_dict(_parse(_read(path)))
 
 
 # --- writing -----------------------------------------------------------------
@@ -567,6 +581,8 @@ _WRITERS = {
     tuple: _sequence,
     list: _sequence,
     dict: _mapping,
+    JobTable: lambda table: [_emit(job) for job in table],
+    WindowTable: lambda table: [_emit(job) for job in table],
     Building: _record_writer(Building, skip="id"),  # the id is its map key
     SectionType: lambda st: dict(zip(FLOOR_TYPES, map(list, st.detail_matrix))),
     BuildingType: lambda bt: dict(bt.floor_counts),

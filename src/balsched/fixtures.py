@@ -11,7 +11,7 @@ so no variant catalogue is stored.
 
 from __future__ import annotations
 
-from .core import CompositeJob, ElementUniverse, SlotSchedule, TimeGrid
+from .core import CompositeJob, ElementUniverse, JobTable, SlotSchedule, TimeGrid
 from .fileio import InstanceFile
 from .homebuilding import (
     Building,
@@ -22,7 +22,7 @@ from .homebuilding import (
     TeamSchedule,
 )
 from .improve import ImproveParams
-from .jit import PenaltyWeights, WindowJob
+from .jit import PenaltyWeights, WindowJob, WindowTable
 
 
 def modular_demo() -> InstanceFile:
@@ -41,7 +41,7 @@ def modular_demo() -> InstanceFile:
         "a3": ("e1", "e2", "e4", "e5"),
         "a4": ("e1", "e2", "e2", "e3", "e4", "e5"),
     }
-    jobs = (
+    jobs = JobTable.of(universe, (
         CompositeJob("a1", chains["a1"]),
         CompositeJob("a2", chains["a2"]),
         CompositeJob("a3a", chains["a3"]),
@@ -50,7 +50,7 @@ def modular_demo() -> InstanceFile:
         CompositeJob("a3d", chains["a3"]),
         CompositeJob("a4a", chains["a4"]),
         CompositeJob("a4b", chains["a4"]),
-    )
+    ))
     schedule = SlotSchedule(
         processors=("P1", "P2", "P3"),
         placements={
@@ -93,13 +93,13 @@ def jit_windows() -> InstanceFile:
     return InstanceFile(
         mode="modular",
         universe=universe,
-        jobs=(),
+        jobs=JobTable.of(universe, ()),
         processors=("P1",),
         grid=TimeGrid(interval_len_slots=1, k=1),
         schedule=SlotSchedule(
             processors=("P1",), placements={"P1": ()}, horizon_slots=1
         ),
-        window_jobs=tuple(
+        window_jobs=WindowTable.of(
             WindowJob(
                 id=r[0], processing_time=r[1], t1=r[2], t2=r[3],
                 machine=r[4], position=r[5],

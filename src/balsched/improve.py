@@ -229,16 +229,33 @@ class CascadeCache:
         """The project's buildings stacked for batched tables."""
         return RequirementKernel(self.project, list(self.project.buildings.values()))
 
+    def _fill(self, keys) -> None:
+        """Cache the tables of the (building, start) keys not yet cached,
+        from one window call: each window added into +0.0 at its months
+        inside the horizon, so a table equals kernel.total of its row."""
+        missing = [key for key in dict.fromkeys(keys) if key not in self._tables]
+        if not missing:
+            return
+        kernel = self.kernel
+        rows = [kernel.row[building_id] for building_id, _start in missing]
+        first, windows = kernel.window(rows, [start for _building, start in missing])
+        months = first[:, None] + np.arange(kernel.width)
+        for key, at, window in zip(missing, months, windows):
+            table = np.zeros((kernel.horizon, len(DETAIL_TYPES)))
+            inside = at < kernel.horizon
+            table[at[inside]] += window[inside]
+            self._tables[key] = table
+
     def building_table(self, building_id: str, start: float) -> np.ndarray:
-        key = (building_id, start)
-        if key not in self._tables:
-            self._tables[key] = self.kernel.total([self.kernel.row[building_id]], [start])
-        return self._tables[key]
+        self._fill([(building_id, start)])
+        return self._tables[building_id, start]
 
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
+        keys = [(building_id, start) for _team, building_id, start in schedule.placements()]
+        self._fill(keys)
         total = np.zeros((self.project.horizon_months, len(DETAIL_TYPES)))
-        for _team, building_id, start in schedule.placements():
-            total += self.building_table(building_id, start)
+        for key in keys:
+            total += self.building_table(*key)
         return total
 
 

@@ -5,12 +5,17 @@ after t2 is tardy, and both attract weighted penalties. Sequences are given
 (positions per machine are fixed); the dispatcher starts each job as early
 as its window and the previous job allow. The evaluator only measures -- it
 never optimizes the sequence.
+
+The jobs are read as a WindowTable of columns (id, machine, position, p,
+t1, t2); records passed in are turned into one on entry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 #: Completions beyond t2 by more than this count as infeasible.
 FEASIBILITY_TOLERANCE = 1e-9
@@ -42,6 +47,88 @@ class WindowJob:
             )
 
 
+def _ints(values) -> np.ndarray:
+    """An int64 column of Python ints; an object column of other numbers,
+    or of ints past int64, keeps them as they are."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        try:
+            return np.array(values, dtype=np.int64)
+        except OverflowError:
+            pass
+    return np.array(values, dtype=object)
+
+
+@dataclass(frozen=True, eq=False)
+class WindowTable(Sequence):
+    """Window jobs as read-only columns: ``id``, ``p`` (processing times),
+    ``t1``, ``t2``, ``machine`` and ``position``. It is a sequence of
+    WindowJob records, each built on request, and equals a table or tuple
+    of equal records.
+
+    Raises:
+        ValueError: as WindowJob does, for the first job it refuses.
+    """
+
+    id: tuple[str, ...]
+    p: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    machine: np.ndarray
+    position: np.ndarray
+
+    def __post_init__(self):
+        for name in ("p", "t1", "t2", "machine", "position"):
+            value = getattr(self, name)
+            column = _ints(value) if name in ("machine", "position") else np.array(value, float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if not all(len(getattr(self, f.name)) == len(self.id) for f in fields(self)):
+            raise ValueError("window job columns differ in length")
+        refused = np.flatnonzero((self.p < 0) | ~(self.t1 < self.t2))
+        if len(refused):
+            self[refused[0]]  # the record's own check raises
+
+    @classmethod
+    def of(cls, jobs: Iterable[WindowJob]) -> WindowTable:
+        """jobs as a table: a table itself, or records turned into columns."""
+        if isinstance(jobs, WindowTable):
+            return jobs
+        jobs = list(jobs)
+        return cls(
+            tuple(job.id for job in jobs), [job.processing_time for job in jobs],
+            [job.t1 for job in jobs], [job.t2 for job in jobs],
+            [job.machine for job in jobs], [job.position for job in jobs],
+        )
+
+    def __len__(self) -> int:
+        return len(self.id)
+
+    def __getitem__(self, i: int) -> WindowJob:
+        i = range(len(self.id))[i]
+        return WindowJob(
+            self.id[i], self.p.item(i), self.t1.item(i), self.t2.item(i),
+            self.machine.item(i), self.position.item(i),
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (WindowTable, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+    def sequences(self) -> list[tuple[int, np.ndarray]]:
+        """Each machine, in increasing order, with its rows sorted by
+        position (stably)."""
+        if not len(self.id):
+            return []
+        order = np.lexsort((self.position, self.machine))
+        machines = self.machine[order]
+        cuts = np.flatnonzero(machines[1:] != machines[:-1]) + 1
+        return list(zip(machines[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
+
+
 @dataclass(frozen=True)
 class PenaltyWeights:
     """Earliness weight alpha and tardiness weight beta, both >= 0."""
@@ -64,10 +151,19 @@ def tardiness(job: WindowJob, completion: float) -> float:
     return max(0.0, completion - job.t2)
 
 
-def _completion_of(job: WindowJob, completions: Mapping[str, float]) -> float:
-    if job.id not in completions:
-        raise ValueError(f"missing completion for job {job.id}")
-    return completions[job.id]
+def _penalties(
+    jobs: Iterable[WindowJob], completions: Mapping[str, float], weights: PenaltyWeights
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each job's weighted earliness alpha*u and tardiness beta*v, in job
+    order. Like max(0.0, x), the clamp keeps x only where x > 0.0, so a
+    NaN or -0.0 gives +0.0."""
+    table = WindowTable.of(jobs)
+    try:
+        c = np.fromiter(map(completions.__getitem__, table.id), float, len(table))
+    except KeyError as exc:
+        raise ValueError(f"missing completion for job {exc.args[0]}") from None
+    u, v = table.t1 - c, c - table.t2
+    return weights.alpha * np.where(u > 0.0, u, 0.0), weights.beta * np.where(v > 0.0, v, 0.0)
 
 
 def penalty_sum(
@@ -75,18 +171,16 @@ def penalty_sum(
     completions: Mapping[str, float],
     weights: PenaltyWeights,
 ) -> float:
-    """Total weighted earliness/tardiness: sum of alpha*u + beta*v.
+    """Total weighted earliness/tardiness: sum of alpha*u + beta*v, added
+    one job at a time in job order from 0.0.
 
     Zero exactly when every job completes inside its window.
 
     Raises:
         ValueError: if any job lacks a completion time.
     """
-    total = 0.0
-    for job in jobs:
-        c = _completion_of(job, completions)
-        total += weights.alpha * earliness(job, c) + weights.beta * tardiness(job, c)
-    return total
+    early, late = _penalties(jobs, completions, weights)
+    return float(np.add.accumulate(np.append(0.0, early + late))[-1])
 
 
 def penalty_max(
@@ -99,15 +193,8 @@ def penalty_max(
     Raises:
         ValueError: if any job lacks a completion time.
     """
-    worst = 0.0
-    for job in jobs:
-        c = _completion_of(job, completions)
-        worst = max(
-            worst,
-            weights.alpha * earliness(job, c),
-            weights.beta * tardiness(job, c),
-        )
-    return worst
+    penalties = np.concatenate(_penalties(jobs, completions, weights))
+    return float(np.max(penalties, initial=0.0, where=penalties > 0.0))
 
 
 @dataclass(frozen=True)
@@ -132,30 +219,30 @@ def schedule_windows(jobs: Sequence[WindowJob]) -> WindowScheduleResult:
         ValueError: if two jobs share an id, or positions on some machine
             do not form 1..n.
     """
-    by_machine: dict[int, list[WindowJob]] = {}
-    for job in jobs:
-        by_machine.setdefault(job.machine, []).append(job)
-
+    table = WindowTable.of(jobs)
     starts: dict[str, float] = {}
     completions: dict[str, float] = {}
     infeasible: list[str] = []
-    for machine in sorted(by_machine):
-        sequence = sorted(by_machine[machine], key=lambda j: j.position)
-        if [j.position for j in sequence] != list(range(1, len(sequence) + 1)):
+    for machine, rows in table.sequences():
+        if not np.array_equal(table.position[rows], np.arange(1, len(rows) + 1)):
             raise ValueError(
-                f"machine {machine}: positions must form 1..{len(sequence)} "
+                f"machine {machine}: positions must form 1..{len(rows)} "
                 "without gaps"
             )
         previous = 0.0
-        for job in sequence:
-            if job.id in starts:
-                raise ValueError(f"duplicate window job id '{job.id}'")
-            start = max(previous, job.t1)
-            completion = start + job.processing_time
-            starts[job.id] = start
-            completions[job.id] = completion
-            if completion > job.t2 + FEASIBILITY_TOLERANCE:
-                infeasible.append(job.id)
+        for row, t1, p, t2 in zip(
+            rows.tolist(), table.t1[rows].tolist(), table.p[rows].tolist(),
+            table.t2[rows].tolist(),
+        ):
+            job_id = table.id[row]
+            if job_id in starts:
+                raise ValueError(f"duplicate window job id '{job_id}'")
+            start = max(previous, t1)
+            completion = start + p
+            starts[job_id] = start
+            completions[job_id] = completion
+            if completion > t2 + FEASIBILITY_TOLERANCE:
+                infeasible.append(job_id)
             previous = completion
     return WindowScheduleResult(
         starts=starts,

@@ -481,3 +481,189 @@ if __name__ == "__main__":
     print("mckp B=3.0:", mckp_enumerate(groups, 3.0))
     print("mckp B=2.8:", mckp_enumerate(groups, 2.8))
     print("month-1 d2:", hand_month1_d2())
+
+
+# --- record walks of the modular checks ---------------------------------------
+#
+# The job-by-job and placement-by-placement forms of core's checks and of
+# jit's dispatcher and penalties, as the package computed them before it
+# read columns. They take records (anything with the same attributes) and
+# give the same values, lists and error texts, in the same order.
+
+def _first_codes(types):
+    codes = {}
+    for code, t in enumerate(types):
+        codes.setdefault(t, code)
+    return codes
+
+
+def _known(element, codes) -> bool:
+    try:
+        return element in codes
+    except TypeError:  # unhashable
+        return False
+
+
+def record_collect_violations(universe, jobs, processors, grid):
+    violations = []
+    seen_types = set()
+    for t in universe.types:
+        if t in seen_types:
+            violations.append(f"universe: duplicate element type '{t}'")
+        seen_types.add(t)
+    if not (0 <= universe.idle_index < len(universe.types)):
+        violations.append(f"universe: idle_index {universe.idle_index} out of range")
+    if len(universe.types) < 2:
+        violations.append("universe: needs at least one non-idle type")
+    codes = _first_codes(universe.types)
+    seen_jobs = set()
+    for job in jobs:
+        if job.id in seen_jobs:
+            violations.append(f"job {job.id}: duplicate id")
+        seen_jobs.add(job.id)
+        if len(job.chain) == 0:
+            violations.append(f"job {job.id}: empty chain")
+        for element in job.chain:
+            if not _known(element, codes):
+                violations.append(f"job {job.id}: unknown element type '{element}'")
+            elif codes[element] == universe.idle_index:
+                violations.append(f"job {job.id}: idle element in chain")
+                break
+    seen_procs = set()
+    for proc in processors:
+        if proc in seen_procs:
+            violations.append(f"processors: duplicate id '{proc}'")
+        seen_procs.add(proc)
+    if grid.interval_len_slots < 1:
+        violations.append("grid: interval_len_slots must be positive")
+    if grid.k < 1:
+        violations.append("grid: k must be positive")
+    return violations
+
+
+def record_schedule_violations(jobs, processors, schedule):
+    """``jobs`` maps an id to its record; ``processors`` are the instance's."""
+    violations = []
+    placed = set()
+    for proc in schedule.placements:
+        if proc not in schedule.processors:
+            violations.append(f"schedule: unknown processor '{proc}'")
+    for proc in schedule.processors:
+        if proc not in processors:
+            violations.append(f"schedule: unknown processor '{proc}'")
+    for proc in schedule.processors:
+        occupied = []
+        for job_id, start in schedule.placements.get(proc, ()):
+            if job_id not in jobs:
+                violations.append(f"processor {proc}: unknown job id '{job_id}'")
+                continue
+            if job_id in placed:
+                violations.append(f"job {job_id}: placed more than once")
+            placed.add(job_id)
+            if start < 0:
+                violations.append(f"job {job_id}: negative start slot {start}")
+            end = start + len(jobs[job_id].chain)
+            if end > schedule.horizon_slots:
+                violations.append(
+                    f"processor {proc}: job {job_id} ends at slot {end} "
+                    f"beyond horizon {schedule.horizon_slots}"
+                )
+            occupied.append((start, end, job_id))
+        occupied.sort()
+        for (s1, e1, j1), (s2, e2, j2) in zip(occupied, occupied[1:]):
+            if s2 < e1:
+                violations.append(f"processor {proc}: jobs {j1} and {j2} overlap")
+    return violations
+
+
+def record_makespan(jobs, schedule, interval_len):
+    last_slot = -1
+    for proc in schedule.processors:
+        for job_id, start in schedule.placements.get(proc, ()):
+            last_slot = max(last_slot, start + len(jobs[job_id].chain) - 1)
+    return 0 if last_slot < 0 else last_slot // interval_len + 1
+
+
+def record_interval_bags(universe, jobs, schedule, grid):
+    """(index, elements, counts) of each interval's bag: elements sorted by
+    first position in the universe and idle-padded to capacity, counts in
+    universe order. Raises ValueError as interval_bags does."""
+    if grid.horizon_slots < schedule.horizon_slots:
+        raise ValueError(
+            f"grid shorter than horizon: {grid.horizon_slots} < {schedule.horizon_slots}"
+        )
+    placed = [
+        (start + offset, element)
+        for proc in schedule.processors
+        for job_id, start in schedule.placements.get(proc, ())
+        for offset, element in enumerate(jobs[job_id].chain)
+    ]
+    if any(not 0 <= slot < grid.horizon_slots for slot, _ in placed):
+        raise ValueError(f"placement outside the grid's {grid.horizon_slots} slots")
+    codes = _first_codes(universe.types)
+    # the first unknown element in interval order, then placement order
+    for _slot, element in sorted(placed, key=lambda p: p[0] // grid.interval_len_slots):
+        if not _known(element, codes):
+            raise ValueError(f"unknown element type '{element}'")
+    counts = [[0] * len(universe.types) for _ in range(grid.k)]
+    for slot, element in placed:
+        counts[slot // grid.interval_len_slots][codes[element]] += 1
+    capacity = grid.interval_len_slots * len(schedule.processors)
+    idle = codes[universe.types[universe.idle_index]]
+    bags = []
+    for i, row in enumerate(counts):
+        row[idle] += max(capacity - sum(row), 0)
+        elements = tuple(t for t, n in zip(universe.types, row) for _ in range(n))
+        bags.append((i + 1, elements, tuple(row)))
+    return bags
+
+
+def record_schedule_windows(jobs, tolerance=1e-9):
+    """(starts, completions, infeasible ids) of earliest-start dispatch, as
+    dicts and a list in machine-then-position order. Raises ValueError as
+    schedule_windows does."""
+    by_machine = {}
+    for job in jobs:
+        by_machine.setdefault(job.machine, []).append(job)
+    starts, completions, infeasible = {}, {}, []
+    for machine in sorted(by_machine):
+        sequence = sorted(by_machine[machine], key=lambda j: j.position)
+        if [j.position for j in sequence] != list(range(1, len(sequence) + 1)):
+            raise ValueError(
+                f"machine {machine}: positions must form 1..{len(sequence)} without gaps"
+            )
+        previous = 0.0
+        for job in sequence:
+            if job.id in starts:
+                raise ValueError(f"duplicate window job id '{job.id}'")
+            start = max(previous, job.t1)
+            completion = start + job.processing_time
+            starts[job.id] = start
+            completions[job.id] = completion
+            if completion > job.t2 + tolerance:
+                infeasible.append(job.id)
+            previous = completion
+    return starts, completions, infeasible
+
+
+def _record_penalties(jobs, completions, weights):
+    for job in jobs:
+        if job.id not in completions:
+            raise ValueError(f"missing completion for job {job.id}")
+        c = completions[job.id]
+        yield weights.alpha * max(0.0, job.t1 - c), weights.beta * max(0.0, c - job.t2)
+
+
+def record_penalty_sum(jobs, completions, weights):
+    """Σ alpha*u + beta*v, added one job at a time from 0.0."""
+    total = 0.0
+    for early, late in _record_penalties(jobs, completions, weights):
+        total += early + late
+    return total
+
+
+def record_penalty_max(jobs, completions, weights):
+    worst = 0.0
+    for early, late in _record_penalties(jobs, completions, weights):
+        worst = max(worst, early, late)
+    return worst

@@ -1,4 +1,4 @@
-"""The benchmark's seeded synthetic home-building instances, for tests.
+"""The benchmark's seeded synthetic instances, for tests.
 
 ``perfbench/generators.py`` grows them from the kope-1982 templates with the
 standard library only; it is loaded from its file, so the tests need no
@@ -14,11 +14,21 @@ from balsched.fixtures import build_fixture
 _GENERATORS = Path(__file__).resolve().parents[1] / "perfbench" / "generators.py"
 
 
-def synthetic_instance(n_buildings, n_teams, seed):
-    """The loaded instance of ``synthetic_project(n_buildings, n_teams, seed)``."""
+def _generators():
     spec = importlib.util.spec_from_file_location("perfbench_generators", _GENERATORS)
     generators = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(generators)
+    return generators
+
+
+def modular_document(seed, **sizes):
+    """The parsed JSON of ``modular_instance(seed, **sizes)``."""
+    return _generators().modular_instance(seed, **sizes)
+
+
+def synthetic_instance(n_buildings, n_teams, seed):
+    """The loaded instance of ``synthetic_project(n_buildings, n_teams, seed)``."""
+    generators = _generators()
     kope = instance_to_dict(build_fixture("kope-1982"))
     return instance_from_dict(
         generators.synthetic_project(kope, n_buildings, n_teams, seed)

@@ -615,6 +615,33 @@ def test_cache_serves_only_the_exact_start(kope, target, days):
     )
 
 
+@pytest.mark.parametrize("synthetic", [False, True], ids=["kope", "72/16"])
+def test_schedule_table_fills_the_cache_with_one_window_call(kope, monkeypatch, synthetic):
+    instance = synthetic_instance(72, 16, seed=12) if synthetic else kope
+    project, schedule = instance.project, instance.team_schedule
+    cache = CascadeCache(project)
+    calls = []
+    kernel_window = balsched.homebuilding.RequirementKernel.window
+
+    def counted_kernel(self, rows, starts, cols=slice(None)):
+        calls.append(len(rows))
+        return kernel_window(self, rows, starts, cols)
+
+    monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "window", counted_kernel)
+    table = cache.schedule_table(schedule)
+    placements = list(schedule.placements())
+    assert calls == [len(placements)]
+    assert cache.schedule_table(schedule) is not table and calls == [len(placements)]
+    kernel = cache.kernel
+    expected = np.zeros_like(table)
+    for _team, building_id, start in placements:
+        one = kernel.total([kernel.row[building_id]], [start])
+        assert cache.building_table(building_id, start).tobytes() == one.tobytes()
+        expected += one
+    assert table.tobytes() == expected.tobytes()
+    assert len(calls) == 1 + len(placements)  # each kernel.total is one window call
+
+
 def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     project, schedule, capacity = _small_synthetic(kope, rounds=3)
     cache = CascadeCache(project)

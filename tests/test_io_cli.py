@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from balsched import fileio
 from balsched.cli import main
-from balsched.core import CompositeJob, ElementUniverse, SlotSchedule, TimeGrid
+from balsched.core import CompositeJob, ElementUniverse, JobTable, SlotSchedule, TimeGrid
 from balsched.fileio import (
     InstanceFile,
     SchemaError,
@@ -44,7 +44,7 @@ from balsched.homebuilding import (
     horizon_requirement_table,
 )
 from balsched.improve import ImproveParams
-from balsched.jit import PenaltyWeights, WindowJob
+from balsched.jit import PenaltyWeights, WindowJob, WindowTable
 
 
 # --- schema ------------------------------------------------------------------
@@ -222,9 +222,13 @@ def _bulk_documents():
 def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
     docs = _bulk_documents()
     fast = [instance_from_dict(doc) for doc in docs]
-    for name in ("_jobs", "_slots", "_window_jobs"):  # every list falls back
-        monkeypatch.setattr(fileio, name, lambda items: None)
-    assert [instance_from_dict(doc) for doc in docs] == fast
+    for name in ("_job_table", "_slots", "_window_table"):  # every list falls back
+        monkeypatch.setattr(fileio, name, lambda *args: None)
+    slow = [instance_from_dict(doc) for doc in docs]
+    assert slow == fast
+    assert all(type(f.jobs) is tuple for f in slow if f.mode == "modular")
+    assert all(type(f.jobs) is JobTable for f in fast if f.mode == "modular")
+    assert all(type(f.window_jobs) is WindowTable for f in fast if f.window_jobs)
 
 
 def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
