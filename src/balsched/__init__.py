@@ -59,6 +59,7 @@ from .fileio import (
 from .fixtures import build_fixture, list_fixtures
 from .homebuilding import (
     Building,
+    BuildingTable,
     BuildingType,
     MonthlyFloorProfile,
     Project,
@@ -111,6 +112,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BalanceVerdict",
     "Building",
+    "BuildingTable",
     "BuildingType",
     "BudgetedMCKP",
     "CascadeCache",

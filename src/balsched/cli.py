@@ -33,6 +33,8 @@ from .fileio import (
 )
 from .homebuilding import (
     DETAIL_TYPES,
+    RequirementTable,
+    TeamSchedule,
     horizon_requirement_table,
     team_schedule_violations,
 )
@@ -95,6 +97,15 @@ def _validated(instance: InstanceFile) -> Instance | None:
     return validated
 
 
+def _requirements(instance: InstanceFile, schedule: TeamSchedule | None = None) -> RequirementTable:
+    """The horizon table of a valid home-building instance (under
+    ``schedule``, if given), exiting 1 if the horizon is too large."""
+    try:
+        return horizon_requirement_table(instance.project, schedule or instance.team_schedule)
+    except ValueError as exc:
+        _fail(str(exc))
+
+
 @click.group()
 def main():
     """Interval-balanced scheduling of modular jobs and serial building."""
@@ -149,7 +160,7 @@ def evaluate(file):
                     f"{penalty_max(instance.window_jobs, result.completions, weights):.2f}"
                 )
     else:
-        table = horizon_requirement_table(instance.project, instance.team_schedule)
+        table = _requirements(instance)
         _echo(f"months: {len(table.months)}")
         _echo("peak requirements:")
         for detail in DETAIL_TYPES:
@@ -192,7 +203,7 @@ def balance(file):
     else:
         if not instance.capacity:
             _fail("instance has no capacity profile")
-        table = horizon_requirement_table(instance.project, instance.team_schedule)
+        table = _requirements(instance)
         months = violated_months(table.to_array(), capacity_vector(instance.capacity))
         for detail in sorted(instance.capacity):
             month, value = table.peak(detail)
@@ -235,9 +246,12 @@ def improve(file, budget, max_iters, out):
         budget=params.budget if budget is None else budget,
         max_iters=params.max_iters if max_iters is None else max_iters,
     )
-    result = improvement_loop(
-        instance.project, instance.team_schedule, instance.capacity, params
-    )
+    try:
+        result = improvement_loop(
+            instance.project, instance.team_schedule, instance.capacity, params
+        )
+    except ValueError as exc:  # a horizon too large to tabulate
+        _fail(str(exc))
     for record in result.trace:
         moves = [variant.describe(target) for target, variant in record.moves()]
         chosen = ", ".join(moves) if moves else "none"
@@ -249,7 +263,7 @@ def improve(file, budget, max_iters, out):
             f"cost {record.selection.total_cost:.2f})"
         )
     _echo(f"stop: {result.stop_reason}")
-    table = horizon_requirement_table(instance.project, result.schedule)
+    table = _requirements(instance, result.schedule)
     for detail in sorted(instance.capacity):
         month, value = table.peak(detail)
         _echo(f"final peak {detail}: {value:.2f} (month {month})")
@@ -275,7 +289,7 @@ def report(file, detail, capacity, csv_path):
     _validated(instance)
     if instance.mode != "homebuilding":
         _fail("report needs a homebuilding instance")
-    table = horizon_requirement_table(instance.project, instance.team_schedule)
+    table = _requirements(instance)
     try:
         export_balance_curve(table, capacity, detail, csv_path)
     except ValueError as exc:

@@ -34,6 +34,7 @@ from .homebuilding import (
     DETAIL_TYPES,
     FLOOR_TYPES,
     Building,
+    BuildingTable,
     BuildingType,
     Project,
     RequirementTable,
@@ -65,7 +66,8 @@ class InstanceFile:
 
     A loaded file holds its modular jobs as a JobTable and its window jobs
     as a WindowTable; an instance built by hand may hold tuples of records
-    instead, and compares equal to its loaded form.
+    instead, and compares equal to its loaded form. A project holds its
+    buildings as a BuildingTable either way.
     """
 
     mode: str
@@ -95,10 +97,11 @@ class InstanceFile:
 # _field and _each turn failures into issues: a bad field or entry is
 # reported and skipped, and reading goes on, so one run lists every problem.
 #
-# The bulk lists (modular jobs, each slot lane, window jobs) first get one
-# fast pass: exact type tests and defaults over whole columns, no path
-# bookkeeping and no issues. Jobs become a JobTable of universe codes and
-# window jobs a WindowTable, so a valid file builds no job records. If any
+# The bulk lists (modular jobs, each slot lane, window jobs) and the
+# buildings object first get one fast pass: exact type tests and defaults
+# over whole columns, no path bookkeeping and no issues. Jobs become a
+# JobTable of universe codes, window jobs a WindowTable and buildings a
+# BuildingTable, so a valid file builds no job or building records. If any
 # entry misses a test, an element is not in the universe, or a table
 # refuses an entry, the pass gives up and the whole list is read again by
 # the path-tracking readers, so every issue keeps its text and order.
@@ -321,8 +324,16 @@ def _section_type(sid, rows) -> SectionType:
     )
 
 
+def _count(v) -> int:
+    # a count past the float range could not scale a float ladder or
+    # matrix; a negative count is left to the domain check
+    if _int(v) <= _MAX:
+        return v
+    raise _Bad("integer past the float range")
+
+
 def _counts(v) -> dict[str, int]:
-    return {k: _at(k, _int, n) for k, n in _obj(v).items()}
+    return {k: _at(k, _count, n) for k, n in _obj(v).items()}
 
 
 def _building(bid, v) -> Building:
@@ -335,6 +346,31 @@ def _building(bid, v) -> Building:
         start=_get(v, "start", _float),
         general_square=_get(v, "general_square", _float, 0.0),
     )
+
+
+def _building_table(items: dict) -> BuildingTable | None:
+    """The fast pass of _building over a whole object. The types and the
+    section compositions are checked once each; the table's own check
+    refuses a building that Building would."""
+    records = list(items.values())
+    try:
+        numbers = [_numbers(_column(records, key)) for key in ("assembly_duration", "start")]
+        numbers.append(_numbers([0.0 if v is None else v
+                                 for v in _column(records, "general_square")]))
+        if None in numbers:
+            return None
+        table = BuildingTable.from_columns(
+            tuple(items), _column(records, "building_type"),
+            map(tuple, map(dict.items, _column(records, "section_counts"))), *numbers,
+        )
+    except TypeError:  # an entry or its section_counts is no object, or a count no number
+        return None
+    if set(map(type, table.building_types)) <= {str} and all(
+        type(n) is int and n <= _MAX
+        for counts in table.compositions for _section, n in counts
+    ):
+        return table
+    return None
 
 
 def _start(_, v) -> tuple[str, float]:
@@ -381,7 +417,7 @@ def _load_homebuilding(block: dict, issues: list) -> dict:
         block, "building_types", _obj,
         lambda bid, counts: BuildingType(bid, _counts(counts)), issues, at,
     )
-    buildings = _each(block, "buildings", _obj, _building, issues, at)
+    buildings = _each(block, "buildings", _obj, _building, issues, at, fast=_building_table)
     horizon = _field(block, "horizon_months", _int, issues, at)
     rate_basis = _field(block, "rate_basis", _str, issues, at, "U-1")
     out = {}
@@ -583,7 +619,20 @@ _WRITERS = {
     dict: _mapping,
     JobTable: lambda table: [_emit(job) for job in table],
     WindowTable: lambda table: [_emit(job) for job in table],
-    Building: _record_writer(Building, skip="id"),  # the id is its map key
+    BuildingTable: lambda table: {  # a building's id is its map key
+        building_id: {
+            "building_type": table.building_types[t],
+            "section_counts": dict(table.compositions[c]),
+            "assembly_duration": duration,
+            "start": start,
+            "general_square": square,
+        }
+        for building_id, t, c, duration, start, square in zip(
+            table.ids, table.type_codes.tolist(), table.composition_codes.tolist(),
+            table.assembly_duration.tolist(), table.start.tolist(),
+            table.general_square.tolist(),
+        )
+    },
     SectionType: lambda st: dict(zip(FLOOR_TYPES, map(list, st.detail_matrix))),
     BuildingType: lambda bt: dict(bt.floor_counts),
     TeamSchedule: lambda ts: {
@@ -742,7 +791,9 @@ def render_gantt(project: Project, schedule: TeamSchedule) -> str:
     deterministic for a given schedule.
     """
     horizon = project.horizon_months
-    width = max(3, max((len(b) for b in project.buildings), default=2) + 1)
+    buildings = project.buildings
+    durations = buildings.assembly_duration.tolist()
+    width = max(3, max((len(b) for b in buildings.ids), default=2) + 1)
     header = "team " + "".join(f"{m:>{width}}" for m in range(1, horizon + 1))
     lines = [header]
     for team in schedule.teams:
@@ -751,8 +802,7 @@ def render_gantt(project: Project, schedule: TeamSchedule) -> str:
             schedule.assignments.get(team, ()), key=lambda p: (p[1], p[0])
         )
         for building_id, start in placements:
-            duration = project.buildings[building_id].assembly_duration
-            end = start + duration
+            end = start + durations[buildings.row[building_id]]
             first = int(math.floor(start)) + 1
             last = max(first, int(math.ceil(end - 0.5)))
             for month in range(max(1, first), min(horizon, last) + 1):

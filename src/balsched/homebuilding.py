@@ -18,8 +18,8 @@ at 30 days per month.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,6 +131,110 @@ class Building:
             )
 
 
+def _encode(values) -> tuple[tuple, np.ndarray]:
+    """The distinct values in first-seen order, and each value's code."""
+    index: dict = {}
+    codes = [index.setdefault(value, len(index)) for value in values]
+    return tuple(index), np.array(codes, dtype=np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class BuildingTable(Mapping):
+    """Buildings as read-only columns: ``ids``; ``type_codes`` into the
+    distinct ``building_types``; ``composition_codes`` into the distinct
+    ``compositions``, each the ``section_counts`` items of its first
+    building in their order; and the float columns ``assembly_duration``,
+    ``start`` and ``general_square``. It maps each id to its Building
+    record, built on request, and equals any mapping of equal records.
+    ``row`` maps each id to its last row (ids repeat only in a table of a
+    record sequence, which the kernel reads by row).
+
+    Raises:
+        ValueError: as Building does, for the first building it refuses.
+    """
+
+    ids: tuple[str, ...]
+    building_types: tuple[str, ...]
+    type_codes: np.ndarray
+    compositions: tuple[tuple[tuple[str, int], ...], ...]
+    composition_codes: np.ndarray
+    assembly_duration: np.ndarray
+    start: np.ndarray
+    general_square: np.ndarray
+    row: dict[str, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "row", dict(zip(self.ids, range(len(self.ids)))))
+        for name in ("type_codes", "composition_codes"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=np.intp))
+        for name in ("assembly_duration", "start", "general_square"):
+            object.__setattr__(self, name, np.array(getattr(self, name), dtype=float))
+        columns = (self.type_codes, self.composition_codes, self.assembly_duration,
+                   self.start, self.general_square)
+        if any(len(column) != len(self.ids) for column in columns):
+            raise ValueError("building columns differ in length")
+        for column in columns:
+            column.flags.writeable = False
+        bad_counts = [sum(n for _s, n in items) < 1 or any(n < 0 for _s, n in items)
+                      for items in self.compositions]
+        refused = np.flatnonzero(
+            (self.assembly_duration <= 0) | (self.start < 0)
+            | np.array(bad_counts, dtype=bool)[self.composition_codes]
+        )
+        if len(refused):
+            self.record(refused[0])  # the record's own check raises
+
+    @classmethod
+    def from_columns(cls, ids, building_types, section_counts, assembly_duration,
+                     start, general_square) -> BuildingTable:
+        """The table whose row i is building ids[i] of type
+        building_types[i], with the ``section_counts`` items
+        section_counts[i] (a tuple of pairs), assembly_duration[i],
+        start[i] and general_square[i]."""
+        types, type_codes = _encode(building_types)
+        compositions, composition_codes = _encode(section_counts)
+        return cls(tuple(ids), types, type_codes, compositions, composition_codes,
+                   assembly_duration, start, general_square)
+
+    @classmethod
+    def of(cls, buildings: Mapping[str, Building] | Iterable[Building]) -> BuildingTable:
+        """buildings as a table: such a table itself, a mapping of ids to
+        records, or a sequence of records by their own ids."""
+        if isinstance(buildings, BuildingTable):
+            return buildings
+        if isinstance(buildings, Mapping):
+            ids, records = list(buildings), list(buildings.values())
+        else:
+            records = list(buildings)
+            ids = [building.id for building in records]
+        return cls.from_columns(
+            ids, [b.building_type for b in records],
+            [tuple(b.section_counts.items()) for b in records],
+            [b.assembly_duration for b in records], [b.start for b in records],
+            [b.general_square for b in records],
+        )
+
+    def record(self, i: int) -> Building:
+        """Row i as a Building."""
+        return Building(
+            self.ids[i], self.building_types[self.type_codes[i]],
+            dict(self.compositions[self.composition_codes[i]]),
+            self.assembly_duration.item(i), self.start.item(i), self.general_square.item(i),
+        )
+
+    def __getitem__(self, building_id: str) -> Building:
+        return self.record(self.row[building_id])
+
+    def __contains__(self, building_id) -> bool:
+        return building_id in self.row
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass(frozen=True)
 class TeamSchedule:
     """Assembly teams and their building placements.
@@ -155,7 +259,10 @@ class TeamSchedule:
 def team_schedule_violations(
     schedule: TeamSchedule, buildings: Mapping[str, Building]
 ) -> list[str]:
-    """Structural checks: known ids, single placement, disjoint occupancy."""
+    """Structural checks: known ids, single placement, disjoint occupancy.
+    ``buildings`` is a BuildingTable or a mapping of records."""
+    buildings = BuildingTable.of(buildings)
+    durations = buildings.assembly_duration.tolist()
     violations: list[str] = []
     for team in schedule.assignments:
         if team not in schedule.teams:
@@ -164,7 +271,7 @@ def team_schedule_violations(
     for team in schedule.teams:
         spans: list[tuple[float, float, str]] = []
         for building_id, start in schedule.assignments.get(team, ()):
-            if building_id not in buildings:
+            if building_id not in buildings.row:
                 violations.append(
                     f"team {team}: unknown building id '{building_id}'"
                 )
@@ -178,7 +285,7 @@ def team_schedule_violations(
                 violations.append(
                     f"building {building_id}: negative start {start}"
                 )
-            duration = buildings[building_id].assembly_duration
+            duration = durations[buildings.row[building_id]]
             spans.append((start, start + duration, building_id))
         spans.sort()
         for (s1, e1, b1), (s2, e2, b2) in zip(spans, spans[1:]):
@@ -237,7 +344,11 @@ class RequirementTable:
 
 @dataclass(frozen=True)
 class Project:
-    """The static home-building world: templates, buildings, horizon."""
+    """The static home-building world: templates, buildings, horizon.
+
+    ``buildings`` is held as a BuildingTable; a mapping of records becomes
+    one on entry.
+    """
 
     section_types: Mapping[str, SectionType]
     building_types: Mapping[str, BuildingType]
@@ -253,21 +364,44 @@ class Project:
             )
         if self.horizon_months < 1:
             raise ValueError("horizon_months must be positive")
-        for building in self.buildings.values():
-            if building.building_type not in self.building_types:
-                raise ValueError(
-                    f"building {building.id}: unknown building type "
-                    f"'{building.building_type}'"
-                )
-            for section in building.section_counts:
-                if section not in self.section_types:
+        table = BuildingTable.of(self.buildings)
+        object.__setattr__(self, "buildings", table)
+        # each distinct type and composition is checked once; only a bad one
+        # walks the rows, for the first building that uses it
+        unknown_type = [t not in self.building_types for t in table.building_types]
+        unknown_section = [
+            next((s for s, _count in items if s not in self.section_types), None)
+            for items in table.compositions
+        ]
+        if any(unknown_type) or any(s is not None for s in unknown_section):
+            for building_id, t, c in zip(
+                table.ids, table.type_codes.tolist(), table.composition_codes.tolist()
+            ):
+                if unknown_type[t]:
                     raise ValueError(
-                        f"building {building.id}: unknown section type "
-                        f"'{section}'"
+                        f"building {building_id}: unknown building type "
+                        f"'{table.building_types[t]}'"
+                    )
+                if unknown_section[c] is not None:
+                    raise ValueError(
+                        f"building {building_id}: unknown section type "
+                        f"'{unknown_section[c]}'"
                     )
 
     def building_type_of(self, building: Building) -> BuildingType:
         return self.building_types[building.building_type]
+
+
+def requirement_zeros(horizon: int, *lead: int) -> np.ndarray:
+    """(*lead x horizon x 8) zeros: requirement tables to add into.
+
+    Raises:
+        ValueError: if numpy refuses the array as too large.
+    """
+    try:
+        return np.zeros((*lead, horizon, len(DETAIL_TYPES)))
+    except (MemoryError, ValueError):
+        raise ValueError(f"horizon of {horizon} months is too large to tabulate") from None
 
 
 def _clamped_output(rate, top, lo, start, edges: np.ndarray) -> np.ndarray:
@@ -302,13 +436,12 @@ class RequirementKernel:
 
     Each building's progress constants (rate, ladder floors ``lo`` and
     clamped ceilings ``top``) and its combined 8 x 8 section matrix are
-    stacked on a leading building axis, so one call serves any buildings at
-    any starts. Each section type's matrix is converted once per kernel,
-    and each section composition's combined matrix is built once: the
-    first building with those ``section_counts`` items, in that order,
-    adds the section matrices weighted by count, and every other building
-    with the same items gets a copy. Every (months x 8) @ (8 x 8) product
-    of the batched matmul keeps the one-building shape, so the slices of a
+    stacked on a leading axis of the buildings' rows, so one call serves
+    any buildings at any starts. Each building type's ladder is built once
+    and each section composition's combined matrix once, by adding the
+    section matrices weighted by count in the composition's order; the
+    rows gather them by code. Every (months x 8) @ (8 x 8) product of the
+    batched matmul keeps the one-building shape, so the slices of a
     stacked call equal one-row calls bit for bit. Inside the horizon a
     table is exactly 0.0 outside ``width`` months from its start's month:
     ceil of the longest duration (in the project or ``buildings``) plus
@@ -316,37 +449,34 @@ class RequirementKernel:
     edges are the horizon's own whole floats, so the values are the same.
     """
 
-    def __init__(self, project: Project, buildings: Sequence[Building]):
-        self.row = {building.id: i for i, building in enumerate(buildings)}
+    def __init__(self, project: Project, buildings: BuildingTable | Sequence[Building]):
+        """The kernel of a table's rows, or of a sequence of records (row i
+        is buildings[i]); ``row`` maps each id to its (last) row."""
+        table = BuildingTable.of(buildings)
+        self.row = table.row
         self.horizon = project.horizon_months
-        ladders = {
-            t: [building_type.floor_counts.get(f, 0) for f in FLOOR_TYPES]
-            for t, building_type in project.building_types.items()
-        }
-        counts = np.array(
-            [ladders[b.building_type] for b in buildings], dtype=float
-        ).reshape(-1, 1, len(FLOOR_TYPES))
+        counts = np.array([
+            [project.building_types[t].floor_counts.get(f, 0) for f in FLOOR_TYPES]
+            for t in table.building_types
+        ], dtype=float).reshape(-1, 1, len(FLOOR_TYPES))
         hi = np.cumsum(counts, axis=2)
-        self.lo = hi - counts
         # U floor-units in all; the terminal one is never entered under "U-1"
         cap = hi[..., -1:] - (1 if project.rate_basis == "U-1" else 0)
-        self.top = np.minimum(cap, hi)
-        durations = np.array([b.assembly_duration for b in buildings], dtype=float)
-        self.rate = cap / durations.reshape(-1, 1, 1)
+        self.lo = (hi - counts)[table.type_codes]
+        self.top = np.minimum(cap, hi)[table.type_codes]
+        durations = table.assembly_duration
+        self.rate = cap[table.type_codes] / durations.reshape(-1, 1, 1)
         matrices = {s: t.matrix_array() for s, t in project.section_types.items()}
-        self.matrix = np.zeros((len(buildings), len(FLOOR_TYPES), len(DETAIL_TYPES)))
-        built: dict[tuple, np.ndarray] = {}
-        for combined, building in zip(self.matrix, buildings):
-            key = tuple(building.section_counts.items())
-            if key in built:
-                combined[...] = built[key]
-                continue
-            for section, count in key:
+        combined = np.zeros((len(table.compositions), len(FLOOR_TYPES), len(DETAIL_TYPES)))
+        for matrix, items in zip(combined, table.compositions):
+            for section, count in items:
                 if count:
-                    combined += count * matrices[section]
-            built[key] = combined
-        others = [b.assembly_duration for b in project.buildings.values()]
-        self.width = min(int(np.ceil(max([*durations, *others], default=0.0))) + 1, self.horizon)
+                    matrix += count * matrices[section]
+        self.matrix = combined[table.composition_codes]
+        longest = max(
+            durations.max(initial=0.0), project.buildings.assembly_duration.max(initial=0.0)
+        )
+        self.width = min(int(np.ceil(longest)) + 1, self.horizon)
 
     def output(self, rows, starts, edges: np.ndarray) -> np.ndarray:
         """(P x months x 8) floor-units one section of building ``rows[i]``
@@ -369,9 +499,9 @@ class RequirementKernel:
     def total(self, rows, starts) -> np.ndarray:
         """(horizon x 8) sum of the placements' tables: each window added
         in placement order into +0.0, months past the horizon dropped."""
+        total = requirement_zeros(self.horizon)
         first, tables = self.window(rows, starts)
         months = first[:, None] + np.arange(self.width)
-        total = np.zeros((self.horizon, len(DETAIL_TYPES)))
         np.add.at(total, months[months < self.horizon], tables[months < self.horizon])
         return total
 
@@ -403,16 +533,17 @@ def monthly_floor_requirements(
     Every section of a building progresses in parallel, so a building
     contributes its per-section progress multiplied by its section counts.
     """
+    table = project.buildings
     placements = schedule.placements()
-    placed = [project.buildings[b] for _team, b, _start in placements]
-    output = RequirementKernel(project, placed).output(
-        np.arange(len(placed)),
+    rows = np.array([table.row[b] for _team, b, _start in placements], dtype=np.intp)
+    output = RequirementKernel(project, table).output(
+        rows,
         [start for _team, _b, start in placements],
         np.array([[month - 1.0], [month]]),
     )
     totals = {s: np.zeros(len(FLOOR_TYPES)) for s in project.section_types}
-    for building, units in zip(placed, output[:, 0]):
-        for section, count in building.section_counts.items():
+    for code, units in zip(table.composition_codes[rows], output[:, 0]):
+        for section, count in table.compositions[code]:
             if count:
                 totals[section] += count * units
     sections = {
@@ -443,22 +574,26 @@ def horizon_requirement_table(
     """Requirement rows for every month of the horizon (or of ``months``).
 
     The rows are the sum of the placements' tables in placement order,
-    from one windowed kernel call. A table is exactly 0.0 outside its
-    window, so this is the whole-horizon sum bit for bit.
+    from one windowed kernel call on the project's building table. A
+    table is exactly 0.0 outside its window, so this is the whole-horizon
+    sum bit for bit.
 
     Raises:
-        ValueError: naming every month outside 1..horizon.
+        ValueError: naming every month outside 1..horizon, or if the
+            horizon is too large to tabulate.
     """
     horizon = project.horizon_months
-    months = tuple(range(1, horizon + 1) if months is None else months)
-    outside = [str(m) for m in months if not 1 <= m <= horizon]
-    if outside:
-        raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
+    if months is not None:
+        months = tuple(months)
+        outside = [str(m) for m in months if not 1 <= m <= horizon]
+        if outside:
+            raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
+    table = project.buildings
     placements = schedule.placements()
-    kernel = RequirementKernel(
-        project, [project.buildings[b] for _team, b, _start in placements]
-    )
-    total = kernel.total(np.arange(len(placements)), [start for *_, start in placements])
+    rows = np.array([table.row[b] for _team, b, _start in placements], dtype=np.intp)
+    total = RequirementKernel(project, table).total(rows, [start for *_, start in placements])
+    if months is None:
+        months = tuple(range(1, horizon + 1))
     values = tuple(map(tuple, total[[month - 1 for month in months]].tolist()))
     return RequirementTable(months=months, values=values)
 

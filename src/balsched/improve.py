@@ -23,9 +23,11 @@ from .homebuilding import (
     DAYS_PER_MONTH,
     DETAIL_TYPES,
     Building,
+    BuildingTable,
     Project,
     RequirementKernel,
     TeamSchedule,
+    requirement_zeros,
     team_schedule_violations,
 )
 
@@ -226,8 +228,8 @@ class CascadeCache:
 
     @cached_property
     def kernel(self) -> RequirementKernel:
-        """The project's buildings stacked for batched tables."""
-        return RequirementKernel(self.project, list(self.project.buildings.values()))
+        """The project's building table, stacked for batched tables."""
+        return RequirementKernel(self.project, self.project.buildings)
 
     def _fill(self, keys) -> None:
         """Cache the tables of the (building, start) keys not yet cached,
@@ -237,11 +239,11 @@ class CascadeCache:
         if not missing:
             return
         kernel = self.kernel
+        tables = requirement_zeros(kernel.horizon, len(missing))
         rows = [kernel.row[building_id] for building_id, _start in missing]
         first, windows = kernel.window(rows, [start for _building, start in missing])
         months = first[:, None] + np.arange(kernel.width)
-        for key, at, window in zip(missing, months, windows):
-            table = np.zeros((kernel.horizon, len(DETAIL_TYPES)))
+        for key, table, at, window in zip(missing, tables, months, windows):
             inside = at < kernel.horizon
             table[at[inside]] += window[inside]
             self._tables[key] = table
@@ -253,7 +255,7 @@ class CascadeCache:
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
         keys = [(building_id, start) for _team, building_id, start in schedule.placements()]
         self._fill(keys)
-        total = np.zeros((self.project.horizon_months, len(DETAIL_TYPES)))
+        total = requirement_zeros(self.project.horizon_months)
         for key in keys:
             total += self.building_table(*key)
         return total
@@ -321,10 +323,12 @@ def _lane_fits(lane: list, removed: Sequence[tuple], added: Sequence[tuple]) -> 
 
 class _Lanes:
     """A valid schedule indexed for moves: each team's lane of sorted
-    (start, end, id) spans, and each building's (team, start)."""
+    (start, end, id) spans, each building's (team, start), and each
+    building's duration, read from the duration column."""
 
     def __init__(self, buildings: Mapping[str, Building], schedule: TeamSchedule):
-        self.buildings = buildings
+        table = BuildingTable.of(buildings)
+        self.duration = dict(zip(table.ids, table.assembly_duration.tolist()))
         self.teams = schedule.teams
         self.placement: dict[str, tuple[str, float]] = {}
         self.lanes: dict[str, list] = {team: [] for team in schedule.teams}
@@ -335,7 +339,7 @@ class _Lanes:
             lane.sort()
 
     def _span(self, building_id: str, start: float) -> tuple[float, float, str]:
-        return start, start + self.buildings[building_id].assembly_duration, building_id
+        return start, start + self.duration[building_id], building_id
 
     def _placed(self, building_id: str) -> tuple[str, float]:
         if building_id not in self.placement:
@@ -375,7 +379,7 @@ class _Lanes:
         for building_id, old_team, old_start, new_team, new_start in moves:
             if new_start < 0:
                 return False
-            if new_start + self.buildings[building_id].assembly_duration > horizon:
+            if new_start + self.duration[building_id] > horizon:
                 return False
             removed.setdefault(old_team, []).append(self._span(building_id, old_start))
             added.setdefault(new_team, []).append(self._span(building_id, new_start))
@@ -397,7 +401,7 @@ class _Lanes:
         previous = previous.reshape(-1, 2)
         return (
             np.array([self.placement[b][1] for b in ids], dtype=float),
-            np.array([self.buildings[b].assembly_duration for b in ids], dtype=float),
+            np.array([self.duration[b] for b in ids], dtype=float),
             previous[:, 0],
             previous[:, 1],
             np.array([after.get(b, inf) for b in ids], dtype=float),

@@ -8,6 +8,7 @@ check. They are slow and simple on purpose.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from typing import NamedTuple
 
@@ -667,3 +668,185 @@ def record_penalty_max(jobs, completions, weights):
     for early, late in _record_penalties(jobs, completions, weights):
         worst = max(worst, early, late)
     return worst
+
+
+# --- record walks of the home-building loader and kernel ----------------------
+#
+# The building-by-building forms of the loader's buildings reader, of
+# Project's type and section checks and of the cascade kernel's set-up, as
+# the package computed them before it read buildings as columns. They take
+# the parsed JSON of a home-building block and give the same issue lines,
+# error texts and arrays, in the same order.
+
+_MAX_FLOAT = sys.float_info.max
+BUILDINGS_AT = "/homebuilding/buildings"
+
+
+class _Refused(Exception):
+    def __init__(self, problem, *keys):
+        super().__init__(problem)
+        self.keys = keys
+
+
+def _finite(value):
+    if type(value) in (int, float) and -_MAX_FLOAT <= value <= _MAX_FLOAT:
+        return float(value)
+    raise _Refused("expected a finite number")
+
+
+def _record_field(entry, key, read, default=None):
+    value = entry.get(key)
+    if value is None:
+        if default is None:
+            raise _Refused("missing", key)
+        return default
+    try:
+        return read(value)
+    except _Refused as refused:
+        raise _Refused(str(refused), key, *refused.keys) from None
+
+
+def _string(value):
+    if type(value) is str:
+        return value
+    raise _Refused("expected a string")
+
+
+def _section_counts(value):
+    if type(value) is not dict:
+        raise _Refused("expected an object")
+    for section, count in value.items():
+        if type(count) is not int:
+            raise _Refused("expected an integer", section)
+        if count > _MAX_FLOAT:
+            raise _Refused("integer past the float range", section)
+    return dict(value)
+
+
+def _record_building(building_id, entry):
+    """(building type, section counts, duration, start, square), or the
+    issue text of the first problem."""
+    if type(entry) is not dict:
+        raise _Refused("expected an object")
+    building = (
+        _record_field(entry, "building_type", _string),
+        _record_field(entry, "section_counts", _section_counts),
+        _record_field(entry, "assembly_duration", _finite),
+        _record_field(entry, "start", _finite),
+        _record_field(entry, "general_square", _finite, 0.0),
+    )
+    _type, counts, duration, start, _square = building
+    for broken, rule in (
+        (duration <= 0, "assembly_duration must be positive"),
+        (start < 0, "negative start"),
+        (sum(counts.values()) < 1, "needs at least one section"),
+        (any(c < 0 for c in counts.values()), "negative section count"),
+    ):
+        if broken:
+            raise ValueError(f"building {building_id}: {rule}")
+    return building
+
+
+def record_read_buildings(block):
+    """(records, issues): each building of ``block["buildings"]`` as a
+    (building type, section counts, duration, start, square) tuple by id,
+    and one issue line for each building refused."""
+    buildings = block.get("buildings")
+    if buildings is None:
+        return {}, [f"{BUILDINGS_AT}: missing"]
+    if type(buildings) is not dict:
+        return {}, [f"{BUILDINGS_AT}: expected an object"]
+    records, issues = {}, []
+    for building_id, entry in buildings.items():
+        try:
+            records[building_id] = _record_building(building_id, entry)
+        except _Refused as refused:
+            path = "".join(f"/{key}" for key in refused.keys)
+            issues.append(f"{BUILDINGS_AT}/{building_id}{path}: {refused}")
+        except ValueError as exc:
+            issues.append(f"{BUILDINGS_AT}/{building_id}: {exc}")
+    return records, issues
+
+
+def record_project_check(block, records):
+    """Project's issue line for the first building, in order, of an
+    unknown building type or with an unknown section type, or None."""
+    for building_id, (building_type, counts, *_rest) in records.items():
+        if building_type not in block["building_types"]:
+            return (f"/homebuilding: building {building_id}: unknown building type "
+                    f"'{building_type}'")
+        for section in counts:
+            if section not in block["section_types"]:
+                return (f"/homebuilding: building {building_id}: unknown section type "
+                        f"'{section}'")
+    return None
+
+
+def record_kernel(block, records, ids):
+    """(lo, top, rate, matrix, width) of the kernel of the buildings
+    ``ids`` of ``records`` (as record_read_buildings gives them), one row
+    each, built one building at a time: a ladder per building, and each
+    section composition's matrix summed for its first building and copied
+    to the others."""
+    ladders = {
+        t: [counts.get(f, 0) for f in FLOOR_ORDER]
+        for t, counts in block["building_types"].items()
+    }
+    buildings = [records[b] for b in ids]
+    counts = np.array(
+        [ladders[building[0]] for building in buildings], dtype=float
+    ).reshape(-1, 1, len(FLOOR_ORDER))
+    hi = np.cumsum(counts, axis=2)
+    lo = hi - counts
+    cap = hi[..., -1:] - (1 if block.get("rate_basis", "U-1") == "U-1" else 0)
+    top = np.minimum(cap, hi)
+    durations = np.array([building[2] for building in buildings], dtype=float)
+    rate = cap / durations.reshape(-1, 1, 1)
+    matrices = {
+        s: np.asarray([[float(v) for v in rows[f]] for f in FLOOR_ORDER], dtype=float)
+        for s, rows in block["section_types"].items()
+    }
+    matrix = np.zeros((len(buildings), len(FLOOR_ORDER), len(DETAIL_ORDER)))
+    built = {}
+    for combined, building in zip(matrix, buildings):
+        key = tuple(building[1].items())
+        if key in built:
+            combined[...] = built[key]
+            continue
+        for section, count in key:
+            if count:
+                combined += count * matrices[section]
+        built[key] = combined
+    others = [building[2] for building in records.values()]
+    horizon = block["horizon_months"]
+    width = min(int(np.ceil(max([*durations, *others], default=0.0))) + 1, horizon)
+    return lo, top, rate, matrix, width
+
+
+def record_horizon_table(block, records):
+    """(horizon x 8) requirement table of the block's team schedule: each
+    placement's window of record_kernel's width, from the two-clip progress
+    and its own matrix, added month by month in placement order into +0.0,
+    months past the horizon dropped."""
+    schedule = block["team_schedule"]
+    placements = [
+        (b, start) for team in schedule["teams"]
+        for b, start in schedule["assignments"].get(team, ())
+    ]
+    ids = [b for b, _start in placements]
+    _lo, _top, _rate, matrix, width = record_kernel(block, records, ids)
+    horizon = block["horizon_months"]
+    rate_basis = block.get("rate_basis", "U-1")
+    total = np.zeros((horizon, len(DETAIL_ORDER)))
+    for (b, start), combined in zip(placements, matrix):
+        building_type, _counts, duration, *_rest = records[b]
+        floors = block["building_types"][building_type]
+        first = min(max(np.floor(start), 0.0), float(horizon))
+        edges = first + np.arange(width + 1.0)
+        window = double_clip_output(
+            [floors.get(f, 0) for f in FLOOR_ORDER], duration, [start], edges, rate_basis
+        )[0] @ combined
+        for k, row in enumerate(window):
+            if int(first) + k < horizon:
+                total[int(first) + k] += row
+    return total

@@ -26,10 +26,12 @@ def modular_document(seed, **sizes):
     return _generators().modular_instance(seed, **sizes)
 
 
+def synthetic_document(n_buildings, n_teams, seed):
+    """The parsed JSON of ``synthetic_project(n_buildings, n_teams, seed)``."""
+    kope = instance_to_dict(build_fixture("kope-1982"))
+    return _generators().synthetic_project(kope, n_buildings, n_teams, seed)
+
+
 def synthetic_instance(n_buildings, n_teams, seed):
     """The loaded instance of ``synthetic_project(n_buildings, n_teams, seed)``."""
-    generators = _generators()
-    kope = instance_to_dict(build_fixture("kope-1982"))
-    return instance_from_dict(
-        generators.synthetic_project(kope, n_buildings, n_teams, seed)
-    )
+    return instance_from_dict(synthetic_document(n_buildings, n_teams, seed))

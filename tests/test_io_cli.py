@@ -36,6 +36,7 @@ from balsched.homebuilding import (
     FLOOR_TYPES,
     RATE_BASES,
     Building,
+    BuildingTable,
     BuildingType,
     Project,
     RequirementTable,
@@ -222,11 +223,13 @@ def _bulk_documents():
 def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
     docs = _bulk_documents()
     fast = [instance_from_dict(doc) for doc in docs]
-    for name in ("_job_table", "_slots", "_window_table"):  # every list falls back
+    for name in ("_job_table", "_slots", "_window_table", "_building_table"):  # all fall back
         monkeypatch.setattr(fileio, name, lambda *args: None)
     slow = [instance_from_dict(doc) for doc in docs]
     assert slow == fast
     assert all(type(f.jobs) is tuple for f in slow if f.mode == "modular")
+    # Project turns the fallback's records into a table too
+    assert all(type(f.project.buildings) is BuildingTable for f in slow if f.project)
     assert all(type(f.jobs) is JobTable for f in fast if f.mode == "modular")
     assert all(type(f.window_jobs) is WindowTable for f in fast if f.window_jobs)
 
@@ -245,7 +248,7 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
 
     def refuse(*args):
         raise AssertionError("a path-tracking reader ran on a valid file")
-    for name in ("_job", "_slot", "_window_job"):
+    for name in ("_job", "_slot", "_window_job", "_building"):
         monkeypatch.setattr(fileio, name, refuse)
     assert [load_instance(path) for path in paths] == expected
 
