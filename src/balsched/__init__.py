@@ -85,7 +85,6 @@ from .improve import (
     IterationRecord,
     LoopResult,
     Selection,
-    apply_selection,
     capacity_vector,
     generate_correction_groups,
     improvement_loop,
@@ -142,7 +141,6 @@ __all__ = [
     "WindowJob",
     "WindowScheduleResult",
     "WindowTable",
-    "apply_selection",
     "balance_verdict",
     "build_fixture",
     "building_requirement_table",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -259,8 +260,8 @@ class TeamSchedule:
 def team_schedule_violations(
     schedule: TeamSchedule, buildings: Mapping[str, Building]
 ) -> list[str]:
-    """Structural checks: known ids, single placement, disjoint occupancy.
-    ``buildings`` is a BuildingTable or a mapping of records."""
+    """Structural checks: known ids, single placement, finite and disjoint
+    spans. ``buildings`` is a BuildingTable or a mapping of records."""
     buildings = BuildingTable.of(buildings)
     durations = buildings.assembly_duration.tolist()
     violations: list[str] = []
@@ -285,8 +286,11 @@ def team_schedule_violations(
                 violations.append(
                     f"building {building_id}: negative start {start}"
                 )
-            duration = durations[buildings.row[building_id]]
-            spans.append((start, start + duration, building_id))
+            end = start + durations[buildings.row[building_id]]
+            if not isfinite(end):
+                violations.append(f"building {building_id}: placement end {end} is not finite")
+                continue
+            spans.append((start, end, building_id))
         spans.sort()
         for (s1, e1, b1), (s2, e2, b2) in zip(spans, spans[1:]):
             if s2 < e1 - 1e-9:
@@ -496,6 +500,12 @@ class RequirementKernel:
         tables = self.output(rows, starts, edges) @ self.matrix[:, :, cols][rows]
         return first.astype(np.intp), tables
 
+    def placements(self, schedule: TeamSchedule) -> tuple[np.ndarray, list[float]]:
+        """(rows, starts) of the schedule's placements, in placement order."""
+        placements = schedule.placements()
+        rows = np.array([self.row[b] for _team, b, _start in placements], dtype=np.intp)
+        return rows, [start for *_, start in placements]
+
     def total(self, rows, starts) -> np.ndarray:
         """(horizon x 8) sum of the placements' tables: each window added
         in placement order into +0.0, months past the horizon dropped."""
@@ -534,13 +544,9 @@ def monthly_floor_requirements(
     contributes its per-section progress multiplied by its section counts.
     """
     table = project.buildings
-    placements = schedule.placements()
-    rows = np.array([table.row[b] for _team, b, _start in placements], dtype=np.intp)
-    output = RequirementKernel(project, table).output(
-        rows,
-        [start for _team, _b, start in placements],
-        np.array([[month - 1.0], [month]]),
-    )
+    kernel = RequirementKernel(project, table)
+    rows, starts = kernel.placements(schedule)
+    output = kernel.output(rows, starts, np.array([[month - 1.0], [month]]))
     totals = {s: np.zeros(len(FLOOR_TYPES)) for s in project.section_types}
     for code, units in zip(table.composition_codes[rows], output[:, 0]):
         for section, count in table.compositions[code]:
@@ -588,10 +594,8 @@ def horizon_requirement_table(
         outside = [str(m) for m in months if not 1 <= m <= horizon]
         if outside:
             raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
-    table = project.buildings
-    placements = schedule.placements()
-    rows = np.array([table.row[b] for _team, b, _start in placements], dtype=np.intp)
-    total = RequirementKernel(project, table).total(rows, [start for *_, start in placements])
+    kernel = RequirementKernel(project, project.buildings)
+    total = kernel.total(*kernel.placements(schedule))
     if months is None:
         months = tuple(range(1, horizon + 1))
     values = tuple(map(tuple, total[[month - 1 for month in months]].tolist()))

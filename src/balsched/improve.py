@@ -27,7 +27,6 @@ from .homebuilding import (
     Project,
     RequirementKernel,
     TeamSchedule,
-    requirement_zeros,
     team_schedule_violations,
 )
 
@@ -121,12 +120,6 @@ class BudgetedMCKP:
         object.__setattr__(self, "groups", ordered)
 
 
-def _selection(problem: BudgetedMCKP, chosen: Sequence[int]) -> Selection:
-    profit = sum(g.variants[j].profit for g, j in zip(problem.groups, chosen))
-    cost = sum(g.variants[j].cost for g, j in zip(problem.groups, chosen))
-    return Selection(chosen=tuple(chosen), total_profit=profit, total_cost=cost)
-
-
 #: mckp_greedy compares profit/cost ratios rounded to this many decimals,
 #: so ratios that are equal up to float noise tie.
 RATIO_DIGITS = 9
@@ -184,7 +177,9 @@ def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     )
     for row in picked:
         chosen[group[row]] = index[row]
-    return _selection(problem, chosen)
+    profit = sum(g.variants[j].profit for g, j in zip(problem.groups, chosen))
+    cost = sum(g.variants[j].cost for g, j in zip(problem.groups, chosen))
+    return Selection(chosen=tuple(chosen), total_profit=profit, total_cost=cost)
 
 
 # --- violation measure and cascade caching ---------------------------------
@@ -217,48 +212,22 @@ def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
 
 
 class CascadeCache:
-    """Memo of per-building isolated requirement tables, keyed by the exact
-    start. Tables are linear in placements, so a schedule's table is the
-    sum of its buildings' cached tables, and a schedule a few moves away
-    computes only the moved buildings' tables."""
+    """The project's requirement kernel, built once: each table is one
+    kernel.total call."""
 
     def __init__(self, project: Project):
         self.project = project
-        self._tables: dict[tuple[str, float], np.ndarray] = {}
 
     @cached_property
     def kernel(self) -> RequirementKernel:
         """The project's building table, stacked for batched tables."""
         return RequirementKernel(self.project, self.project.buildings)
 
-    def _fill(self, keys) -> None:
-        """Cache the tables of the (building, start) keys not yet cached,
-        from one window call: each window added into +0.0 at its months
-        inside the horizon, so a table equals kernel.total of its row."""
-        missing = [key for key in dict.fromkeys(keys) if key not in self._tables]
-        if not missing:
-            return
-        kernel = self.kernel
-        tables = requirement_zeros(kernel.horizon, len(missing))
-        rows = [kernel.row[building_id] for building_id, _start in missing]
-        first, windows = kernel.window(rows, [start for _building, start in missing])
-        months = first[:, None] + np.arange(kernel.width)
-        for key, table, at, window in zip(missing, tables, months, windows):
-            inside = at < kernel.horizon
-            table[at[inside]] += window[inside]
-            self._tables[key] = table
-
     def building_table(self, building_id: str, start: float) -> np.ndarray:
-        self._fill([(building_id, start)])
-        return self._tables[building_id, start]
+        return self.kernel.total([self.kernel.row[building_id]], [start])
 
     def schedule_table(self, schedule: TeamSchedule) -> np.ndarray:
-        keys = [(building_id, start) for _team, building_id, start in schedule.placements()]
-        self._fill(keys)
-        total = requirement_zeros(self.project.horizon_months)
-        for key in keys:
-            total += self.building_table(*key)
-        return total
+        return self.kernel.total(*self.kernel.placements(schedule))
 
 
 def _violation_measures(stack: np.ndarray, cap: np.ndarray) -> np.ndarray:
@@ -649,14 +618,13 @@ class CorrectionMenu:
 
 def _correction_menu(
     project: Project,
-    schedule: TeamSchedule,
+    lanes: _Lanes,
     cap: np.ndarray,
     cache: CascadeCache,
     table: np.ndarray,
 ) -> CorrectionMenu:
-    """generate_correction_groups' menu, as columns, for a valid schedule
-    whose requirement table is ``table``."""
-    lanes = _Lanes(project.buildings, schedule)
+    """generate_correction_groups' menu, as columns, for the valid
+    schedule indexed by ``lanes``, whose requirement table is ``table``."""
     placed = sorted(lanes.placement)
     months = violated_months(table, cap)
     starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
@@ -725,70 +693,36 @@ def generate_correction_groups(
     if table is None:
         table = cache.schedule_table(schedule)
     cap = capacity_vector(capacity)
-    return _correction_menu(project, schedule, cap, cache, table).groups()
+    lanes = _Lanes(project.buildings, schedule)
+    return _correction_menu(project, lanes, cap, cache, table).groups()
 
 
 def _compose(
-    project: Project,
-    schedule: TeamSchedule,
-    picks: Sequence[tuple[str | None, CorrectionVariant]],
-) -> tuple[list[bool], TeamSchedule]:
-    """apply_selection's walk over a valid schedule and the chosen (target,
-    variant) pairs in group order: which of them apply, and the schedule."""
-    lanes = _Lanes(project.buildings, schedule)
+    lanes: _Lanes, picks: Sequence[tuple[str | None, CorrectionVariant]], horizon: int
+) -> list[bool]:
+    """Make the chosen (target, variant) pairs on the lanes in place, in
+    group order, and return which applied. Moves are priced independently,
+    so two can collide (exchanges with a common partner, opposing shifts
+    on one lane): a move applies only if its buildings are untouched so
+    far and the lanes as moved so far keep every moved building inside
+    [0, horizon] and pass team_schedule_violations. Earlier groups win, so
+    the outcome is deterministic.
+
+    Raises:
+        ValueError: for a shift without a target, a degenerate exchange,
+            or a variant naming an unplaced building.
+    """
     moved: set[str] = set()
     kept = []
     for target, variant in picks:
         moves = lanes.moves(variant, target)
         touched = {building_id for building_id, *_ in moves}
-        applies = not touched & moved and lanes.fits(moves, project.horizon_months)
+        applies = not touched & moved and lanes.fits(moves, horizon)
         if applies:
             lanes.apply(moves)
             moved |= touched
         kept.append(applies)
-    return kept, lanes.schedule() if moved else schedule
-
-
-def apply_selection(
-    project: Project,
-    schedule: TeamSchedule,
-    problem: BudgetedMCKP,
-    selection: Selection,
-) -> tuple[Selection, TeamSchedule]:
-    """Apply the jointly applicable part of a selection, in group order;
-    return the applied selection and the new schedule (the input schedule
-    itself when nothing applies).
-
-    Shifts move the target's start by days/30 months; exchanges swap the two
-    buildings' (team, start) placements. The building set and all durations
-    are untouched.
-
-    Variants are scored and budget-checked independently, so two chosen
-    moves can collide -- e.g. exchanges with a common partner, or opposing
-    shifts on one team's lane. Walking groups in index order, each chosen
-    variant is applied only if its moved buildings are untouched so far
-    and the schedule as moved so far still passes the team-schedule rules
-    with every building inside [0, horizon]; otherwise that group falls
-    back to its none-variant. Earlier groups therefore take priority, which
-    keeps the outcome deterministic. The dropped groups are those where the
-    applied selection's ``chosen`` differs from the given one.
-
-    Raises:
-        ValueError: on an invalid input schedule, a shift without a target,
-            a degenerate exchange, or a variant naming an unplaced building.
-    """
-    _refuse_invalid(schedule, project.buildings)
-    picks = [
-        (pos, group.targets[0] if group.targets else None, group.variants[j])
-        for pos, (group, j) in enumerate(zip(problem.groups, selection.chosen))
-        if group.variants[j].kind != "none"
-    ]
-    kept, moved = _compose(project, schedule, [pick[1:] for pick in picks])
-    chosen = list(selection.chosen)
-    for (pos, _target, _variant), applies in zip(picks, kept):
-        if not applies:
-            chosen[pos] = 0
-    return _selection(problem, chosen), moved
+    return kept
 
 
 # --- the repair loop --------------------------------------------------------
@@ -821,11 +755,6 @@ class IterationRecord:
     menu: CorrectionMenu
     v_after: float
     accepted: bool
-
-    @property
-    def groups(self) -> tuple[CorrectionGroup, ...]:
-        """The menu's correction groups, built on each access."""
-        return tuple(self.menu.groups())
 
     def moves(self) -> list[tuple[str, CorrectionVariant]]:
         """The selected (target, variant) pairs, in group order."""
@@ -870,6 +799,7 @@ def improvement_loop(
     _refuse_invalid(schedule, project.buildings)
     cap = capacity_vector(capacity)
     cache = CascadeCache(project)
+    lanes = _Lanes(project.buildings, schedule)
     current = schedule
     table = cache.schedule_table(current)
     v = violation_measure(table, cap)
@@ -880,7 +810,7 @@ def improvement_loop(
         if v <= REL_TOL:
             stop_reason = "balanced"
             break
-        menu = _correction_menu(project, current, cap, cache, table)
+        menu = _correction_menu(project, lanes, cap, cache, table)
         if not menu.targets:
             stop_reason = "no correction candidates"
             break
@@ -889,10 +819,13 @@ def improvement_loop(
         selection = menu.selection(rows)
         new_v, reason = v, "no improving selection"
         if selection.total_profit > noise:
-            kept, candidate = _compose(project, current, [menu.move(row) for row in rows])
+            # the kept moves are made on the lanes in place; a rejected
+            # iteration ends the loop, so they never need undoing
+            kept = _compose(lanes, [menu.move(row) for row in rows], project.horizon_months)
             selection = menu.selection([row for row, applies in zip(rows, kept) if applies])
             reason = "selection not applicable"
             if not selection.is_all_none():
+                candidate = lanes.schedule()
                 new_table = cache.schedule_table(candidate)
                 new_v = violation_measure(new_table, cap)
                 reason = "no decrease in violation measure"

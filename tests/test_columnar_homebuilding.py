@@ -269,6 +269,26 @@ def test_values_too_large_for_the_cascade_are_one_error_line(tmp_path, edit, lin
     assert result.stderr.splitlines() == [line]
 
 
+def _overflowing_end(hb):
+    hb["buildings"]["a7"]["assembly_duration"] = 1.7e308
+    hb["team_schedule"]["assignments"]["P2"][1][1] = 1.7e308
+
+
+@pytest.mark.parametrize("command", [["validate"], *COMMANDS], ids=lambda c: c[0])
+def test_a_placement_that_ends_past_the_float_range_is_one_invalid_line(tmp_path, command):
+    # 1.7e308 + 1.7e308 is inf: the Gantt chart and the repair loop's
+    # target test would meet it as an overflow
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_kope_with(_overflowing_end)))
+    args = [command[0], str(path), *command[1:]]
+    if command[0] == "report":
+        args += ["--csv", str(tmp_path / "curve.csv")]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == ["invalid: building a7: placement end inf is not finite"]
+    assert result.stdout == ""
+
+
 def test_the_fast_pass_leaves_a_huge_count_to_the_record_reader():
     doc = _kope_with(lambda hb: hb["buildings"]["a3"]["section_counts"].update(w3=10**400))
     assert fileio._building_table(doc["homebuilding"]["buildings"]) is None

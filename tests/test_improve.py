@@ -23,6 +23,7 @@ from balsched.homebuilding import (
     Building,
     SectionType,
     TeamSchedule,
+    building_requirement_table,
     horizon_requirement_table,
     team_schedule_violations,
 )
@@ -35,8 +36,8 @@ from balsched.improve import (
     CorrectionMenu,
     CorrectionVariant,
     ImproveParams,
-    Selection,
-    apply_selection,
+    _compose,
+    _Lanes,
     capacity_vector,
     generate_correction_groups,
     improvement_loop,
@@ -601,25 +602,28 @@ def test_three_iteration_loops_keep_their_selections(size):
     assert result.stop_reason == "max iterations"
 
 
-@pytest.mark.parametrize("target, days", [("a1", 3), ("a2", 3), ("a8", 14)])
-def test_cache_serves_only_the_exact_start(kope, target, days):
-    """A table cached at a start a few ulps away is not served for x."""
-    variant = CorrectionVariant(kind="shift_right", days=days)
-    start = dict((b, s) for _t, b, s in kope.team_schedule.placements())[target]
-    x = start + days / 30
-    warmed = CascadeCache(kope.project)
-    warmed.building_table(target, x + 3.6e-15)
-    args = (kope.project, kope.team_schedule, variant, kope.capacity)
-    assert score_variant(*args, target=target, cache=warmed) == score_variant(
-        *args, target=target
-    )
-
-
 @pytest.mark.parametrize("synthetic", [False, True], ids=["kope", "72/16"])
-def test_schedule_table_fills_the_cache_with_one_window_call(kope, monkeypatch, synthetic):
+def test_schedule_table_is_one_window_call_equal_to_the_horizon_table(
+    kope, monkeypatch, synthetic
+):
+    """On the input schedule and on every schedule a loop run tables."""
     instance = synthetic_instance(72, 16, seed=12) if synthetic else kope
-    project, schedule = instance.project, instance.team_schedule
-    cache = CascadeCache(project)
+    project = instance.project
+    schedules = []
+    schedule_table = CascadeCache.schedule_table
+
+    def recorded_table(self, schedule):
+        schedules.append(schedule)
+        return schedule_table(self, schedule)
+
+    monkeypatch.setattr(CascadeCache, "schedule_table", recorded_table)
+    result = improvement_loop(
+        project, instance.team_schedule, instance.capacity, ImproveParams(max_iters=3)
+    )
+    monkeypatch.undo()
+    assert schedules[0] is instance.team_schedule and len(schedules) > len(result.trace)
+    assert result.schedule in schedules
+
     calls = []
     kernel_window = balsched.homebuilding.RequirementKernel.window
 
@@ -628,18 +632,34 @@ def test_schedule_table_fills_the_cache_with_one_window_call(kope, monkeypatch, 
         return kernel_window(self, rows, starts, cols)
 
     monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "window", counted_kernel)
-    table = cache.schedule_table(schedule)
-    placements = list(schedule.placements())
-    assert calls == [len(placements)]
-    assert cache.schedule_table(schedule) is not table and calls == [len(placements)]
-    kernel = cache.kernel
-    expected = np.zeros_like(table)
-    for _team, building_id, start in placements:
-        one = kernel.total([kernel.row[building_id]], [start])
+    cache = CascadeCache(project)
+    for schedule in schedules:
+        expected = horizon_requirement_table(project, schedule).to_array()
+        calls.clear()
+        table = cache.schedule_table(schedule)
+        assert calls == [len(schedule.placements())]
+        assert table.tobytes() == expected.tobytes()
+    for _team, building_id, start in instance.team_schedule.placements():
+        one = building_requirement_table(project, project.buildings[building_id], start)
         assert cache.building_table(building_id, start).tobytes() == one.tobytes()
-        expected += one
-    assert table.tobytes() == expected.tobytes()
-    assert len(calls) == 1 + len(placements)  # each kernel.total is one window call
+
+
+@pytest.mark.parametrize("synthetic", [False, True], ids=["kope", "72/16"])
+def test_loop_indexes_the_schedule_once_per_run(kope, monkeypatch, synthetic):
+    instance = synthetic_instance(72, 16, seed=12) if synthetic else kope
+    built = []
+    lanes_init = _Lanes.__init__
+
+    def counted_init(self, buildings, schedule):
+        built.append(schedule)
+        lanes_init(self, buildings, schedule)
+
+    monkeypatch.setattr(_Lanes, "__init__", counted_init)
+    result = improvement_loop(
+        instance.project, instance.team_schedule, instance.capacity, ImproveParams(max_iters=3)
+    )
+    assert sum(record.accepted for record in result.trace) >= 2
+    assert built == [instance.team_schedule]
 
 
 def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
@@ -972,19 +992,31 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
 
 # --- applying selections ----------------------------------------------------------
 
+def _picks(problem, chosen):
+    """The (target, variant) pairs a selection's ``chosen`` picks, in group order."""
+    return [(g.targets[0], g.variants[j]) for g, j in zip(problem.groups, chosen) if j]
+
+
+def _composed(project, schedule, picks):
+    """_compose on a fresh lane index: which picks applied, and the schedule."""
+    lanes = _Lanes(project.buildings, schedule)
+    return _compose(lanes, picks, project.horizon_months), lanes.schedule()
+
+
 def test_apply_all_none_is_identity(kope):
     problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=0.0)
-    sel = mckp_greedy(problem)
-    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
-    assert applied == sel
-    assert out == kope.team_schedule
+    assert _picks(problem, mckp_greedy(problem).chosen) == []
+    assert _composed(kope.project, kope.team_schedule, []) == ([], kope.team_schedule)
+    picks = [(g.targets[0], NONE_VARIANT) for g in KOPE_CATALOGUE]
+    kept, out = _composed(kope.project, kope.team_schedule, picks)
+    assert all(kept) and out == kope.team_schedule
 
 
 def test_apply_catalogue_selection_moves_a7_a8(kope):
     problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
-    sel = mckp_greedy(problem)
-    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
-    assert applied == sel
+    picks = _picks(problem, mckp_greedy(problem).chosen)
+    kept, out = _composed(kope.project, kope.team_schedule, picks)
+    assert kept == [True] * len(picks)
     starts = {bid: start for _t, bid, start in out.placements()}
     assert starts["a7"] == pytest.approx(11.8 + 14 / 30)
     assert starts["a8"] == pytest.approx(9.7 + 21 / 30)
@@ -997,61 +1029,39 @@ def test_apply_catalogue_selection_moves_a7_a8(kope):
 
 def test_apply_preserves_buildings_and_durations(kope):
     problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
-    sel = mckp_greedy(problem)
-    _applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
-    assert sorted(b for _t, b, _s in out.placements()) == sorted(
+    lanes = _Lanes(kope.project.buildings, kope.team_schedule)
+    durations = dict(lanes.duration)
+    _compose(lanes, _picks(problem, mckp_greedy(problem).chosen), kope.project.horizon_months)
+    assert sorted(b for _t, b, _s in lanes.schedule().placements()) == sorted(
         b for _t, b, _s in kope.team_schedule.placements()
     )
+    assert lanes.duration == durations
+    for lane in lanes.lanes.values():
+        for start, end, building_id in lane:
+            assert end == start + kope.project.buildings[building_id].assembly_duration
 
 
 def test_apply_exchange_swaps_slots(kope):
-    g = CorrectionGroup(
-        index=1,
-        targets=("a3",),
-        variants=(
-            NONE_VARIANT,
-            CorrectionVariant(kind="exchange", buildings=("a3", "a6"), profit=1.0, cost=1.0),
-        ),
-    )
-    problem = BudgetedMCKP(groups=(g,), budget=1.0)
-    sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
-    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
-    assert applied == sel
+    exchange = CorrectionVariant(kind="exchange", buildings=("a3", "a6"), profit=1.0, cost=1.0)
+    kept, out = _composed(kope.project, kope.team_schedule, [("a3", exchange)])
+    assert kept == [True]
     placements = {bid: (team, start) for team, bid, start in out.placements()}
     assert placements["a3"] == ("P3", 9.5)
     assert placements["a6"] == ("P4", 6.5)
 
 
 def test_apply_degenerate_exchange(kope):
-    g = CorrectionGroup(
-        index=1,
-        targets=("a3",),
-        variants=(
-            NONE_VARIANT,
-            CorrectionVariant(kind="exchange", buildings=("a3", "a3"), profit=1.0, cost=1.0),
-        ),
-    )
-    problem = BudgetedMCKP(groups=(g,), budget=1.0)
-    sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
+    exchange = CorrectionVariant(kind="exchange", buildings=("a3", "a3"), profit=1.0, cost=1.0)
     with pytest.raises(ValueError, match="degenerate exchange"):
-        apply_selection(kope.project, kope.team_schedule, problem, sel)
+        _composed(kope.project, kope.team_schedule, [("a3", exchange)])
 
 
 def test_apply_drops_an_overlapping_shift(kope):
     # pushing a4 (P2, ends 11.8) right by 21 days runs it into a7 (starts 11.8)
-    g = CorrectionGroup(
-        index=1,
-        targets=("a4",),
-        variants=(
-            NONE_VARIANT,
-            CorrectionVariant(kind="shift_right", days=21, profit=1.0, cost=1.0),
-        ),
-    )
-    problem = BudgetedMCKP(groups=(g,), budget=1.0)
-    sel = Selection(chosen=(1,), total_profit=1.0, total_cost=1.0)
-    applied, out = apply_selection(kope.project, kope.team_schedule, problem, sel)
-    assert applied == Selection(chosen=(0,), total_profit=0, total_cost=0)
-    assert out is kope.team_schedule
+    shift = CorrectionVariant(kind="shift_right", days=21, profit=1.0, cost=1.0)
+    kept, out = _composed(kope.project, kope.team_schedule, [("a4", shift)])
+    assert kept == [False]
+    assert out == kope.team_schedule
 
 
 @pytest.fixture(scope="module")
@@ -1075,40 +1085,32 @@ def test_applied_selection_is_valid_and_a_fixed_point(menus, data):
     chosen = tuple(
         data.draw(st.integers(0, len(g.variants) - 1)) for g in problem.groups
     )
-    variants = [g.variants[j] for g, j in zip(problem.groups, chosen)]
-    selection = Selection(
-        chosen=chosen,
-        total_profit=sum(v.profit for v in variants),
-        total_cost=sum(v.cost for v in variants),
-    )
-    applied, out = apply_selection(project, schedule, problem, selection)
+    picks = _picks(problem, chosen)
+    kept, out = _composed(project, schedule, picks)
     assert team_schedule_violations(out, project.buildings) == []
     for _team, building_id, start in out.placements():
         end = start + project.buildings[building_id].assembly_duration
         assert 0 <= start and end <= project.horizon_months
-    assert all(a in (0, j) for a, j in zip(applied.chosen, chosen))
-    kept = [g.variants[a] for g, a in zip(problem.groups, applied.chosen)]
-    assert applied.total_profit == sum(v.profit for v in kept)
-    assert applied.total_cost == sum(v.cost for v in kept)
     # each building moves at most once, so the result is the applied moves
     # made on the input placements
+    applied = [pick for pick, applies in zip(picks, kept) if applies]
     before = {b: (team, start) for team, b, start in schedule.placements()}
     expected, touched = dict(before), []
-    for g, v in zip(problem.groups, kept):
+    for target, v in applied:
         if v.kind == "exchange":
             first, second = v.buildings
             expected[first], expected[second] = before[second], before[first]
             touched += v.buildings
-        elif v.kind != "none":
-            team, start = before[g.targets[0]]
+        else:
+            team, start = before[target]
             step = v.days / DAYS_PER_MONTH
-            expected[g.targets[0]] = (
+            expected[target] = (
                 team, start + step if v.kind == "shift_right" else start - step
             )
-            touched.append(g.targets[0])
+            touched.append(target)
     assert len(touched) == len(set(touched))
     assert {b: (team, start) for team, b, start in out.placements()} == expected
-    assert apply_selection(project, schedule, problem, applied) == (applied, out)
+    assert _composed(project, schedule, applied) == ([True] * len(applied), out)
 
 
 # --- the loop ---------------------------------------------------------------------
@@ -1189,7 +1191,7 @@ def test_loop_trace_profit_only_counts_applied_moves(kope):
     for record in result.trace:
         recomputed = sum(
             g.variants[j].profit
-            for g, j in zip(record.groups, record.selection.chosen)
+            for g, j in zip(record.menu.groups(), record.selection.chosen)
         )
         assert record.selection.total_profit == pytest.approx(recomputed)
         assert record.selection.total_cost <= kope.improve_params.budget + 1e-9
