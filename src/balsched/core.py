@@ -7,9 +7,10 @@ bag (multiset) of the element types consumed there, padded with an explicit
 idle type so that every bag has the same cardinality. Downstream balance
 checks compare those bags against a reference output profile.
 
-A validated instance holds its jobs as a JobTable: ids, CSR chain offsets
-and one flat array of universe type codes. Validation, makespans and bags
-read only the codes and lengths; CompositeJob records are built only when
+An instance always holds its jobs as a JobTable: ids, CSR chain offsets
+and one flat array of universe type codes; hand-built record mappings are
+converted on entry. Schedule checks, makespans and bags read only the
+table's rows, codes and lengths; CompositeJob records are built only when
 something asks for one. All types are immutable values after validation
 (the table's arrays are read-only) and every operation is pure, so
 instances and schedules can be shared freely across threads.
@@ -217,14 +218,31 @@ class IntervalBag:
 class Instance:
     """A validated problem instance: alphabet, jobs, processors, grid.
 
-    validate_instance gives ``jobs`` as a JobIndex over the instance's job
-    table. A hand-built mapping of records is read record by record.
+    ``jobs`` is always a JobIndex over a job table of ``universe``. A
+    hand-built mapping of records becomes one on entry, its keys the ids.
+
+    Raises:
+        ValueError: on a record element not in the universe, naming the
+            first such element in job order.
     """
 
     universe: ElementUniverse
     jobs: Mapping[str, CompositeJob]
     processors: tuple[str, ...]
     grid: TimeGrid
+
+    def __post_init__(self):
+        jobs = self.jobs
+        if isinstance(jobs, JobIndex) and jobs.table.universe == self.universe:
+            return
+        chains = [job.chain for job in jobs.values()]
+        try:
+            table = JobTable.from_chains(self.universe, list(jobs), chains)
+        except (KeyError, TypeError):
+            for element in chain.from_iterable(chains):
+                self.universe.position(element)  # raises on the first unknown
+            raise
+        object.__setattr__(self, "jobs", JobIndex(table))
 
 
 def collect_violations(
@@ -325,53 +343,11 @@ def validate_instance(
     )
 
 
-def _placed(instance: Instance, schedule: SlotSchedule):
-    """(table, rows, starts): the instance's job table, and the row and
-    start slot of each placement on the schedule's processors, in
-    processor order. None unless the jobs are a table of the instance's
-    universe, every id is in it and every start is an integer in [0, 2**62),
-    so that no start plus chain length overflows."""
-    jobs = instance.jobs
-    if not (isinstance(jobs, JobIndex) and jobs.table.universe == instance.universe):
-        return None
-    table = jobs.table
-    lanes = (schedule.placements.get(proc, ()) for proc in schedule.processors)
-    pairs = list(chain.from_iterable(lanes))
-    n = len(pairs)
-    try:  # a KeyError is an unknown id
-        starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
-        rows = np.fromiter(map(table.row.__getitem__, map(itemgetter(0), pairs)), np.intp, n)
-    except (KeyError, TypeError, OverflowError):
-        return None
-    if not ((starts >= 0) & (starts < 2**62)).all():
-        return None
-    return table, rows, starts
-
-
-def _lanes_clean(instance: Instance, schedule: SlotSchedule) -> bool:
-    """Whether the placements on a validated instance break no rule of
-    schedule_violations, decided on the job table's columns."""
-    placed = _placed(instance, schedule)
-    if placed is None:
-        return False
-    table, rows, starts = placed
-    if np.bincount(rows).max(initial=0) > 1:  # a job placed more than once
-        return False
-    ends = starts + table.lengths[rows]
-    sizes = [len(schedule.placements.get(proc, ())) for proc in schedule.processors]
-    lane = np.repeat(np.arange(len(sizes)), sizes)
-    order = np.lexsort((starts, lane))
-    lane, starts, ends = lane[order], starts[order], ends[order]
-    overlaps = (lane[1:] == lane[:-1]) & (starts[1:] < ends[:-1])
-    return bool((ends <= schedule.horizon_slots).all() and not overlaps.any())
-
-
 def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]:
     """Check a schedule against its instance; returns all violations.
 
-    The placements on a validated instance are checked on its job table's
-    columns; only placements that break a rule, and hand-built jobs, are
-    walked placement by placement, so the entries keep their order.
+    One walk over the placements, processor by processor, reading each
+    job's chain length from the instance's job table.
     """
     violations: list[str] = []
     for proc in schedule.placements:
@@ -380,14 +356,15 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
     for proc in schedule.processors:  # a subset of the instance's is fine
         if proc not in instance.processors:
             violations.append(f"schedule: unknown processor '{proc}'")
-    if _lanes_clean(instance, schedule):
-        return violations
+    table = instance.jobs.table
+    row, lengths = table.row, table.lengths.tolist()
+    horizon = schedule.horizon_slots
     placed: set[str] = set()
-    jobs = instance.jobs
     for proc in schedule.processors:
         occupied: list[tuple[int, int, str]] = []
         for job_id, start in schedule.placements.get(proc, ()):
-            if job_id not in jobs:
+            r = row.get(job_id)
+            if r is None:
                 violations.append(
                     f"processor {proc}: unknown job id '{job_id}'"
                 )
@@ -397,11 +374,11 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
             placed.add(job_id)
             if start < 0:
                 violations.append(f"job {job_id}: negative start slot {start}")
-            end = start + len(jobs[job_id].chain)
-            if end > schedule.horizon_slots:
+            end = start + lengths[r]
+            if end > horizon:
                 violations.append(
                     f"processor {proc}: job {job_id} ends at slot {end} "
-                    f"beyond horizon {schedule.horizon_slots}"
+                    f"beyond horizon {horizon}"
                 )
             occupied.append((start, end, job_id))
         occupied.sort()
@@ -425,18 +402,17 @@ def makespan(instance: Instance, schedule: SlotSchedule, grid: TimeGrid | None =
     """Last occupied interval index over all processors; 0 if empty.
 
     An interval is occupied if any chain element of a placed job falls in it.
+    One walk in Python numbers, so starts past int64 stay exact.
     """
     grid = grid or instance.grid
-    placed = _placed(instance, schedule)
-    if placed is not None:
-        table, rows, starts = placed
-        last_slot = int((starts + table.lengths[rows]).max(initial=0)) - 1
-    else:  # hand-built jobs, or placements _placed refuses
-        jobs = instance.jobs
-        last_slot = -1
-        for proc in schedule.processors:
-            for job_id, start in schedule.placements.get(proc, ()):
-                last_slot = max(last_slot, start + len(jobs[job_id].chain) - 1)
+    table = instance.jobs.table
+    row, lengths = table.row, table.lengths.tolist()
+    last_slot = -1
+    for proc in schedule.processors:
+        for job_id, start in schedule.placements.get(proc, ()):
+            end = start + lengths[row[job_id]] - 1
+            if end > last_slot:
+                last_slot = end
     if last_slot < 0:
         return 0
     return last_slot // grid.interval_len_slots + 1
@@ -458,14 +434,14 @@ def interval_bags(
 
     Every occupied slot lands in exactly one bag; each bag's cardinality is
     interval_len_slots x number of processors, or more where overlapping
-    placements overfill an interval. The bags are tallied from the chains'
-    integer codes (the job table's, or those of hand-built records) in one
-    bincount.
+    placements overfill an interval. The bags are tallied from the job
+    table's integer codes in one bincount.
 
     Raises:
         ValueError: if the grid covers fewer slots than the schedule horizon,
-            if a placement runs outside the grid, on an element type not in
-            the universe, or if the grid has too many intervals to tally.
+            if a placement runs outside the grid, or if the grid has too many
+            intervals to tally.
+        KeyError: on a job id not in the instance.
     """
     grid = grid or instance.grid
     if grid.horizon_slots < schedule.horizon_slots:
@@ -473,20 +449,14 @@ def interval_bags(
             f"grid shorter than horizon: {grid.horizon_slots} < "
             f"{schedule.horizon_slots}"
         )
-    universe = instance.universe
-    placed = _placed(instance, schedule)
-    if placed is not None:
-        table, rows, starts = placed
-        lengths = table.lengths[rows]
-    else:  # hand-built jobs, or placements _placed refuses
-        starts, chains = [], []
-        for proc in schedule.processors:
-            for job_id, start in schedule.placements.get(proc, ()):
-                starts.append(start)
-                chains.append(instance.jobs[job_id].chain)
-        lengths = np.array([len(c) for c in chains], dtype=np.intp)
-        starts = np.fromiter(map(index, starts), np.intp, len(starts))  # ints only
-        table = None
+    universe, table = instance.universe, instance.jobs.table
+    lanes = (schedule.placements.get(proc, ()) for proc in schedule.processors)
+    pairs = list(chain.from_iterable(lanes))
+    n = len(pairs)
+    # rows first, so an unknown id raises before a start that is no integer
+    rows = np.fromiter(map(table.row.__getitem__, map(itemgetter(0), pairs)), np.intp, n)
+    starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
+    lengths = table.lengths[rows]
     slots = _ramps(starts, lengths)  # each element's slot
     if len(slots) and (slots.min() < 0 or slots.max() >= grid.horizon_slots):
         raise ValueError(
@@ -496,19 +466,7 @@ def interval_bags(
     keys = slots  # turned into interval * size + code in place, to save memory
     keys //= grid.interval_len_slots
     keys *= size
-    if table is not None:
-        keys += table.codes[_ramps(table.offsets[rows], lengths)]
-    else:
-        try:
-            keys += np.fromiter(
-                map(universe.codes.__getitem__, chain.from_iterable(chains)), np.intp, len(keys)
-            )
-        except (KeyError, TypeError):
-            # position() raises on the first unknown element in bag order
-            elements = list(chain.from_iterable(chains))
-            for i in np.argsort(keys, kind="stable"):
-                universe.position(elements[i])
-            raise
+    keys += table.codes[_ramps(table.offsets[rows], lengths)]
     try:
         counts = np.bincount(keys, minlength=grid.k * size).reshape(grid.k, size)
     except (MemoryError, OverflowError, ValueError):

@@ -159,6 +159,20 @@ def test_columnar_checks_equal_the_record_walks(case):
         assert bags == outcome(record_interval_bags, universe, records, schedule, grid)
 
 
+def test_an_instance_holds_hand_built_records_as_a_job_table():
+    f = build_fixture("modular-demo")
+    records = {job.id: job for job in f.jobs}
+    hand_built = Instance(f.universe, records, f.processors, f.grid)
+    assert hand_built.jobs.table == JobTable.of(f.universe, records.values())
+    assert dict(hand_built.jobs) == records
+    # the mapping's keys are the ids
+    renamed = Instance(f.universe, {"k": records["a1"]}, f.processors, f.grid)
+    assert renamed.jobs.table.ids == ("k",)
+    instance = validate_instance(f.universe, f.jobs, f.processors, f.grid)
+    moved = dataclasses.replace(instance, grid=TimeGrid(4, 3))
+    assert moved.jobs is instance.jobs and moved.jobs.table is instance.jobs.table
+
+
 # --- random window jobs -----------------------------------------------------------
 
 @st.composite

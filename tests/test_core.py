@@ -214,16 +214,15 @@ def _demo_with(placements, chains=None):
     return instance, schedule
 
 
-def test_interval_bags_name_the_first_unknown_element_in_bag_order():
-    instance, schedule = _demo_with(
-        {"P1": (("x1", 6),), "P2": (("x2", 0),)},
-        {"x1": ("zz",), "x2": ("e1", "yy")},
-    )
-    with pytest.raises(ValueError, match="unknown element type 'yy'"):
-        interval_bags(instance, schedule)
-    instance, schedule = _demo_with({"P3": (("x1", 0),)}, {"x1": ("e1", [1])})
-    with pytest.raises(ValueError, match=r"unknown element type '\[1\]'"):
-        interval_bags(instance, schedule)
+@pytest.mark.parametrize(
+    "chains, element",
+    [({"x1": ("zz",), "x2": ("e1", "yy")}, "'zz'"), ({"x1": ("e1", [1])}, r"'\[1\]'")],
+    ids=["first-in-job-order", "unhashable"],
+)
+def test_an_instance_refuses_an_unknown_element_at_construction(chains, element):
+    # the first unknown element in job order
+    with pytest.raises(ValueError, match=f"unknown element type {element}"):
+        _demo_with({}, chains)
 
 
 @pytest.mark.parametrize("start", [-1, 7])

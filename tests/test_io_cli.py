@@ -948,6 +948,24 @@ def test_cli_domain_errors_are_one_error_line(
     assert result.stderr.splitlines() == [f"error: {line}"]
 
 
+def test_cli_keeps_starts_past_int64_exact(runner, tmp_path):
+    data = json.loads(FIXTURE_JSON["modular-demo"])
+    mutate(data, ("modular", "schedule", "horizon_slots"), 2**70)
+    mutate(data, ("modular", "schedule", "placements", "P1", 1, 1), 2**69)
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(data))
+    result = runner.invoke(main, ["validate", str(wide)])
+    assert (result.exit_code, result.stdout) == (0, "OK\n")
+    result = runner.invoke(main, ["evaluate", str(wide)])
+    assert result.exit_code == 0
+    assert "makespan: 196765270119568550573" in result.stdout.splitlines()
+    result = runner.invoke(main, ["balance", str(wide)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == [
+        "error: grid shorter than horizon: 12 < 1180591620717411303424"
+    ]
+
+
 @pytest.mark.parametrize(
     "chain, lines",
     [
