@@ -455,13 +455,15 @@ def interval_bags(
     n = len(pairs)
     # rows first, so an unknown id raises before a start that is no integer
     rows = np.fromiter(map(table.row.__getitem__, map(itemgetter(0), pairs)), np.intp, n)
-    starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
+    outside = f"placement outside the grid's {grid.horizon_slots} slots"
+    try:
+        starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
+    except OverflowError:  # a start past int64 is past the grid
+        raise ValueError(outside) from None
     lengths = table.lengths[rows]
     slots = _ramps(starts, lengths)  # each element's slot
     if len(slots) and (slots.min() < 0 or slots.max() >= grid.horizon_slots):
-        raise ValueError(
-            f"placement outside the grid's {grid.horizon_slots} slots"
-        )
+        raise ValueError(outside)
     size = universe.size
     keys = slots  # turned into interval * size + code in place, to save memory
     keys //= grid.interval_len_slots

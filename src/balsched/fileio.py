@@ -7,8 +7,8 @@ grid, a slot schedule, and optionally a reference profile and window jobs;
 schedule, capacity, and optionally loop parameters and reference
 requirement figures for comparison reports.
 
-Saving is canonical (sorted keys, two-space indent, trailing newline), so
-equal instances serialize byte-identically; ``load(save(x)) == x``.
+Saving writes the canonical text of ``instance_to_dict`` (sorted keys,
+two-space indent, trailing newline) from the columns; ``load(save(x)) == x``.
 """
 
 from __future__ import annotations
@@ -169,13 +169,7 @@ def _get(data: dict, key: str, read, default=_REQUIRED):
         if default is _REQUIRED:
             raise _Bad("missing", key)
         return default
-    try:  # _at, inlined: this runs once per field of every record
-        return read(value)
-    except _Bad as bad:
-        bad.keys.append(key)
-        raise
-    except ValueError as exc:
-        raise _Bad(str(exc), key) from None
+    return _at(key, read, value)
 
 
 def _list_of(read, n: int | None = None):
@@ -581,99 +575,145 @@ def load_instance(path) -> InstanceFile:
 
 # --- writing -----------------------------------------------------------------
 #
-# One rule writes every record: an object of its constructor fields under
-# their own names, leaving out fields that are None. Tuples become lists
-# and mappings objects, item by item. _WRITERS holds the records written
-# another way; instance_to_dict lays out the file around them.
+# One rule shapes every record: an object of its constructor fields under
+# their own names, leaving out fields that are None. _SHAPES holds the
+# values shaped another way; _document lays out the file around them.
+# save_instance writes the bytes of json.dumps(instance_to_dict(x),
+# indent=2, sort_keys=True) from the values: the buildings and the team
+# lanes by one template per record, a row of finite floats by one
+# float.__repr__ join. A value no layout takes (a bool, None, a non-finite
+# float, a numpy scalar, a key that is not a string) leaves the subtree of
+# the layout that refused it to json, once.
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
+_quote = json.encoder.encode_basestring_ascii
+_NONFINITE = frozenset({"inf", "-inf", "nan"})
 
 
 def _record_writer(kind: type, skip: str | None = None):
     names = tuple(f.name for f in fields(kind) if f.init and f.name != skip)
-
-    def write(record) -> dict:
-        out = {}
-        for name in names:
-            if (value := getattr(record, name)) is not None:
-                out[name] = value if type(value) in _PLAIN else _emit(value)
-        return out
-    return write
+    return lambda record: {n: v for n in names if (v := getattr(record, n)) is not None}
 
 
-def _sequence(value) -> list:
-    if _PLAIN.issuperset(map(type, value)):
-        return list(value)
-    return [_emit(v) for v in value]
-
-
-def _mapping(value) -> dict:
-    if _PLAIN.issuperset(map(type, value.values())):
-        return dict(value)
-    return {k: _emit(v) for k, v in value.items()}
-
-
-_WRITERS = {
-    tuple: _sequence,
-    list: _sequence,
-    dict: _mapping,
-    JobTable: lambda table: [_emit(job) for job in table],
-    WindowTable: lambda table: [_emit(job) for job in table],
-    BuildingTable: lambda table: {  # a building's id is its map key
-        building_id: {
-            "building_type": table.building_types[t],
-            "section_counts": dict(table.compositions[c]),
-            "assembly_duration": duration,
-            "start": start,
-            "general_square": square,
-        }
-        for building_id, t, c, duration, start, square in zip(
-            table.ids, table.type_codes.tolist(), table.composition_codes.tolist(),
-            table.assembly_duration.tolist(), table.start.tolist(),
-            table.general_square.tolist(),
-        )
-    },
+_SHAPES = {
+    JobTable: list, WindowTable: list,
+    BuildingTable: lambda table: dict(  # a building's id is its map key
+        zip(table.ids, map(_record_writer(Building, skip="id"), table.values()))),
     SectionType: lambda st: dict(zip(FLOOR_TYPES, map(list, st.detail_matrix))),
     BuildingType: lambda bt: dict(bt.floor_counts),
-    TeamSchedule: lambda ts: {
-        "teams": list(ts.teams),
-        "assignments": {t: list(map(list, ts.assignments.get(t, ()))) for t in ts.teams},
-    },
+    TeamSchedule: lambda ts: {"teams": ts.teams, "assignments": {
+        t: list(map(list, ts.assignments.get(t, ()))) for t in ts.teams}},
 }
+
+
+def _shape(kind: type):
+    """The function giving a value of kind as a dict or list, or None."""
+    if kind not in _SHAPES:  # the first value of its type
+        _SHAPES[kind] = (_record_writer(kind) if is_dataclass(kind)
+                         else dict if issubclass(kind, Mapping) else None)
+    return _SHAPES[kind]
 
 
 def _emit(value):
     """The JSON-ready form of value."""
-    kind = type(value)
-    if kind in _PLAIN:
-        return value
-    write = _WRITERS.get(kind)
-    if write is None:  # the first value of its type
-        write = _WRITERS[kind] = (
-            _record_writer(kind) if is_dataclass(kind)
-            else _mapping if issubclass(kind, Mapping)
-            else lambda v: v  # another scalar, such as a numpy float
-        )
-    return write(value)
+    if type(value) is dict:
+        return {k: v if type(v) in _PLAIN else _emit(v) for k, v in value.items()}
+    if type(value) is list or type(value) is tuple:
+        return [v if type(v) in _PLAIN else _emit(v) for v in value]
+    return value if (shape := _shape(type(value))) is None else _emit(shape(value))
+
+
+def _document(instance: InstanceFile) -> dict:
+    """The file's top-level object, its values not yet shaped."""
+    block = _shape(InstanceFile)(instance)
+    data = {"format_version": FORMAT_VERSION, "mode": block.pop("mode")}
+    data |= {key: block.pop(key) for key in ("window_jobs", "penalty_weights") if key in block}
+    block |= _shape(Project)(block.pop("project")) if "project" in block else {}
+    block |= {"improve": block.pop("improve_params")} if "improve_params" in block else {}
+    return data | {instance.mode: block}
 
 
 def instance_to_dict(instance: InstanceFile) -> dict:
     """The JSON-ready dictionary form of an instance file."""
-    block = _emit(instance)
-    data = {"format_version": FORMAT_VERSION, "mode": block.pop("mode")}
-    for key in ("window_jobs", "penalty_weights"):
-        if key in block:
-            data[key] = block.pop(key)
-    block.update(block.pop("project", {}))
-    if "improve_params" in block:
-        block["improve"] = block.pop("improve_params")
-    data[instance.mode] = block
-    return data
+    return _emit(_document(instance))
+
+
+def _floats(values) -> list[str]:
+    """The texts of finite floats; TypeError on any other value."""
+    if _NONFINITE.isdisjoint(texts := list(map(float.__repr__, values))):
+        return texts
+    raise TypeError("a float that is not finite")
+
+
+def _join(texts, pad: str, ends: str = "[]") -> str:
+    inner = "\n" + pad + "  "
+    return f"{ends[0]}{inner}{(',' + inner).join(texts)}\n{pad}{ends[1]}" if texts else ends
+
+
+class _Refused(Exception):
+    """json's own error for a subtree no layout takes, passed up unchanged."""
+
+
+def _text(value, pad: str) -> str:
+    """The canonical text of value, its inner lines indented past pad."""
+    try:
+        if (layout := _LAYOUTS.get(type(value))) is not None:
+            return layout(value, pad)
+        if (shape := _shape(type(value))) is not None:
+            return _text(shape(value), pad)
+    except (TypeError, ValueError):
+        pass  # a key or value no layout takes: json writes this subtree
+    try:
+        return json.dumps(_emit(value), indent=2, sort_keys=True).replace("\n", "\n" + pad)
+    except (TypeError, ValueError) as exc:
+        raise _Refused(exc) from None
+
+
+def _buildings(table: BuildingTable, pad: str) -> str:
+    """One template per building, its keys in sorted order."""
+    types = list(map(_quote, table.building_types))
+    counts = [_text(dict(items), pad + "    ") for items in table.compositions]
+    keys = ("assembly_duration", "building_type", "general_square", "section_counts", "start")
+    template = "{" + ",".join(f'\n{pad}    "{k}": %s' for k in keys) + "\n" + pad + "  }"
+    records = map(template.__mod__, zip(
+        _floats(table.assembly_duration.tolist()), [types[t] for t in table.type_codes.tolist()],
+        _floats(table.general_square.tolist()),
+        [counts[c] for c in table.composition_codes.tolist()], _floats(table.start.tolist())))
+    return _join([f"{_quote(b)}: {record}"
+                  for b, record in sorted(dict(zip(table.ids, records)).items())], pad, "{}")
+
+
+def _team_lanes(schedule: TeamSchedule, pad: str) -> str:
+    """The schedule with one [id, start] template per placement."""
+    i3, i4 = "\n" + pad + "      ", "\n" + pad + "        "
+    placed = {t: schedule.assignments.get(t, ()) for t in schedule.teams}
+    lanes = [f"{_quote(t)}: " + _join([f"[{i4}{_quote(b)},{i4}{start}{i3}]" for (b, _), start
+                                       in zip(pairs, _floats([s for _, s in pairs]))], pad + "    ")
+             for t, pairs in sorted(placed.items())]
+    return _join([f'"assignments": {_join(lanes, pad + "  ", "{}")}',
+                  f'"teams": {_text(schedule.teams, pad + "  ")}'], pad, "{}")
+
+
+_LAYOUTS = dict.fromkeys((list, tuple), lambda values, pad: _join(
+    _floats(values) if values and type(values[0]) is float  # a row of floats
+    else [_text(v, pad + "  ") for v in values], pad,
+)) | {
+    str: lambda value, pad: _quote(value),
+    int: lambda value, pad: int.__repr__(value),
+    float: lambda value, pad: _floats((value,))[0],
+    dict: lambda value, pad: _join([
+        f"{_quote(k)}: {_text(v, pad + '  ')}" for k, v in sorted(value.items())], pad, "{}"),
+    BuildingTable: _buildings,
+    TeamSchedule: _team_lanes,
+}
 
 
 def save_instance(instance: InstanceFile, path) -> None:
     """Write the canonical JSON form (stable bytes for equal instances)."""
-    text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
+    try:
+        text = _text(_document(instance), "")
+    except _Refused as refused:
+        raise refused.args[0] from None
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 

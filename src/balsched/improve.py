@@ -650,6 +650,13 @@ def _correction_menu(
     # and undo itself.
     positions = np.arange(len(placed))
     eligible = (positions > targets[:, None]) | ((positions < targets[:, None]) & ~is_target)
+    # Two buildings of one kind (type, composition and duration) gather
+    # equal kernel rows, so their exchange changes no table bit and its
+    # profit is 0.0: the menu leaves it out.
+    rows = [project.buildings.row[b] for b in placed]
+    kinds = np.stack([project.buildings.type_codes[rows],
+                      project.buildings.composition_codes[rows], durations])
+    eligible &= (kinds[:, targets, None] != kinds[:, None, :]).any(axis=0)
     swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, targets)
     # a column per shift (right by each step, then left, as VARIANT_KINDS
     # orders them), then one per exchange partner: the rows are the

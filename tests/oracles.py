@@ -8,11 +8,20 @@ check. They are slow and simple on purpose.
 from __future__ import annotations
 
 import itertools
+import json
 import sys
 from collections import deque
 from typing import NamedTuple
 
 import numpy as np
+
+
+def canonical_text(document):
+    """The canonical text of an instance file's dictionary form (what
+    ``instance_to_dict`` returns): json's own sorted, two-space indented
+    layout, written value by value by its pure-Python encoder, and a
+    trailing newline."""
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def unit_move_distance(e0, e):
@@ -412,14 +421,18 @@ def whole_horizon_menu(project, schedule, capacity, shift_steps):
     exceeds its capacity, by id. Each gets every shift right, then left,
     by each of ``shift_steps`` days (days / 30 months) that keeps the
     schedule valid, then an exchange with every placed building after it,
-    or before it and not a target, that keeps the schedule valid. Profit
-    is V less V of the base table with the moved buildings' old tables
-    taken out and their new ones put in.
+    or before it and not a target, that keeps the schedule valid and is
+    not of its kind: the same type, section counts in the same order and
+    duration. Profit is V less V of the base table with the moved
+    buildings' old tables taken out and their new ones put in.
     """
     horizon = project.horizon_months
     assignments = {team: list(schedule.assignments.get(team, ())) for team in schedule.teams}
     placement, base = _whole_base(project, schedule)
     durations = {b: project.buildings[b].assembly_duration for b in placement}
+    kinds = {b: (project.buildings[b].building_type,
+                 tuple(project.buildings[b].section_counts.items()), durations[b])
+             for b in placement}
     v = whole_violation(base, capacity)
     cap = np.array([capacity.get(d, np.inf) for d in DETAIL_ORDER])
     months = [m for m in range(1, horizon + 1) if np.any(base[m - 1] > cap)]
@@ -442,7 +455,7 @@ def whole_horizon_menu(project, schedule, capacity, shift_steps):
                     profit = _moved_profit(project, placement, base, capacity, moves)
                     rows.append((b, kind, days, None, profit))
         for k, other in enumerate(ids):
-            if k == i or (k < i and other in targets):
+            if k == i or (k < i and other in targets) or kinds[other] == kinds[b]:
                 continue
             other_team, other_start = placement[other]
             moves = [(b, other_team, other_start), (other, team, start)]

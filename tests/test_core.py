@@ -225,9 +225,10 @@ def test_an_instance_refuses_an_unknown_element_at_construction(chains, element)
         _demo_with({}, chains)
 
 
-@pytest.mark.parametrize("start", [-1, 7])
+@pytest.mark.parametrize("start", [-1, 7, 2**63 - 1, 2**70, -(2**70)])
 def test_interval_bags_refuse_a_placement_outside_the_grid(start):
-    # a4a runs 6 slots: from 7 it ends at 13 on the 12-slot grid
+    # a4a runs 6 slots: from 7 it ends at 13 on the 12-slot grid; a start
+    # past int64 is outside it too, not an OverflowError
     instance, schedule = _demo_with({"P1": (("a4a", start),)})
     with pytest.raises(ValueError, match="outside the grid's 12 slots"):
         interval_bags(instance, schedule)

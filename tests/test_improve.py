@@ -28,6 +28,7 @@ from balsched.homebuilding import (
     team_schedule_violations,
 )
 from balsched.improve import (
+    EXCHANGE_COST,
     NONE_VARIANT,
     SHIFT_STEPS,
     BudgetedMCKP,
@@ -553,6 +554,33 @@ def test_menu_profits_agree_with_whole_horizon_pricing_when_seeded(kope, seed):
     assert len(rows) > 20
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_same_kind_exchange_prices_to_zero_and_is_not_listed(data):
+    """Building i of a synthetic project copies kope building i mod 9, so
+    buildings nine apart are of one kind: the same type, composition and
+    duration. Exchanging two of them changes no table bit, whatever their
+    placements and the capacities."""
+    n = data.draw(st.sampled_from((18, 27, 36)))
+    instance = synthetic_instance(n, data.draw(st.integers(1, 6)), data.draw(st.integers(0, 10**6)))
+    project, schedule = instance.project, instance.team_schedule
+    i = data.draw(st.integers(0, n - 10))
+    j = data.draw(st.sampled_from(range(i + 9, n, 9)))
+    buildings = project.buildings
+    assert buildings.type_codes[i] == buildings.type_codes[j]
+    assert buildings.composition_codes[i] == buildings.composition_codes[j]
+    assert buildings.assembly_duration[i] == buildings.assembly_duration[j]
+    table = horizon_requirement_table(project, schedule)
+    details = data.draw(st.lists(st.sampled_from(DETAIL_TYPES), min_size=1, max_size=3,
+                                 unique=True))
+    capacity = {d: data.draw(st.floats(0.0, 1.0)) * table.peak(d)[1] for d in details}
+    pair = (buildings.ids[i], buildings.ids[j])
+    exchange = CorrectionVariant("exchange", buildings=pair)
+    assert score_variant(project, schedule, exchange, capacity) == (0.0, EXCHANGE_COST)
+    groups = generate_correction_groups(project, schedule, capacity)
+    assert not [v for g in groups for v in g.variants if set(v.buildings or ()) == set(pair)]
+
+
 # improvement_loop(budget=5, max_iters=3): each iteration's chosen moves and
 # the final V, recorded from the loop that priced every move on the whole
 # horizon and all eight details.
@@ -663,7 +691,9 @@ def test_loop_indexes_the_schedule_once_per_run(kope, monkeypatch, synthetic):
 
 
 def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
-    project, schedule, capacity = _small_synthetic(kope, rounds=3)
+    # five rounds: the copies of one kope building exchange with nothing,
+    # so fewer rounds leave under three partners per target
+    project, schedule, capacity = _small_synthetic(kope, rounds=5)
     cache = CascadeCache(project)
     table = cache.schedule_table(schedule)
     calls = []
