@@ -9,11 +9,10 @@ schedule is balanced when every interval's bag sits within proximity
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .core import Instance, IntervalBag, SlotSchedule, TimeGrid, interval_bags
+from .core import Instance, IntervalBag, SlotSchedule, interval_bags
 
 #: Real-valued vectors (fractional floor progress) compare totals to this.
 TOTAL_TOLERANCE = 1e-6
@@ -27,14 +26,9 @@ def count_vector(
     Raises:
         ValueError: on an element type not present in the universe.
     """
-    elements = bag.elements if isinstance(bag, IntervalBag) else tuple(bag)
-    try:
-        tally = Counter(elements).items()
-    except TypeError:  # an unhashable element, which position() refuses
-        tally = ((element, 1) for element in elements)
     counts = [0] * universe.size
-    for element, n in tally:
-        counts[universe.position(element)] += n
+    for element in bag.elements if isinstance(bag, IntervalBag) else bag:
+        counts[universe.position(element)] += 1
     return tuple(counts)
 
 
@@ -85,7 +79,6 @@ def balance_verdict(
     schedule: SlotSchedule,
     e0: Sequence[float],
     delta0: float,
-    grid: TimeGrid | None = None,
 ) -> BalanceVerdict:
     """Check every interval bag against the reference profile.
 
@@ -93,8 +86,7 @@ def balance_verdict(
         ValueError: when the reference profile total does not match the
             interval capacity (interval length x processor count).
     """
-    grid = grid or instance.grid
-    capacity = grid.interval_len_slots * len(schedule.processors)
+    capacity = instance.grid.interval_len_slots * len(schedule.processors)
     total = sum(e0)
     if abs(total - capacity) > TOTAL_TOLERANCE:
         raise ValueError(
@@ -102,7 +94,7 @@ def balance_verdict(
             f"interval capacity is {capacity}"
         )
     deltas = tuple(
-        proximity(e0, bag.counts) for bag in interval_bags(instance, schedule, grid)
+        proximity(e0, bag.counts) for bag in interval_bags(instance, schedule)
     )
     max_delta = max(deltas)
     violating = tuple(i + 1 for i, d in enumerate(deltas) if d > delta0)

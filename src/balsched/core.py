@@ -347,7 +347,8 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
     """Check a schedule against its instance; returns all violations.
 
     One walk over the placements, processor by processor, reading each
-    job's chain length from the instance's job table.
+    job's chain length from the instance's job table. A start that is not
+    an integer is one violation, and its placement is checked no further.
     """
     violations: list[str] = []
     for proc in schedule.placements:
@@ -368,6 +369,11 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
                 violations.append(
                     f"processor {proc}: unknown job id '{job_id}'"
                 )
+                continue
+            try:
+                index(start)
+            except TypeError:
+                violations.append(f"job {job_id}: start slot {start!r} is not an integer")
                 continue
             if job_id in placed:
                 violations.append(f"job {job_id}: placed more than once")
@@ -398,13 +404,12 @@ def validate_schedule(instance: Instance, schedule: SlotSchedule) -> SlotSchedul
     return schedule
 
 
-def makespan(instance: Instance, schedule: SlotSchedule, grid: TimeGrid | None = None) -> int:
+def makespan(instance: Instance, schedule: SlotSchedule) -> int:
     """Last occupied interval index over all processors; 0 if empty.
 
     An interval is occupied if any chain element of a placed job falls in it.
     One walk in Python numbers, so starts past int64 stay exact.
     """
-    grid = grid or instance.grid
     table = instance.jobs.table
     row, lengths = table.row, table.lengths.tolist()
     last_slot = -1
@@ -415,7 +420,7 @@ def makespan(instance: Instance, schedule: SlotSchedule, grid: TimeGrid | None =
                 last_slot = end
     if last_slot < 0:
         return 0
-    return last_slot // grid.interval_len_slots + 1
+    return last_slot // instance.grid.interval_len_slots + 1
 
 
 def _ramps(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -425,11 +430,7 @@ def _ramps(firsts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def interval_bags(
-    instance: Instance,
-    schedule: SlotSchedule,
-    grid: TimeGrid | None = None,
-) -> list[IntervalBag]:
+def interval_bags(instance: Instance, schedule: SlotSchedule) -> list[IntervalBag]:
     """Collect the per-interval element bags, idle-padded to capacity.
 
     Every occupied slot lands in exactly one bag; each bag's cardinality is
@@ -443,7 +444,7 @@ def interval_bags(
             intervals to tally.
         KeyError: on a job id not in the instance.
     """
-    grid = grid or instance.grid
+    grid = instance.grid
     if grid.horizon_slots < schedule.horizon_slots:
         raise ValueError(
             f"grid shorter than horizon: {grid.horizon_slots} < "

@@ -97,14 +97,15 @@ class InstanceFile:
 # _field and _each turn failures into issues: a bad field or entry is
 # reported and skipped, and reading goes on, so one run lists every problem.
 #
-# The bulk lists (modular jobs, each slot lane, window jobs) and the
-# buildings object first get one fast pass: exact type tests and defaults
-# over whole columns, no path bookkeeping and no issues. Jobs become a
-# JobTable of universe codes, window jobs a WindowTable and buildings a
-# BuildingTable, so a valid file builds no job or building records. If any
-# entry misses a test, an element is not in the universe, or a table
-# refuses an entry, the pass gives up and the whole list is read again by
-# the path-tracking readers, so every issue keeps its text and order.
+# The modular jobs, the window jobs and the buildings object first get one
+# fast pass: exact type tests and defaults over whole columns, no path
+# bookkeeping and no issues. Jobs become a JobTable of universe codes,
+# window jobs a WindowTable and buildings a BuildingTable, so a valid file
+# builds no job or building records. If any entry misses a test, an
+# element is not in the universe, or a table refuses an entry, the pass
+# gives up and the whole list is read again by the path-tracking readers,
+# so every issue keeps its text and order. Slot and team lanes have only
+# their path-tracking readers.
 # load_instance pauses the cyclic collector while it parses and reads: a
 # load allocates tens of thousands of containers but makes no reference
 # cycles, so collections during it would free nothing.
@@ -227,11 +228,10 @@ def _each(data: dict, key: str, kind, read, issues: list, path: str,
     return out if kind is _obj else tuple(out.values())
 
 
-def _lanes(data: dict, key: str, pair, issues: list, path: str, fast=None) -> dict:
+def _lanes(data: dict, key: str, pair, issues: list, path: str) -> dict:
     """An optional object of lanes, each a list of [id, start] pairs."""
     lanes = _field(data, key, _obj, issues, path, None) or {}
-    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}", fast=fast)
-            for lane in lanes}
+    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}") for lane in lanes}
 
 
 def _universe(v) -> ElementUniverse:
@@ -273,15 +273,6 @@ def _slot(_, v) -> tuple[str, int]:
     raise _Bad("expected [job id, start slot]")
 
 
-def _slots(items: list) -> tuple[tuple[str, int], ...] | None:
-    """The fast pass of _slot over a whole lane."""
-    for v in items:
-        if not (type(v) is list and len(v) == 2 and type(v[0]) is str
-                and type(v[1]) is int):
-            return None
-    return tuple(map(tuple, items))
-
-
 def _load_modular(block: dict, issues: list) -> dict:
     at = "/modular"
     out = {
@@ -302,7 +293,7 @@ def _load_modular(block: dict, issues: list) -> dict:
         at += "/schedule"
         out["schedule"] = SlotSchedule(
             horizon_slots=_field(schedule, "horizon_slots", _int, issues, at),
-            placements=_lanes(schedule, "placements", _slot, issues, at, fast=_slots),
+            placements=_lanes(schedule, "placements", _slot, issues, at),
             processors=_field(schedule, "processors", _strs, issues, at),
         )
     return out
@@ -582,8 +573,8 @@ def load_instance(path) -> InstanceFile:
 # indent=2, sort_keys=True) from the values: the buildings and the team
 # lanes by one template per record, a row of finite floats by one
 # float.__repr__ join. A value no layout takes (a bool, None, a non-finite
-# float, a numpy scalar, a key that is not a string) leaves the subtree of
-# the layout that refused it to json, once.
+# float, a numpy scalar, a key that is not a string) sends the whole file
+# to json, once: only hand-built instances hold such values.
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _quote = json.encoder.encode_basestring_ascii
@@ -650,23 +641,14 @@ def _join(texts, pad: str, ends: str = "[]") -> str:
     return f"{ends[0]}{inner}{(',' + inner).join(texts)}\n{pad}{ends[1]}" if texts else ends
 
 
-class _Refused(Exception):
-    """json's own error for a subtree no layout takes, passed up unchanged."""
-
-
 def _text(value, pad: str) -> str:
-    """The canonical text of value, its inner lines indented past pad."""
-    try:
-        if (layout := _LAYOUTS.get(type(value))) is not None:
-            return layout(value, pad)
-        if (shape := _shape(type(value))) is not None:
-            return _text(shape(value), pad)
-    except (TypeError, ValueError):
-        pass  # a key or value no layout takes: json writes this subtree
-    try:
-        return json.dumps(_emit(value), indent=2, sort_keys=True).replace("\n", "\n" + pad)
-    except (TypeError, ValueError) as exc:
-        raise _Refused(exc) from None
+    """The canonical text of value, its inner lines indented past pad;
+    TypeError or ValueError on a key or value no layout takes."""
+    if (layout := _LAYOUTS.get(type(value))) is not None:
+        return layout(value, pad)
+    if (shape := _shape(type(value))) is not None:
+        return _text(shape(value), pad)
+    raise TypeError(f"no layout for {type(value).__name__}")
 
 
 def _buildings(table: BuildingTable, pad: str) -> str:
@@ -712,8 +694,8 @@ def save_instance(instance: InstanceFile, path) -> None:
     """Write the canonical JSON form (stable bytes for equal instances)."""
     try:
         text = _text(_document(instance), "")
-    except _Refused as refused:
-        raise refused.args[0] from None
+    except (TypeError, ValueError):  # a value no layout takes: json writes the file
+        text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 

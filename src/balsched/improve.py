@@ -11,7 +11,7 @@ repeats while the violation measure keeps falling.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, isfinite
@@ -201,11 +201,17 @@ REL_TOL = 1e-12
 
 
 def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
-    """Per-detail capacity array; details without a stated capacity are
-    unconstrained (+inf)."""
-    for detail in capacity:
+    """Per-detail capacity array; details without a stated capacity, or
+    with capacity +inf, are unconstrained.
+
+    Raises:
+        ValueError: on an unknown detail or a negative or NaN capacity.
+    """
+    for detail, value in capacity.items():
         if detail not in DETAIL_TYPES:
             raise ValueError(f"unknown detail type '{detail}'")
+        if not value >= 0:
+            raise ValueError(f"capacity of detail '{detail}' must be non-negative, got {value}")
     return np.array(
         [capacity.get(d, float("inf")) for d in DETAIL_TYPES], dtype=float
     )
@@ -268,26 +274,13 @@ Move = tuple[str, str, float, str, float]
 
 
 def _lane_fits(lane: list, removed: Sequence[tuple], added: Sequence[tuple]) -> bool:
-    """Whether a sorted lane of (start, end, id) spans, less ``removed`` and
-    plus ``added``, keeps every pair of neighbours apart within the 1e-9
-    tolerance of team_schedule_violations.
-
-    The lane itself must already pass. Then only neighbours between the
-    first and the last change, plus one unchanged span on each side, can
-    break, so only that stretch is rebuilt and checked.
+    """Whether a lane of (start, end, id) spans, less ``removed`` and plus
+    ``added``, keeps every pair of neighbours apart within the 1e-9
+    tolerance of team_schedule_violations. The whole lane is sorted and
+    checked: lanes hold tens of spans, so this costs microseconds.
     """
-    changed = (*removed, *added)
-    lo = max(0, min(bisect_left(lane, span) for span in changed) - 1)
-    hi = max(bisect_right(lane, span) for span in changed) + 1
-    stretch = [span for span in lane[lo:hi] if span not in removed]
-    stretch.extend(added)
-    stretch.sort()
-    end = -inf
-    for start, next_end, _building_id in stretch:
-        if start < end - 1e-9:
-            return False
-        end = next_end
-    return True
+    spans = sorted([span for span in lane if span not in removed] + list(added))
+    return not any(start < end - 1e-9 for (_s, end, _b), (start, _e, _n) in zip(spans, spans[1:]))
 
 
 class _Lanes:
@@ -522,7 +515,6 @@ def score_variant(
     variant: CorrectionVariant,
     capacity: Mapping[str, float],
     target: str | None = None,
-    cache: CascadeCache | None = None,
 ) -> tuple[float, float]:
     """(profit, cost) of one move: profit is the violation-measure drop.
 
@@ -535,7 +527,7 @@ def score_variant(
     """
     if variant.kind == "none":
         return 0.0, 0.0
-    cache = cache or CascadeCache(project)
+    cache = CascadeCache(project)
     moves = _Lanes(project.buildings, schedule).moves(variant, target)
     placed, _teams, starts, _new_teams, new_starts = zip(*moves)
     exchange = variant.kind == "exchange"
@@ -676,19 +668,14 @@ def generate_correction_groups(
     project: Project,
     schedule: TeamSchedule,
     capacity: Mapping[str, float],
-    cache: CascadeCache | None = None,
-    *,
-    table: np.ndarray | None = None,
 ) -> list[CorrectionGroup]:
     """Build one scored correction group per building active in a violated
     month: none + feasible shifts (both directions) + feasible exchanges.
 
-    ``table`` is the schedule's requirement table when the caller already
-    holds it (``cache.schedule_table(schedule)``). The groups are a view of
-    one CorrectionMenu, whose moves are all checked as arrays on a lane
-    index of the schedule (_shift_fits, _swap_fits; _Lanes.fits for a
-    shift that passes a neighbour) and priced against that table
-    (_profits).
+    The groups are a view of one CorrectionMenu, whose moves are all
+    checked as arrays on a lane index of the schedule (_shift_fits,
+    _swap_fits; _Lanes.fits for a shift that passes a neighbour) and priced
+    against the schedule's requirement table (_profits).
 
     Returns an empty list when no month exceeds capacity.
 
@@ -696,12 +683,10 @@ def generate_correction_groups(
         ValueError: naming the violations, when the schedule is invalid.
     """
     _refuse_invalid(schedule, project.buildings)
-    cache = cache or CascadeCache(project)
-    if table is None:
-        table = cache.schedule_table(schedule)
-    cap = capacity_vector(capacity)
+    cache = CascadeCache(project)
+    table = cache.schedule_table(schedule)
     lanes = _Lanes(project.buildings, schedule)
-    return _correction_menu(project, lanes, cap, cache, table).groups()
+    return _correction_menu(project, lanes, capacity_vector(capacity), cache, table).groups()
 
 
 def _compose(
@@ -818,9 +803,6 @@ def improvement_loop(
             stop_reason = "balanced"
             break
         menu = _correction_menu(project, lanes, cap, cache, table)
-        if not menu.targets:
-            stop_reason = "no correction candidates"
-            break
         noise = REL_TOL * max(1.0, v)
         rows = menu.pack(params.budget, noise)
         selection = menu.selection(rows)

@@ -149,6 +149,21 @@ def test_schedule_on_a_subset_of_the_processors_is_valid():
     assert schedule_violations(instance, subset) == []
 
 
+@pytest.mark.parametrize("start", [1.5, "3"])
+def test_a_start_slot_that_is_no_integer_is_one_violation(start):
+    instance, f = demo_instance()
+    placements = {
+        proc: tuple((job_id, start if job_id == "a4a" else at) for job_id, at in lane)
+        for proc, lane in f.schedule.placements.items()
+    }
+    odd = dataclasses.replace(f.schedule, placements=placements)
+    line = f"job a4a: start slot {start!r} is not an integer"
+    assert schedule_violations(instance, odd) == [line]
+    with pytest.raises(ValidationError) as err:
+        validate_schedule(instance, odd)
+    assert err.value.violations == [line]
+
+
 def test_validate_schedule_passthrough():
     instance, f = demo_instance()
     assert validate_schedule(instance, f.schedule) is f.schedule
@@ -250,9 +265,9 @@ def test_interval_bags_do_not_pad_an_overfilled_interval():
 
 def test_interval_bags_grid_shorter_than_schedule():
     instance, f = demo_instance()
-    short = TimeGrid(interval_len_slots=3, k=2)
+    short = dataclasses.replace(instance, grid=TimeGrid(interval_len_slots=3, k=2))
     with pytest.raises(ValueError, match="grid shorter than horizon: 6 < 12"):
-        interval_bags(instance, f.schedule, short)
+        interval_bags(short, f.schedule)
 
 
 def test_interval_bag_is_value_object():

@@ -302,6 +302,14 @@ def test_capacity_vector_defaults_to_infinity():
     assert np.all(np.isinf(cap[1:]))
     with pytest.raises(ValueError, match="unknown detail"):
         capacity_vector({"d99": 1.0})
+    assert capacity_vector({"d1": np.inf, "d2": 0.0})[:2].tolist() == [np.inf, 0.0]
+
+
+@pytest.mark.parametrize("value", [-1.0, float("nan")])
+def test_capacity_vector_refuses_negative_and_nan_capacities(value):
+    line = f"capacity of detail 'd1' must be non-negative, got {value}"
+    with pytest.raises(ValueError, match=line):
+        capacity_vector({"d1": value})
 
 
 def test_violation_measure_zero_when_under_capacity(kope):
@@ -512,16 +520,14 @@ def _assert_menu_matches_the_oracle(project, schedule, capacity):
     return got
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_menu_profits_agree_with_whole_horizon_pricing(kope, data):
-    """Kope buildings on one to three lanes, starts on and off whole months,
-    and one to three details capped anywhere from 0 to near their peak."""
+def _draw_kope_lanes(kope, data, gap, min_size):
+    """Kope buildings drawn onto one to three lanes, each after a gap drawn
+    from ``gap``, with a horizon up to two months past the last end: the
+    project, the schedule and its requirement table."""
     project = kope.project
     ids = data.draw(st.lists(st.sampled_from(sorted(project.buildings)),
-                             min_size=2, max_size=9, unique=True))
+                             min_size=min_size, max_size=9, unique=True))
     teams = ("T1", "T2", "T3")[: data.draw(st.integers(1, 3))]
-    gap = st.sampled_from((0.0, 0.1, 1 / 30, 0.5, 1.0)) | st.floats(0.0, 3.0)
     assignments, ends = {team: [] for team in teams}, dict.fromkeys(teams, 0.0)
     for building_id in ids:
         team = data.draw(st.sampled_from(teams))
@@ -534,14 +540,76 @@ def test_menu_profits_agree_with_whole_horizon_pricing(kope, data):
     schedule = TeamSchedule(
         teams=teams, assignments={team: tuple(pairs) for team, pairs in assignments.items()}
     )
-    table = horizon_requirement_table(project, schedule)
+    return project, schedule, horizon_requirement_table(project, schedule)
+
+
+def _draw_capacity(data, table, share):
+    """One to three details, each capped at a share of its peak drawn from
+    ``share``."""
     details = data.draw(st.lists(st.sampled_from(DETAIL_TYPES), min_size=1, max_size=3,
                                  unique=True))
+    return {d: data.draw(share) * table.peak(d)[1] for d in details}
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_menu_profits_agree_with_whole_horizon_pricing(kope, data):
+    """Kope buildings on one to three lanes, starts on and off whole months,
+    and one to three details capped anywhere from 0 to near their peak."""
+    gap = st.sampled_from((0.0, 0.1, 1 / 30, 0.5, 1.0)) | st.floats(0.0, 3.0)
+    project, schedule, table = _draw_kope_lanes(kope, data, gap, min_size=2)
     # below the peak, so no month sits on its capacity, where the oracle's
     # own rounding could call the month violated and the library not
     share = st.sampled_from((0.0, 0.5, 0.8)) | st.floats(0.0, 0.95)
-    capacity = {d: data.draw(share) * table.peak(d)[1] for d in details}
-    _assert_menu_matches_the_oracle(project, schedule, capacity)
+    _assert_menu_matches_the_oracle(project, schedule, _draw_capacity(data, table, share))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_violated_schedule_always_has_a_menu_target(kope, data):
+    """Kope buildings on one to three lanes, often a tenth of a month
+    apart (so spans often end on a whole month), and one to three details
+    capped anywhere from 0 to their peak: whenever V is above REL_TOL, some
+    building is active in a violated month, so the repair loop never meets
+    an empty menu."""
+    gap = st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0)) | st.floats(0.0, 3.0)
+    project, schedule, table = _draw_kope_lanes(kope, data, gap, min_size=1)
+    share = st.sampled_from((0.0, 0.5, 0.8)) | st.floats(0.0, 1.0)
+    capacity = _draw_capacity(data, table, share)
+    v = violation_measure(table.to_array(), capacity_vector(capacity))
+    groups = generate_correction_groups(project, schedule, capacity)
+    assert bool(groups) == (v > balsched.improve.REL_TOL)
+
+
+def test_menu_checks_a_shift_past_a_lane_neighbour_on_the_whole_lane(kope, monkeypatch):
+    """Buildings shorter than 21 days, so some shifts pass a neighbour on
+    their lane and take _Lanes.fits: the menu lists a shift exactly when
+    rebuilding every lane finds it feasible."""
+    durations = {"a1": 0.2, "a2": 0.1, "a3": 0.2, "a4": 0.5}
+    assignments = {"T1": (("a1", 1.0), ("a2", 1.2), ("a3", 3.0)), "T2": (("a4", 1.1),)}
+    project = dataclasses.replace(kope.project, horizon_months=5, buildings={
+        b: dataclasses.replace(kope.project.buildings[b], assembly_duration=d)
+        for b, d in durations.items()})
+    schedule = TeamSchedule(teams=tuple(assignments), assignments=assignments)
+    fits, checked = _Lanes.fits, []
+
+    def counted(self, moves, horizon):
+        checked.append(moves[0][0])
+        return fits(self, moves, horizon)
+
+    monkeypatch.setattr(_Lanes, "fits", counted)
+    groups = generate_correction_groups(project, schedule, {"d1": 0.0})
+    assert sorted(g.targets[0] for g in groups) == sorted(durations)
+    assert {"a1", "a2"} <= set(checked)
+    listed = {(g.targets[0], v.kind, v.days) for g in groups for v in g.variants[1:]}
+    assert ("a1", "shift_right", 14) in listed  # past a2, before a3
+    for team, pairs in assignments.items():
+        for target, start in pairs:
+            for kind, sign in (("shift_right", 1), ("shift_left", -1)):
+                for days in SHIFT_STEPS:
+                    moved = [(target, team, start + sign * (days / DAYS_PER_MONTH))]
+                    feasible = rebuild_feasible(assignments, durations, 5, moved)
+                    assert ((target, kind, days) in listed) == feasible, (target, kind, days)
 
 
 @pytest.mark.parametrize("seed", [None, 12, 13, 14, 15])
@@ -694,8 +762,6 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     # five rounds: the copies of one kope building exchange with nothing,
     # so fewer rounds leave under three partners per target
     project, schedule, capacity = _small_synthetic(kope, rounds=5)
-    cache = CascadeCache(project)
-    table = cache.schedule_table(schedule)
     calls = []
     kernel_window = balsched.homebuilding.RequirementKernel.window
 
@@ -704,14 +770,15 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
         return kernel_window(self, rows, starts, cols)
 
     monkeypatch.setattr(balsched.homebuilding.RequirementKernel, "window", counted_kernel)
-    groups = generate_correction_groups(project, schedule, capacity, cache=cache, table=table)
+    groups = generate_correction_groups(project, schedule, capacity)
     exchanges = sum(v.kind == "exchange" for g in groups for v in g.variants)
     assert exchanges > 3 * len(groups)
-    # one call for the placed buildings' windows where they stand, one per
-    # PRICE_BLOCK rows for every new placement: the targets' shifts and both
-    # sides of their exchanges. A call per target or per partner would be more.
+    # one call for the schedule's table, one for the placed buildings'
+    # windows where they stand, one per PRICE_BLOCK rows for every new
+    # placement: the targets' shifts and both sides of their exchanges. A
+    # call per target or per partner would be more.
     rows = sum(len(g.variants) - 1 for g in groups)
-    assert len(calls) <= 1 + ceil(rows / balsched.improve.PRICE_BLOCK) == 2
+    assert len(calls) <= 2 + ceil(rows / balsched.improve.PRICE_BLOCK) == 3
 
 
 # `improve --max-iters 3` on _small_synthetic(kope, rounds=8), recorded

@@ -223,7 +223,7 @@ def _bulk_documents():
 def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
     docs = _bulk_documents()
     fast = [instance_from_dict(doc) for doc in docs]
-    for name in ("_job_table", "_slots", "_window_table", "_building_table"):  # all fall back
+    for name in ("_job_table", "_window_table", "_building_table"):  # all fall back
         monkeypatch.setattr(fileio, name, lambda *args: None)
     slow = [instance_from_dict(doc) for doc in docs]
     assert slow == fast
@@ -238,7 +238,6 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
     docs = _bulk_documents()
     modular = [doc["modular"] for doc in docs if doc["mode"] == "modular"]
     assert any(block["jobs"] for block in modular)
-    assert any(any(block["schedule"]["placements"].values()) for block in modular)
     assert any(doc.get("window_jobs") for doc in docs)
     paths = []
     for i, doc in enumerate(docs):
@@ -248,7 +247,7 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
 
     def refuse(*args):
         raise AssertionError("a path-tracking reader ran on a valid file")
-    for name in ("_job", "_slot", "_window_job", "_building"):
+    for name in ("_job", "_window_job", "_building"):
         monkeypatch.setattr(fileio, name, refuse)
     assert [load_instance(path) for path in paths] == expected
 
@@ -866,6 +865,7 @@ def mutant(name, path, value):
         ("jit-windows", ("window_jobs",), 5, "/window_jobs: expected a list"),
         ("jit-windows", ("window_jobs", 1, "id"), "a1",
          "/window_jobs/1/id: duplicate id 'a1'"),
+        ("kope-1982", ("homebuilding",), DELETE, "/homebuilding: missing"),
     ],
 )
 def test_malformed_input_is_one_schema_error(runner, tmp_path, name, path, value, line):
@@ -946,6 +946,40 @@ def test_cli_domain_errors_are_one_error_line(
     result = runner.invoke(main, [command, str(bad)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+def test_cli_refuses_a_document_that_is_no_object(runner, tmp_path):
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    result = runner.invoke(main, ["validate", str(bad)])
+    assert result.exit_code == 1
+    assert result.stderr.splitlines() == ["error: /: expected a JSON object"]
+
+
+@pytest.mark.parametrize("command", ["validate", "evaluate", "balance", "improve"])
+def test_cli_reports_an_unknown_team_and_a_negative_start(runner, tmp_path, command):
+    data = json.loads(FIXTURE_JSON["kope-1982"])
+    mutate(data, ("homebuilding", "team_schedule", "assignments", "P9"), [])
+    mutate(data, ("homebuilding", "team_schedule", "assignments", "P3", 0, 1), -1.0)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, [command, str(bad)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [
+        "invalid: schedule: unknown team 'P9'",
+        "invalid: building a1: negative start -1.0",
+    ]
+
+
+def test_cli_balance_lists_the_violating_intervals(runner, tmp_path):
+    tight = tmp_path / "tight.json"
+    tight.write_text(json.dumps(mutant("modular-demo", ("modular", "proximity_threshold"), 4)))
+    result = runner.invoke(main, ["balance", str(tight)])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines() == [
+        "interval deltas: 4 4 4 15", "max delta: 15", "threshold: 4",
+        "violating intervals: 4", "balance: violated",
+    ]
 
 
 def test_cli_keeps_starts_past_int64_exact(runner, tmp_path):
