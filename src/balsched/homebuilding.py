@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite
 
 import numpy as np
@@ -481,6 +482,18 @@ class RequirementKernel:
             durations.max(initial=0.0), project.buildings.assembly_duration.max(initial=0.0)
         )
         self.width = min(int(np.ceil(longest)) + 1, self.horizon)
+        self._codes = (table.type_codes, table.composition_codes, durations)
+
+    @cached_property
+    def kind(self) -> np.ndarray:
+        """Each row's kind code, numbered in row order on first use. Rows
+        of one code share the type code, the composition code and the
+        duration, so they gather bit-identical ``rate``, ``lo``, ``top``
+        and ``matrix``, and their tables at one start are equal."""
+        types, compositions, durations = (column.tolist() for column in self._codes)
+        codes: dict[tuple, int] = {}
+        return np.array([codes.setdefault(kind, len(codes))
+                         for kind in zip(types, compositions, durations)], dtype=np.intp)
 
     def output(self, rows, starts, edges: np.ndarray) -> np.ndarray:
         """(P x months x 8) floor-units one section of building ``rows[i]``

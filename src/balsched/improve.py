@@ -452,6 +452,30 @@ def _swap_fits(
     )
 
 
+def _tables(
+    kernel: RequirementKernel, rows: np.ndarray, starts: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(first, tables, key): the window of placement i (kernel row
+    ``rows[i]`` at ``starts[i]``) is first[key[i]], tables[key[i]].
+
+    A table depends only on the row's kind and the start, so each distinct
+    (kernel.kind, start) pair is computed once, in kernel.window calls of
+    at most PRICE_BLOCK placements. Starts are equal as floats: one ulp
+    apart they differ, and -0.0 and 0.0 give the same window bit for bit.
+    Slices of a stacked call equal one-row calls bit for bit, so every
+    gathered table is the one its own call would give.
+    """
+    pairs = np.empty(len(rows), dtype=complex)
+    pairs.real, pairs.imag = kernel.kind[rows], starts
+    _distinct, once, key = np.unique(pairs, return_index=True, return_inverse=True)
+    first = np.empty(len(once), dtype=np.intp)
+    tables = np.empty((len(once), kernel.width, len(cols)))
+    for block in range(0, len(once), PRICE_BLOCK):
+        block = slice(block, block + PRICE_BLOCK)
+        first[block], tables[block] = kernel.window(rows[once[block]], starts[once[block]], cols)
+    return first, tables, key
+
+
 def _profits(
     cache: CascadeCache,
     table: np.ndarray,
@@ -471,30 +495,39 @@ def _profits(
     finite capacity, so a row changes those columns on two windows: its
     new tables less its old ones, from the months of the new and the old
     start. Its profit is V less V of the changed table over both windows,
-    merged into one span of twice their width where they overlap. Rows
-    are priced independently, from one kernel call for the placed
-    buildings' windows and one per PRICE_BLOCK rows for the new ones.
+    merged into one span of twice their width where they overlap. Every
+    window the menu needs (each placed building where it stands, each
+    row's target at its new start, and for an exchange the partner at the
+    target's start) is computed once per distinct (kind, start), by
+    _tables, and gathered. Rows are priced independently, PRICE_BLOCK at
+    a time.
     """
     kernel = cache.kernel
     cols = np.flatnonzero(np.isfinite(cap))
     rows = np.array([kernel.row[b] for b in placed])
-    here_first, here = kernel.window(rows, starts, cols)
+    swapping = np.flatnonzero(partner >= 0)
+    first, tables, key = _tables(
+        kernel,
+        np.concatenate([rows, rows[target], rows[partner[swapping]]]),
+        np.concatenate([starts, new_starts, starts[target[swapping]]]),
+        cols,
+    )
+    # per row, the key of its target's new table and of its partner's
+    target_key = key[len(rows):len(rows) + len(target)]
+    partner_key = np.full(len(target), -1)
+    partner_key[swapping] = key[len(rows) + len(target):]
+    here_first, here = first[key[:len(rows)]], tables[key[:len(rows)]]
     table, cap, width, steps = table[:, cols], cap[cols], kernel.width, np.arange(kernel.width)
     profits = [np.empty(0)]
     for block in range(0, len(target), PRICE_BLOCK):
         block = slice(block, block + PRICE_BLOCK)
         moving, partners = target[block], partner[block]
         n, swap = len(moving), np.flatnonzero(partners >= 0)
-        first, moved = kernel.window(
-            np.concatenate([rows[moving], rows[partners[swap]]]),
-            np.concatenate([new_starts[block], starts[moving[swap]]]),
-            cols,
-        )
-        gained = moved[:n]
+        gained = tables[target_key[block]]
         gained[swap] -= here[partners[swap]]
         lost = -here[moving]
-        lost[swap] += moved[n:]
-        new, old = first[:n], here_first[moving]
+        lost[swap] += tables[partner_key[block][swap]]
+        new, old = first[target_key[block]], here_first[moving]
         lo, apart = np.minimum(new, old), np.abs(new - old) >= width
         halves = np.where(apart, [new, old], [lo, lo + width]).T
         months = (halves[:, :, None] + steps).reshape(n, 2 * width)
@@ -608,6 +641,15 @@ class CorrectionMenu:
         return [self.first[g] + j - 1 for g, j in enumerate(selection.chosen) if j]
 
 
+def _active(starts: np.ndarray, durations: np.ndarray, months: Sequence[int]) -> np.ndarray:
+    """(months x buildings): whether the building at ``starts[i]`` for
+    ``durations[i]`` is active in 1-based month m, over [m - 1, m). A span
+    that ends on m - 1 counts: rate * duration can round just below the
+    ladder top, so its last floor-unit finishes in month m."""
+    m = np.array(months, dtype=float)[:, None]
+    return (starts < m) & (starts + durations >= m - 1)
+
+
 def _correction_menu(
     project: Project,
     lanes: _Lanes,
@@ -620,9 +662,7 @@ def _correction_menu(
     placed = sorted(lanes.placement)
     months = violated_months(table, cap)
     starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
-    # the buildings active in a violated month m, i.e. over [m - 1, m)
-    m = np.array(months, dtype=float)[:, None]
-    is_target = ((starts < m) & (starts + durations > m - 1)).any(axis=0)
+    is_target = _active(starts, durations, months).any(axis=0)
     targets = np.flatnonzero(is_target)
 
     new_starts = _shift_starts(starts[targets], SHIFT_STEPS)
@@ -642,13 +682,11 @@ def _correction_menu(
     # and undo itself.
     positions = np.arange(len(placed))
     eligible = (positions > targets[:, None]) | ((positions < targets[:, None]) & ~is_target)
-    # Two buildings of one kind (type, composition and duration) gather
-    # equal kernel rows, so their exchange changes no table bit and its
-    # profit is 0.0: the menu leaves it out.
-    rows = [project.buildings.row[b] for b in placed]
-    kinds = np.stack([project.buildings.type_codes[rows],
-                      project.buildings.composition_codes[rows], durations])
-    eligible &= (kinds[:, targets, None] != kinds[:, None, :]).any(axis=0)
+    # Two buildings of one kind (kernel.kind: type, composition and
+    # duration) gather equal kernel rows, so their exchange changes no
+    # table bit and its profit is 0.0: the menu leaves it out.
+    kind = cache.kernel.kind[[cache.kernel.row[b] for b in placed]]
+    eligible &= kind[targets, None] != kind
     swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, targets)
     # a column per shift (right by each step, then left, as VARIANT_KINDS
     # orders them), then one per exchange partner: the rows are the

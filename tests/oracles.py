@@ -418,13 +418,14 @@ def whole_horizon_menu(project, schedule, capacity, shift_steps):
     (group, variant) order.
 
     Targets are the placed buildings active in a month where some detail
-    exceeds its capacity, by id. Each gets every shift right, then left,
-    by each of ``shift_steps`` days (days / 30 months) that keeps the
-    schedule valid, then an exchange with every placed building after it,
-    or before it and not a target, that keeps the schedule valid and is
-    not of its kind: the same type, section counts in the same order and
-    duration. Profit is V less V of the base table with the moved
-    buildings' old tables taken out and their new ones put in.
+    exceeds its capacity, or ending on that month's first edge, by id.
+    Each gets every shift right, then left, by each of ``shift_steps``
+    days (days / 30 months) that keeps the schedule valid, then an
+    exchange with every placed building after it, or before it and not a
+    target, that keeps the schedule valid and is not of its kind: the same
+    type, section counts in the same order and duration. Profit is V less
+    V of the base table with the moved buildings' old tables taken out
+    and their new ones put in.
     """
     horizon = project.horizon_months
     assignments = {team: list(schedule.assignments.get(team, ())) for team in schedule.teams}
@@ -439,7 +440,7 @@ def whole_horizon_menu(project, schedule, capacity, shift_steps):
     ids = sorted(placement)
     targets = [
         b for b in ids
-        if any(placement[b][1] < m and placement[b][1] + durations[b] > m - 1 for m in months)
+        if any(placement[b][1] < m and placement[b][1] + durations[b] >= m - 1 for m in months)
     ]
 
     rows = []

@@ -21,6 +21,7 @@ from balsched.homebuilding import (
     DAYS_PER_MONTH,
     DETAIL_TYPES,
     Building,
+    RequirementKernel,
     SectionType,
     TeamSchedule,
     building_requirement_table,
@@ -37,8 +38,10 @@ from balsched.improve import (
     CorrectionMenu,
     CorrectionVariant,
     ImproveParams,
+    _active,
     _compose,
     _Lanes,
+    _tables,
     capacity_vector,
     generate_correction_groups,
     improvement_loop,
@@ -569,16 +572,50 @@ def test_menu_profits_agree_with_whole_horizon_pricing(kope, data):
 def test_a_violated_schedule_always_has_a_menu_target(kope, data):
     """Kope buildings on one to three lanes, often a tenth of a month
     apart (so spans often end on a whole month), and one to three details
-    capped anywhere from 0 to their peak: whenever V is above REL_TOL, some
+    capped anywhere from 0 to their peak: whenever V is above 0, some
     building is active in a violated month, so the repair loop never meets
-    an empty menu."""
+    an empty menu. Every violated month has a target that adds to it, and
+    every building that adds to it is active there."""
     gap = st.sampled_from((0.0, 0.1, 0.2, 0.5, 1.0)) | st.floats(0.0, 3.0)
     project, schedule, table = _draw_kope_lanes(kope, data, gap, min_size=1)
     share = st.sampled_from((0.0, 0.5, 0.8)) | st.floats(0.0, 1.0)
     capacity = _draw_capacity(data, table, share)
-    v = violation_measure(table.to_array(), capacity_vector(capacity))
+    cap = capacity_vector(capacity)
+    v = violation_measure(table.to_array(), cap)
     groups = generate_correction_groups(project, schedule, capacity)
-    assert bool(groups) == (v > balsched.improve.REL_TOL)
+    months = violated_months(table.to_array(), cap)
+    assert bool(groups) == bool(months) == (v > 0.0)
+    start = {b: s for _team, b, s in schedule.placements()}
+    ids = sorted(start)
+    adds = {  # the months in which each building adds to a capped detail
+        b: (building_requirement_table(project, project.buildings[b], start[b])
+            [:, np.isfinite(cap)] > 0).any(axis=1)
+        for b in ids
+    }
+    active = _active(np.array([start[b] for b in ids]),
+                     np.array([project.buildings[b].assembly_duration for b in ids]), months)
+    targets = {g.targets[0] for g in groups}
+    for m, row in zip(months, active):
+        adding = {b for b in ids if adds[b][m - 1]}
+        assert adding & targets, m
+        assert adding <= {b for b, is_active in zip(ids, row) if is_active}, m
+
+
+def test_a_span_ending_on_a_whole_month_is_active_in_the_next(kope):
+    """a2 alone at 9.8 ends on 16.0, but rate * duration rounds just below
+    its ladder top, so its last floor-unit leaves float dust of d1 in month
+    17: with d1 capped at 0 that month is violated, and a2 is active in it."""
+    project = dataclasses.replace(kope.project, horizon_months=18)
+    schedule = TeamSchedule(teams=("T1",), assignments={"T1": (("a2", 9.8),)})
+    capacity = {"d1": 0.0}
+    table = horizon_requirement_table(project, schedule).to_array()
+    duration = project.buildings["a2"].assembly_duration
+    assert 9.8 + duration == 16.0
+    assert 0.0 < table[16, 0] < 1e-12
+    assert 17 in violated_months(table, capacity_vector(capacity))
+    assert _active(np.array([9.8]), np.array([duration]), [17]).all()
+    assert [g.targets for g in generate_correction_groups(project, schedule, capacity)] == [("a2",)]
+    _assert_menu_matches_the_oracle(project, schedule, capacity)
 
 
 def test_menu_checks_a_shift_past_a_lane_neighbour_on_the_whole_lane(kope, monkeypatch):
@@ -647,6 +684,112 @@ def test_a_same_kind_exchange_prices_to_zero_and_is_not_listed(data):
     assert score_variant(project, schedule, exchange, capacity) == (0.0, EXCHANGE_COST)
     groups = generate_correction_groups(project, schedule, capacity)
     assert not [v for g in groups for v in g.variants if set(v.buildings or ()) == set(pair)]
+
+
+def _synthetic_kinds(data, min_size=9):
+    """A random synthetic project in which some buildings take another's
+    duration or one ulp more, and its kernel."""
+    n = data.draw(st.integers(min_size, 40))
+    instance = synthetic_instance(n, data.draw(st.integers(1, 8)), data.draw(st.integers(0, 10**6)))
+    project = instance.project
+    durations = project.buildings.assembly_duration.tolist()
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=6)):
+        other = durations[data.draw(st.integers(0, n - 1))]
+        durations[i] = data.draw(st.sampled_from((other, float(np.nextafter(other, np.inf)))))
+    buildings = {
+        b.id: dataclasses.replace(b, assembly_duration=d)
+        for b, d in zip(project.buildings.values(), durations)
+    }
+    project = dataclasses.replace(project, buildings=buildings)
+    return project, RequirementKernel(project, project.buildings)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_rows_of_one_kind_gather_bit_identical_constants(data):
+    _project, kernel = _synthetic_kinds(data)
+    for code in np.unique(kernel.kind):
+        rows = np.flatnonzero(kernel.kind == code)
+        for constants in (kernel.rate, kernel.lo, kernel.top, kernel.matrix):
+            assert {constants[row].tobytes() for row in rows} == {constants[rows[0]].tobytes()}
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_tables_computed_once_per_kind_and_start_equal_one_placement_calls(data):
+    """Placements drawn from a few starts, each also one ulp later, and
+    from 0.0 and -0.0: each distinct (kind, start) is computed once, and
+    every placement gathers the table its own window call gives, bit for
+    bit."""
+    project, kernel = _synthetic_kinds(data)
+    pool = data.draw(st.lists(st.floats(0.0, project.horizon_months), min_size=1, max_size=5))
+    pool += [float(np.nextafter(s, np.inf)) for s in pool] + [0.0, -0.0]
+    size = data.draw(st.integers(1, 40))
+    rows = np.array(data.draw(st.lists(st.integers(0, len(project.buildings) - 1),
+                                       min_size=size, max_size=size)))
+    starts = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)))
+    cols = np.array(sorted(data.draw(st.sets(st.integers(0, 7), min_size=1))))
+    first, tables, key = _tables(kernel, rows, starts, cols)
+    distinct = {(kernel.kind[r], s) for r, s in zip(rows.tolist(), starts.tolist())}
+    assert len(first) == len(tables) == len(distinct)
+    for i in range(size):
+        one_first, one = kernel.window(rows[i:i + 1], starts[i:i + 1], cols)
+        assert first[key[i]] == one_first[0]
+        assert tables[key[i]].tobytes() == one[0].tobytes()
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_starts_one_ulp_apart_are_never_merged(data):
+    """Synthetic building i copies kope building i mod 9, so rows nine
+    apart share a key at one start, and never at starts one ulp apart."""
+    project, kernel = _synthetic_kinds(data, min_size=18)
+    i = data.draw(st.integers(0, len(project.buildings) - 10))
+    j = data.draw(st.sampled_from(range(i + 9, len(project.buildings), 9)))
+    assume(kernel.kind[i] == kernel.kind[j])
+    start = data.draw(st.floats(0.0, project.horizon_months))
+    starts = [start, start, np.nextafter(start, np.inf), np.nextafter(start, -np.inf)]
+    _first, _windows, key = _tables(kernel, np.array([i, j, j, i]), np.array(starts),
+                                    np.arange(len(DETAIL_TYPES)))
+    assert key[0] == key[1]
+    assert len({key[0], key[2], key[3]}) == 3
+
+
+def test_each_new_placement_is_priced_once_per_kind_and_start(kope, monkeypatch):
+    """At most one table per distinct (kind, new start) of the menu, on top
+    of the schedule's table and the placed buildings' windows where they
+    stand; pricing row by row would ask for more."""
+    project, schedule, capacity = _small_synthetic(kope, rounds=5)
+    placements = []
+    kernel_window = RequirementKernel.window
+
+    def counted(self, rows, starts, cols=slice(None)):
+        placements.append(len(rows))
+        return kernel_window(self, rows, starts, cols)
+
+    monkeypatch.setattr(RequirementKernel, "window", counted)
+    groups = generate_correction_groups(project, schedule, capacity)
+    start = {b: s for _team, b, s in schedule.placements()}
+
+    def kind(b):
+        building = project.buildings[b]
+        return (building.building_type, tuple(building.section_counts.items()),
+                building.assembly_duration)
+
+    new, per_row = set(), 0
+    for g in groups:
+        b = g.targets[0]
+        for v in g.variants[1:]:
+            if v.kind == "exchange":
+                other = v.buildings[1]
+                new |= {(kind(b), start[other]), (kind(other), start[b])}
+                per_row += 2
+            else:
+                step = v.days / DAYS_PER_MONTH
+                new.add((kind(b), start[b] + step if v.kind == "shift_right" else start[b] - step))
+                per_row += 1
+    placed = len(start)
+    assert sum(placements) <= 2 * placed + len(new) < 2 * placed + per_row
 
 
 # improvement_loop(budget=5, max_iters=3): each iteration's chosen moves and
@@ -773,10 +916,10 @@ def test_exchange_scoring_makes_no_per_partner_table_call(kope, monkeypatch):
     groups = generate_correction_groups(project, schedule, capacity)
     exchanges = sum(v.kind == "exchange" for g in groups for v in g.variants)
     assert exchanges > 3 * len(groups)
-    # one call for the schedule's table, one for the placed buildings'
-    # windows where they stand, one per PRICE_BLOCK rows for every new
-    # placement: the targets' shifts and both sides of their exchanges. A
-    # call per target or per partner would be more.
+    # one call for the schedule's table, then one per PRICE_BLOCK distinct
+    # (kind, start) of the menu's windows: the placed buildings where they
+    # stand, the targets' shifts and both sides of their exchanges, fewer
+    # than the rows here. A call per target or per partner would be more.
     rows = sum(len(g.variants) - 1 for g in groups)
     assert len(calls) <= 2 + ceil(rows / balsched.improve.PRICE_BLOCK) == 3
 
