@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import index, itemgetter
 
 import numpy as np
@@ -199,19 +199,23 @@ class TimeGrid:
 class IntervalBag:
     """Multiset of element types consumed in one interval (idle-padded).
 
-    ``index`` is 1-based. ``elements`` is stored sorted by universe order so
-    equal bags compare equal regardless of construction order. ``counts``
-    is the count row in universe order (balance.count_vector) of a bag
-    that interval_bags tallied; it takes no part in equality.
+    ``index`` is 1-based. The bag is its count row ``counts``: each type's
+    multiplicity, in the order of the universe's ``types``
+    (balance.count_vector). ``elements``, the multiset listed in that
+    order, is built on request.
     """
 
     index: int
-    elements: tuple[str, ...]
-    counts: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    counts: tuple[int, ...]
+    types: tuple[str, ...]
+
+    @property
+    def elements(self) -> tuple[str, ...]:
+        return tuple(chain.from_iterable(map(repeat, self.types, self.counts)))
 
     @property
     def cardinality(self) -> int:
-        return len(self.elements)
+        return sum(self.counts)
 
 
 @dataclass(frozen=True)
@@ -476,10 +480,4 @@ def interval_bags(instance: Instance, schedule: SlotSchedule) -> list[IntervalBa
         raise ValueError(f"grid of {grid.k} intervals is too large to tally") from None
     capacity = grid.interval_len_slots * len(schedule.processors)
     counts[:, universe.codes[universe.idle]] += np.maximum(capacity - counts.sum(1), 0)
-    types = np.array(universe.types, dtype=object)
-    elements = np.repeat(np.tile(types, grid.k), counts.ravel()).tolist()
-    ends = np.cumsum(counts.sum(1)).tolist()
-    return [
-        IntervalBag(index=i + 1, elements=tuple(elements[a:b]), counts=tuple(row))
-        for i, (row, a, b) in enumerate(zip(counts.tolist(), [0] + ends, ends))
-    ]
+    return [IntervalBag(i + 1, tuple(row), universe.types) for i, row in enumerate(counts.tolist())]

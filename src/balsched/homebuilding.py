@@ -18,8 +18,8 @@ at 30 days per month.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import isfinite
 
@@ -32,6 +32,9 @@ DETAIL_TYPES = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 DAYS_PER_MONTH = 30.0
 
 RATE_BASES = ("U-1", "U")
+
+#: Two spans on a team's lane overlap where one starts more than this before the other ends.
+LANE_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,8 @@ class BuildingTable(Mapping):
     building in their order; and the float columns ``assembly_duration``,
     ``start`` and ``general_square``. It maps each id to its Building
     record, built on request, and equals any mapping of equal records.
-    ``row`` maps each id to its last row (ids repeat only in a table of a
-    record sequence, which the kernel reads by row).
+    ``row`` maps each id to its last row (ids repeat only where
+    from_columns is given repeated ids).
 
     Raises:
         ValueError: as Building does, for the first building it refuses.
@@ -199,18 +202,14 @@ class BuildingTable(Mapping):
                    assembly_duration, start, general_square)
 
     @classmethod
-    def of(cls, buildings: Mapping[str, Building] | Iterable[Building]) -> BuildingTable:
-        """buildings as a table: such a table itself, a mapping of ids to
-        records, or a sequence of records by their own ids."""
+    def of(cls, buildings: Mapping[str, Building]) -> BuildingTable:
+        """buildings as a table: such a table itself, or the table of a
+        mapping of ids to records."""
         if isinstance(buildings, BuildingTable):
             return buildings
-        if isinstance(buildings, Mapping):
-            ids, records = list(buildings), list(buildings.values())
-        else:
-            records = list(buildings)
-            ids = [building.id for building in records]
+        records = list(buildings.values())
         return cls.from_columns(
-            ids, [b.building_type for b in records],
+            list(buildings), [b.building_type for b in records],
             [tuple(b.section_counts.items()) for b in records],
             [b.assembly_duration for b in records], [b.start for b in records],
             [b.general_square for b in records],
@@ -261,8 +260,8 @@ class TeamSchedule:
 def team_schedule_violations(
     schedule: TeamSchedule, buildings: Mapping[str, Building]
 ) -> list[str]:
-    """Structural checks: known ids, single placement, finite and disjoint
-    spans. ``buildings`` is a BuildingTable or a mapping of records."""
+    """Structural checks: known ids, single placement, finite spans, no
+    overlap past LANE_TOLERANCE. ``buildings``: a table or record mapping."""
     buildings = BuildingTable.of(buildings)
     durations = buildings.assembly_duration.tolist()
     violations: list[str] = []
@@ -294,7 +293,7 @@ def team_schedule_violations(
             spans.append((start, end, building_id))
         spans.sort()
         for (s1, e1, b1), (s2, e2, b2) in zip(spans, spans[1:]):
-            if s2 < e1 - 1e-9:
+            if s2 < e1 - LANE_TOLERANCE:
                 violations.append(
                     f"team {team}: placements {b1} and {b2} overlap"
                 )
@@ -352,7 +351,8 @@ class Project:
     """The static home-building world: templates, buildings, horizon.
 
     ``buildings`` is held as a BuildingTable; a mapping of records becomes
-    one on entry.
+    one on entry. ``kernel`` is built on first use and kept; it is no field,
+    so equality, repr, saving and dataclasses.replace never carry it.
     """
 
     section_types: Mapping[str, SectionType]
@@ -396,6 +396,11 @@ class Project:
     def building_type_of(self, building: Building) -> BuildingType:
         return self.building_types[building.building_type]
 
+    @cached_property
+    def kernel(self) -> RequirementKernel:
+        """The RequirementKernel of this project's building table."""
+        return RequirementKernel(self)
+
 
 def requirement_zeros(horizon: int, *lead: int) -> np.ndarray:
     """(*lead x horizon x 8) zeros: requirement tables to add into.
@@ -436,28 +441,26 @@ def _clamped_output(rate, top, lo, start, edges: np.ndarray) -> np.ndarray:
 
 
 class RequirementKernel:
-    """The cascade: building placements to floor output and requirement
-    tables.
+    """A project's cascade, read as ``Project.kernel``: building placements
+    to floor output and requirement tables.
 
     Each building's progress constants (rate, ladder floors ``lo`` and
     clamped ceilings ``top``) and its combined 8 x 8 section matrix are
-    stacked on a leading axis of the buildings' rows, so one call serves
-    any buildings at any starts. Each building type's ladder is built once
-    and each section composition's combined matrix once, by adding the
-    section matrices weighted by count in the composition's order; the
-    rows gather them by code. Every (months x 8) @ (8 x 8) product of the
-    batched matmul keeps the one-building shape, so the slices of a
-    stacked call equal one-row calls bit for bit. Inside the horizon a
-    table is exactly 0.0 outside ``width`` months from its start's month:
-    ceil of the longest duration (in the project or ``buildings``) plus
-    one, at most the horizon. Tables are computed on those windows, whose
-    edges are the horizon's own whole floats, so the values are the same.
+    stacked on a leading axis of the table's rows (``row`` maps ids to
+    rows), so one call serves any buildings at any starts. Each building
+    type's ladder is built once and each section composition's combined
+    matrix once, by adding the section matrices weighted by count in the
+    composition's order; the rows gather them by code. Every (months x 8)
+    @ (8 x 8) product of the batched matmul keeps the one-building shape,
+    so the slices of a stacked call equal one-row calls bit for bit.
+    Inside the horizon a table is exactly 0.0 outside ``width`` months
+    from its start's month: ceil of the longest duration plus one, at most
+    the horizon. Tables are computed on those windows, whose edges are the
+    horizon's own whole floats, so the values are the same.
     """
 
-    def __init__(self, project: Project, buildings: BuildingTable | Sequence[Building]):
-        """The kernel of a table's rows, or of a sequence of records (row i
-        is buildings[i]); ``row`` maps each id to its (last) row."""
-        table = BuildingTable.of(buildings)
+    def __init__(self, project: Project):
+        table = project.buildings
         self.row = table.row
         self.horizon = project.horizon_months
         counts = np.array([
@@ -478,10 +481,7 @@ class RequirementKernel:
                 if count:
                     matrix += count * matrices[section]
         self.matrix = combined[table.composition_codes]
-        longest = max(
-            durations.max(initial=0.0), project.buildings.assembly_duration.max(initial=0.0)
-        )
-        self.width = min(int(np.ceil(longest)) + 1, self.horizon)
+        self.width = min(int(np.ceil(durations.max(initial=0.0))) + 1, self.horizon)
         self._codes = (table.type_codes, table.composition_codes, durations)
 
     @cached_property
@@ -540,11 +540,14 @@ def section_progress(
     The section climbs the floor ladder linearly from ``start`` (defaults to
     the building's own planned start) over the assembly duration; the month
     window is [month-1, month). Partially covered floor-units are prorated.
+    The building need not be in the project: the kernel is the project's
+    with ``building`` alone, so a type it lacks raises ValueError.
     """
     if start is None:
         start = building.start
     edges = np.array([[month - 1.0], [month]])
-    units = RequirementKernel(project, [building]).output([0], [start], edges)[0, 0]
+    alone = replace(project, buildings={building.id: building})
+    units = alone.kernel.output([0], [start], edges)[0, 0]
     return {floor: float(u) for floor, u in zip(FLOOR_TYPES, units)}
 
 
@@ -556,8 +559,7 @@ def monthly_floor_requirements(
     Every section of a building progresses in parallel, so a building
     contributes its per-section progress multiplied by its section counts.
     """
-    table = project.buildings
-    kernel = RequirementKernel(project, table)
+    table, kernel = project.buildings, project.kernel
     rows, starts = kernel.placements(schedule)
     output = kernel.output(rows, starts, np.array([[month - 1.0], [month]]))
     totals = {s: np.zeros(len(FLOOR_TYPES)) for s in project.section_types}
@@ -578,11 +580,12 @@ def building_requirement_table(
     """The (horizon x 8) detail requirements of one building in isolation.
 
     Schedules are linear in their buildings, so a full table is the sum of
-    these per-building tables -- the basis for cheap what-if scoring.
+    these per-building tables -- the basis for cheap what-if scoring. The
+    building is read as in section_progress.
     """
     if start is None:
         start = building.start
-    return RequirementKernel(project, [building]).total([0], [start])
+    return replace(project, buildings={building.id: building}).kernel.total([0], [start])
 
 
 def horizon_requirement_table(
@@ -607,7 +610,7 @@ def horizon_requirement_table(
         outside = [str(m) for m in months if not 1 <= m <= horizon]
         if outside:
             raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
-    kernel = RequirementKernel(project, project.buildings)
+    kernel = project.kernel
     total = kernel.total(*kernel.placements(schedule))
     if months is None:
         months = tuple(range(1, horizon + 1))

@@ -22,7 +22,7 @@ import numpy as np
 from .homebuilding import (
     DAYS_PER_MONTH,
     DETAIL_TYPES,
-    Building,
+    LANE_TOLERANCE,
     BuildingTable,
     Project,
     RequirementKernel,
@@ -218,16 +218,11 @@ def capacity_vector(capacity: Mapping[str, float]) -> np.ndarray:
 
 
 class CascadeCache:
-    """The project's requirement kernel, built once: each table is one
+    """Tables of the project's kernel (Project.kernel): each table is one
     kernel.total call."""
 
     def __init__(self, project: Project):
-        self.project = project
-
-    @cached_property
-    def kernel(self) -> RequirementKernel:
-        """The project's building table, stacked for batched tables."""
-        return RequirementKernel(self.project, self.project.buildings)
+        self.kernel = project.kernel
 
     def building_table(self, building_id: str, start: float) -> np.ndarray:
         return self.kernel.total([self.kernel.row[building_id]], [start])
@@ -262,7 +257,7 @@ def violated_months(table: np.ndarray, cap: np.ndarray) -> tuple[int, ...]:
 
 # --- moves: feasibility, scoring, application -------------------------------
 
-def _refuse_invalid(schedule: TeamSchedule, buildings: Mapping[str, Building]) -> None:
+def _refuse_invalid(schedule: TeamSchedule, buildings: BuildingTable) -> None:
     """Raise ValueError naming the violations of an invalid schedule."""
     violations = team_schedule_violations(schedule, buildings)
     if violations:
@@ -275,22 +270,23 @@ Move = tuple[str, str, float, str, float]
 
 def _lane_fits(lane: list, removed: Sequence[tuple], added: Sequence[tuple]) -> bool:
     """Whether a lane of (start, end, id) spans, less ``removed`` and plus
-    ``added``, keeps every pair of neighbours apart within the 1e-9
-    tolerance of team_schedule_violations. The whole lane is sorted and
-    checked: lanes hold tens of spans, so this costs microseconds.
+    ``added``, keeps every pair of neighbours apart within LANE_TOLERANCE.
+    The whole lane is sorted and checked: lanes hold tens of spans, so
+    this costs microseconds.
     """
     spans = sorted([span for span in lane if span not in removed] + list(added))
-    return not any(start < end - 1e-9 for (_s, end, _b), (start, _e, _n) in zip(spans, spans[1:]))
+    return not any(start < end - LANE_TOLERANCE
+                   for (_s, end, _b), (start, _e, _n) in zip(spans, spans[1:]))
 
 
 class _Lanes:
-    """A valid schedule indexed for moves: each team's lane of sorted
-    (start, end, id) spans, each building's (team, start), and each
-    building's duration, read from the duration column."""
+    """A valid schedule indexed for moves within [0, ``horizon``]: each
+    team's lane of sorted (start, end, id) spans, each building's (team,
+    start), and each building's duration, read from the duration column."""
 
-    def __init__(self, buildings: Mapping[str, Building], schedule: TeamSchedule):
-        table = BuildingTable.of(buildings)
-        self.duration = dict(zip(table.ids, table.assembly_duration.tolist()))
+    def __init__(self, buildings: BuildingTable, schedule: TeamSchedule, horizon: int):
+        self.duration = dict(zip(buildings.ids, buildings.assembly_duration.tolist()))
+        self.horizon = horizon
         self.teams = schedule.teams
         self.placement: dict[str, tuple[str, float]] = {}
         self.lanes: dict[str, list] = {team: [] for team in schedule.teams}
@@ -333,7 +329,7 @@ class _Lanes:
         team2, start2 = self._placed(b2)
         return [(b1, team1, start1, team2, start2), (b2, team2, start2, team1, start1)]
 
-    def fits(self, moves: Sequence[Move], horizon: int) -> bool:
+    def fits(self, moves: Sequence[Move]) -> bool:
         """Whether the moved schedule keeps every moved building inside
         [0, horizon] and passes team_schedule_violations."""
         removed: dict[str, list] = {}
@@ -341,7 +337,7 @@ class _Lanes:
         for building_id, old_team, old_start, new_team, new_start in moves:
             if new_start < 0:
                 return False
-            if new_start + self.duration[building_id] > horizon:
+            if new_start + self.duration[building_id] > self.horizon:
                 return False
             removed.setdefault(old_team, []).append(self._span(building_id, old_start))
             added.setdefault(new_team, []).append(self._span(building_id, new_start))
@@ -410,16 +406,16 @@ def _shift_fits(
     A new start strictly between the previous and the next start on the
     lane keeps the building between the same neighbours, so _Lanes.fits
     reduces to its own float expressions: the span stays inside
-    [0, horizon], starts no more than 1e-9 before the previous end, and
-    ends no more than 1e-9 past the next start. ``decided`` is False where
-    the shift passes a neighbour's start; there ``fits`` means nothing.
+    [0, horizon] and overlaps neither neighbour past LANE_TOLERANCE.
+    ``decided`` is False where the shift passes a neighbour's start; there
+    ``fits`` means nothing.
     """
     new_ends = new_starts + durations[:, None]
     decided = (prev_starts[:, None] < new_starts) & (new_starts < next_starts[:, None])
     fits = (
         ~(new_starts < 0) & ~(new_ends > horizon)
-        & ~(new_starts < prev_ends[:, None] - 1e-9)
-        & ~(next_starts[:, None] < new_ends - 1e-9)
+        & ~(new_starts < prev_ends[:, None] - LANE_TOLERANCE)
+        & ~(next_starts[:, None] < new_ends - LANE_TOLERANCE)
     )
     return fits, decided
 
@@ -438,17 +434,17 @@ def _swap_fits(
     and the spans before and after that slot stay where they are. So the
     previous span on the lane still fits, and _Lanes.fits reduces to two
     tests per side in its own float expressions: the new end stays within
-    the horizon, and the next span on the lane starts no more than 1e-9
-    before it. Valid schedules never start below 0. This holds for lane
-    neighbours too: when k follows i, i's next start is k's start, the
-    slot k takes over, so the test on i's side is the lane check of k
+    the horizon and passes the next start on the lane by at most
+    LANE_TOLERANCE. Valid schedules never start below 0. This holds for
+    lane neighbours too: when k follows i, i's next start is k's start,
+    the slot k takes over, so the test on i's side is the lane check of k
     against i's new span, and k's next span is the one after i's new span.
     """
     ends_there = starts + durations[targets, None]
     ends_here = starts[targets, None] + durations
     return (
-        (ends_there <= horizon) & ~(following < ends_there - 1e-9)
-        & (ends_here <= horizon) & ~(following[targets, None] < ends_here - 1e-9)
+        (ends_there <= horizon) & ~(following < ends_there - LANE_TOLERANCE)
+        & (ends_here <= horizon) & ~(following[targets, None] < ends_here - LANE_TOLERANCE)
     )
 
 
@@ -477,7 +473,7 @@ def _tables(
 
 
 def _profits(
-    cache: CascadeCache,
+    kernel: RequirementKernel,
     table: np.ndarray,
     cap: np.ndarray,
     placed: Sequence[str],
@@ -502,7 +498,6 @@ def _profits(
     _tables, and gathered. Rows are priced independently, PRICE_BLOCK at
     a time.
     """
-    kernel = cache.kernel
     cols = np.flatnonzero(np.isfinite(cap))
     rows = np.array([kernel.row[b] for b in placed])
     swapping = np.flatnonzero(partner >= 0)
@@ -560,13 +555,13 @@ def score_variant(
     """
     if variant.kind == "none":
         return 0.0, 0.0
-    cache = CascadeCache(project)
-    moves = _Lanes(project.buildings, schedule).moves(variant, target)
+    moves = _Lanes(project.buildings, schedule, project.horizon_months).moves(variant, target)
     placed, _teams, starts, _new_teams, new_starts = zip(*moves)
     exchange = variant.kind == "exchange"
     profit = _profits(
-        cache, cache.schedule_table(schedule), capacity_vector(capacity), placed,
-        np.array(starts), np.array([0]), np.array(new_starts[:1]), np.array([1 if exchange else -1]),
+        project.kernel, CascadeCache(project).schedule_table(schedule), capacity_vector(capacity),
+        placed, np.array(starts), np.array([0]), np.array(new_starts[:1]),
+        np.array([1 if exchange else -1]),
     )
     return float(profit[0]), EXCHANGE_COST if exchange else DAY_COST * variant.days
 
@@ -651,11 +646,7 @@ def _active(starts: np.ndarray, durations: np.ndarray, months: Sequence[int]) ->
 
 
 def _correction_menu(
-    project: Project,
-    lanes: _Lanes,
-    cap: np.ndarray,
-    cache: CascadeCache,
-    table: np.ndarray,
+    kernel: RequirementKernel, lanes: _Lanes, cap: np.ndarray, table: np.ndarray
 ) -> CorrectionMenu:
     """generate_correction_groups' menu, as columns, for the valid
     schedule indexed by ``lanes``, whose requirement table is ``table``."""
@@ -668,14 +659,12 @@ def _correction_menu(
     new_starts = _shift_starts(starts[targets], SHIFT_STEPS)
     fits, decided = _shift_fits(
         new_starts, durations[targets], prev_starts[targets], prev_ends[targets],
-        following[targets], project.horizon_months,
+        following[targets], lanes.horizon,
     )
     for g, j in zip(*np.nonzero(~decided)):
         target = placed[targets[g]]
         team, start = lanes.placement[target]
-        fits[g, j] = lanes.fits(
-            [(target, team, start, team, new_starts[g, j])], project.horizon_months
-        )
+        fits[g, j] = lanes.fits([(target, team, start, team, new_starts[g, j])])
 
     # An exchange is one move on a pair; list it only in the first group
     # that can host it, so a selection can never pick the same swap twice
@@ -685,9 +674,9 @@ def _correction_menu(
     # Two buildings of one kind (kernel.kind: type, composition and
     # duration) gather equal kernel rows, so their exchange changes no
     # table bit and its profit is 0.0: the menu leaves it out.
-    kind = cache.kernel.kind[[cache.kernel.row[b] for b in placed]]
+    kind = kernel.kind[[kernel.row[b] for b in placed]]
     eligible &= kind[targets, None] != kind
-    swaps = eligible & _swap_fits(starts, durations, following, project.horizon_months, targets)
+    swaps = eligible & _swap_fits(starts, durations, following, lanes.horizon, targets)
     # a column per shift (right by each step, then left, as VARIANT_KINDS
     # orders them), then one per exchange partner: the rows are the
     # feasible cells in (group, variant) order
@@ -697,7 +686,7 @@ def _correction_menu(
     days = np.where(shift, np.array(SHIFT_STEPS)[column % steps], 0)
     partner = np.where(shift, -1, column - 2 * steps)
     new_start = np.hstack([new_starts, np.tile(starts, (len(targets), 1))])[group, column]
-    profit = _profits(cache, table, cap, placed, starts, targets[group], new_start, partner)
+    profit = _profits(kernel, table, cap, placed, starts, targets[group], new_start, partner)
     cost = np.where(kind == EXCHANGE, EXCHANGE_COST, DAY_COST * days)
     return CorrectionMenu(placed, targets.tolist(), group, kind, days, partner, profit, cost)
 
@@ -721,22 +710,19 @@ def generate_correction_groups(
         ValueError: naming the violations, when the schedule is invalid.
     """
     _refuse_invalid(schedule, project.buildings)
-    cache = CascadeCache(project)
-    table = cache.schedule_table(schedule)
-    lanes = _Lanes(project.buildings, schedule)
-    return _correction_menu(project, lanes, capacity_vector(capacity), cache, table).groups()
+    table = CascadeCache(project).schedule_table(schedule)
+    lanes = _Lanes(project.buildings, schedule, project.horizon_months)
+    return _correction_menu(project.kernel, lanes, capacity_vector(capacity), table).groups()
 
 
-def _compose(
-    lanes: _Lanes, picks: Sequence[tuple[str | None, CorrectionVariant]], horizon: int
-) -> list[bool]:
+def _compose(lanes: _Lanes, picks: Sequence[tuple[str | None, CorrectionVariant]]) -> list[bool]:
     """Make the chosen (target, variant) pairs on the lanes in place, in
     group order, and return which applied. Moves are priced independently,
     so two can collide (exchanges with a common partner, opposing shifts
     on one lane): a move applies only if its buildings are untouched so
     far and the lanes as moved so far keep every moved building inside
-    [0, horizon] and pass team_schedule_violations. Earlier groups win, so
-    the outcome is deterministic.
+    [0, lanes.horizon] and pass team_schedule_violations. Earlier groups
+    win, so the outcome is deterministic.
 
     Raises:
         ValueError: for a shift without a target, a degenerate exchange,
@@ -747,7 +733,7 @@ def _compose(
     for target, variant in picks:
         moves = lanes.moves(variant, target)
         touched = {building_id for building_id, *_ in moves}
-        applies = not touched & moved and lanes.fits(moves, horizon)
+        applies = not touched & moved and lanes.fits(moves)
         if applies:
             lanes.apply(moves)
             moved |= touched
@@ -829,7 +815,7 @@ def improvement_loop(
     _refuse_invalid(schedule, project.buildings)
     cap = capacity_vector(capacity)
     cache = CascadeCache(project)
-    lanes = _Lanes(project.buildings, schedule)
+    lanes = _Lanes(project.buildings, schedule, project.horizon_months)
     current = schedule
     table = cache.schedule_table(current)
     v = violation_measure(table, cap)
@@ -840,7 +826,7 @@ def improvement_loop(
         if v <= REL_TOL:
             stop_reason = "balanced"
             break
-        menu = _correction_menu(project, lanes, cap, cache, table)
+        menu = _correction_menu(project.kernel, lanes, cap, table)
         noise = REL_TOL * max(1.0, v)
         rows = menu.pack(params.budget, noise)
         selection = menu.selection(rows)
@@ -848,7 +834,7 @@ def improvement_loop(
         if selection.total_profit > noise:
             # the kept moves are made on the lanes in place; a rejected
             # iteration ends the loop, so they never need undoing
-            kept = _compose(lanes, [menu.move(row) for row in rows], project.horizon_months)
+            kept = _compose(lanes, [menu.move(row) for row in rows])
             selection = menu.selection([row for row, applies in zip(rows, kept) if applies])
             reason = "selection not applicable"
             if not selection.is_all_none():

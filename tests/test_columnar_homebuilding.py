@@ -22,7 +22,6 @@ from balsched.homebuilding import (
     FLOOR_TYPES,
     Building,
     BuildingTable,
-    RequirementKernel,
     horizon_requirement_table,
     team_schedule_violations,
 )
@@ -165,10 +164,9 @@ def test_columnar_buildings_equal_the_record_walks(doc):
         for b, (t, counts, duration, start, square) in records.items()
     }
     expected_kernel = _kernel_bytes(*record_kernel(block, records, list(records)))
-    for buildings in (table, list(table.values())):
-        kernel = RequirementKernel(project, buildings)
-        assert _kernel_bytes(kernel.lo, kernel.top, kernel.rate, kernel.matrix,
-                             kernel.width) == expected_kernel
+    kernel = project.kernel
+    assert _kernel_bytes(kernel.lo, kernel.top, kernel.rate, kernel.matrix,
+                         kernel.width) == expected_kernel
     if not team_schedule_violations(fast[1].team_schedule, table):
         got = np.array(horizon_requirement_table(project, fast[1].team_schedule).values)
         assert got.tobytes() == record_horizon_table(block, records).tobytes()

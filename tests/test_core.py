@@ -271,5 +271,9 @@ def test_interval_bags_grid_shorter_than_schedule():
 
 
 def test_interval_bag_is_value_object():
-    bag = IntervalBag(index=1, elements=("e1", "idle"))
-    assert bag == IntervalBag(index=1, elements=("e1", "idle"))
+    types = ("e1", "e2", "idle")
+    bag = IntervalBag(index=1, counts=(2, 0, 1), types=types)
+    assert bag == IntervalBag(index=1, counts=(2, 0, 1), types=types)
+    assert bag != IntervalBag(index=1, counts=(1, 1, 1), types=types)
+    # elements and cardinality are read from the counts, in universe order
+    assert bag.elements == ("e1", "e1", "idle") and bag.cardinality == 3

@@ -4,9 +4,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from balsched.cli import main
+from balsched.fileio import save_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
     DETAIL_TYPES,
@@ -268,8 +271,7 @@ def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements
     before, inside and past the 19-month horizon. Scoring a move as a stack
     of one gives the generated profit only because of this equality."""
     project = dataclasses.replace(kope.project, rate_basis=rate_basis)
-    buildings = list(project.buildings.values())
-    kernel = RequirementKernel(project, buildings)
+    kernel = project.kernel
     rows = np.array([kernel.row[b] for b, _start in placements])
     starts = np.array([start for _b, start in placements])
     first, stack = kernel.window(rows, starts)
@@ -297,7 +299,7 @@ def test_whole_horizon_rows_vanish_outside_their_windows(kope, rate_basis, place
     """A kernel row over every month of the horizon is exactly 0.0 outside
     its window and equals the window's table inside it, bit for bit."""
     project = dataclasses.replace(kope.project, rate_basis=rate_basis)
-    kernel = RequirementKernel(project, list(project.buildings.values()))
+    kernel = project.kernel
     rows = np.array([kernel.row[b] for b, _start in placements])
     starts = np.array([start for _b, start in placements])
     whole = kernel.output(rows, starts, np.arange(20.0)[:, None]) @ kernel.matrix[rows]
@@ -313,7 +315,7 @@ def test_a_window_one_month_shorter_leaves_a_cell_outside(kope):
     """The longest building, started just after a month begins, is active
     in ceil(duration) + 1 months, so the width comes from the durations."""
     project = kope.project
-    kernel = RequirementKernel(project, list(project.buildings.values()))
+    kernel = project.kernel
     longest = max(project.buildings.values(), key=lambda b: b.assembly_duration)
     row, start = kernel.row[longest.id], 2 + 1 / 64
     whole = kernel.output([row], [start], np.arange(20.0)[:, None]) @ kernel.matrix[[row]]
@@ -359,7 +361,7 @@ def test_fused_clamp_equals_the_double_clip_oracle(
         rate_basis=rate_basis,
     )
     edges = np.arange(horizon + 1.0)
-    kernel = RequirementKernel(project, [building])
+    kernel = project.kernel
     got = kernel.output(np.zeros(len(starts), dtype=int), starts, edges[:, None])
     expected = double_clip_output(floor_counts, duration, starts, edges, rate_basis)
     assert got.shape == expected.shape == (len(starts), horizon, 8)
@@ -388,12 +390,83 @@ def test_shared_compositions_keep_each_buildings_matrix():
         buildings=buildings,
         horizon_months=6,
     )
-    shared = RequirementKernel(project, list(buildings.values())).matrix
-    alone = [RequirementKernel(project, [b]).matrix[0] for b in buildings.values()]
+    shared = project.kernel.matrix
+    alone = [
+        dataclasses.replace(project, buildings={b.id: b}).kernel.matrix[0]
+        for b in buildings.values()
+    ]
     for row, matrix in zip(shared, alone):
         assert row.tobytes() == matrix.tobytes()
     # (0.1 + 0.2) + 0.3 != (0.3 + 0.2) + 0.1: the order is kept, not sorted
     assert shared[0].tobytes() != shared[1].tobytes()
+
+
+# --- one kernel per project ------------------------------------------------------
+
+@pytest.mark.parametrize("size", [None, (72, 16, 12)], ids=["kope", "72/16"])
+@pytest.mark.parametrize("command", ["improve", "evaluate", "balance"])
+def test_a_command_builds_one_kernel(kope, size, command, tmp_path, monkeypatch):
+    """Every step of a command reads the project's kernel, so improve, which
+    tables schedules and prices menus, builds one, as evaluate and balance do."""
+    save_instance(kope if size is None else synthetic_instance(*size), tmp_path / "in.json")
+    built = []
+    init = RequirementKernel.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(RequirementKernel, "__init__", counted)
+    result = CliRunner().invoke(main, [command, str(tmp_path / "in.json")])
+    assert result.exit_code == 0, result.output
+    assert len(built) == 1
+
+
+def test_the_cached_kernel_is_invisible(kope, tmp_path):
+    """Reading project.kernel changes no equality, repr or saved byte, and
+    a replaced project builds its own kernel."""
+    project, fresh = dataclasses.replace(kope.project), dataclasses.replace(kope.project)
+    instance = dataclasses.replace(kope, project=project)
+
+    def seen():
+        path = tmp_path / "saved.json"
+        save_instance(instance, path)
+        return project == fresh, fresh == project, repr(project), path.read_bytes()
+
+    before = seen()
+    assert before[:2] == (True, True) and "kernel" not in vars(project)
+    kernel = project.kernel
+    assert project.kernel is kernel and seen() == before
+    other = dataclasses.replace(project, rate_basis="U")
+    assert other.kernel is not kernel
+    assert other.kernel.rate.tobytes() != kernel.rate.tobytes()
+
+
+@pytest.mark.parametrize("rate_basis", RATE_BASES)
+def test_a_building_outside_the_project_is_tabled_on_its_own(kope, rate_basis):
+    """A building the project does not hold gets the table and progress
+    the kernel of the project with it added gives, bit for bit, whatever
+    its duration: its window is 0.0 past its own width."""
+    project = dataclasses.replace(kope.project, rate_basis=rate_basis)
+    for b in project.buildings.values():
+        for duration in (b.assembly_duration, 0.3, 2.7):
+            new = dataclasses.replace(b, id="new", assembly_duration=duration)
+            added = dataclasses.replace(project, buildings={**project.buildings, "new": new})
+            kernel, row = added.kernel, added.kernel.row["new"]
+            for start in (-0.5, 0.0, 3.25, 8.8, 17.6, 18.5):
+                table = building_requirement_table(project, new, start)
+                assert table.tobytes() == kernel.total([row], [start]).tobytes()
+                for month in (1, 5, 10, 19):
+                    edges = np.array([[month - 1.0], [month]])
+                    units = kernel.output([row], [start], edges)[0, 0].tolist()
+                    assert list(section_progress(project, new, month, start).values()) == units
+
+
+def test_a_building_of_an_unknown_type_is_refused_by_name(kope):
+    stranger = dataclasses.replace(kope.project.buildings["a1"], id="x", building_type="30-floor")
+    for tabled in (building_requirement_table, lambda p, b: section_progress(p, b, 1)):
+        with pytest.raises(ValueError, match="building x: unknown building type '30-floor'"):
+            tabled(kope.project, stranger)
 
 
 @pytest.fixture(scope="module")

@@ -21,6 +21,7 @@ from balsched.homebuilding import (
     DAYS_PER_MONTH,
     DETAIL_TYPES,
     Building,
+    BuildingTable,
     RequirementKernel,
     SectionType,
     TeamSchedule,
@@ -630,9 +631,9 @@ def test_menu_checks_a_shift_past_a_lane_neighbour_on_the_whole_lane(kope, monke
     schedule = TeamSchedule(teams=tuple(assignments), assignments=assignments)
     fits, checked = _Lanes.fits, []
 
-    def counted(self, moves, horizon):
+    def counted(self, moves):
         checked.append(moves[0][0])
-        return fits(self, moves, horizon)
+        return fits(self, moves)
 
     monkeypatch.setattr(_Lanes, "fits", counted)
     groups = generate_correction_groups(project, schedule, {"d1": 0.0})
@@ -701,7 +702,7 @@ def _synthetic_kinds(data, min_size=9):
         for b, d in zip(project.buildings.values(), durations)
     }
     project = dataclasses.replace(project, buildings=buildings)
-    return project, RequirementKernel(project, project.buildings)
+    return project, project.kernel
 
 
 @given(st.data())
@@ -889,9 +890,9 @@ def test_loop_indexes_the_schedule_once_per_run(kope, monkeypatch, synthetic):
     built = []
     lanes_init = _Lanes.__init__
 
-    def counted_init(self, buildings, schedule):
+    def counted_init(self, buildings, schedule, horizon):
         built.append(schedule)
-        lanes_init(self, buildings, schedule)
+        lanes_init(self, buildings, schedule, horizon)
 
     monkeypatch.setattr(_Lanes, "__init__", counted_init)
     result = improvement_loop(
@@ -976,10 +977,10 @@ def test_menus_decide_every_exchange_without_the_lane_check(monkeypatch):
         finally:
             state["in_menu"] = False
 
-    def counted_fits(self, moves, horizon):
+    def counted_fits(self, moves):
         if state["in_menu"] and len(moves) == 2:
             state["exchange_checks"] += 1
-        return fits(self, moves, horizon)
+        return fits(self, moves)
 
     monkeypatch.setattr(balsched.improve, "_correction_menu", counted_menu)
     monkeypatch.setattr(balsched.improve._Lanes, "fits", counted_fits)
@@ -994,6 +995,7 @@ def test_menus_decide_every_exchange_without_the_lane_check(monkeypatch):
 
 def test_horizon_table_converts_each_section_matrix_once(kope, monkeypatch):
     project, schedule, _capacity = _small_synthetic(kope, rounds=8)
+    project = dataclasses.replace(project)  # a fresh project, whose kernel is not built yet
     assert len(project.buildings) == 72
     converted = []
     matrix_array = SectionType.matrix_array
@@ -1111,11 +1113,11 @@ def test_lane_check_agrees_with_rebuilding_every_lane(case):
         teams=tuple(assignments),
         assignments={t: tuple(pairs) for t, pairs in assignments.items()},
     )
-    lanes = balsched.improve._Lanes(buildings, schedule)
+    lanes = balsched.improve._Lanes(BuildingTable.of(buildings), schedule, horizon)
     expected = rebuild_feasible(
         assignments, durations, horizon, [(b, nt, ns) for b, _ot, _os, nt, ns in moves]
     )
-    assert lanes.fits(moves, horizon) == expected
+    assert lanes.fits(moves) == expected
 
 
 @st.composite
@@ -1155,7 +1157,7 @@ def test_shift_arrays_agree_with_the_lane_check(case):
         teams=tuple(assignments),
         assignments={t: tuple(pairs) for t, pairs in assignments.items()},
     )
-    lanes = balsched.improve._Lanes(buildings, schedule)
+    lanes = balsched.improve._Lanes(BuildingTable.of(buildings), schedule, horizon)
     ids = sorted(durations)
     starts, lengths, before, before_ends, after = lanes.slots(ids)
     new_starts = balsched.improve._shift_starts(starts, SHIFT_STEPS)
@@ -1171,7 +1173,7 @@ def test_shift_arrays_agree_with_the_lane_check(case):
             moves = lanes.moves(variant, building_id)
             assert moves[0][4] == new_starts[i, j]
             if decided[i, j]:
-                assert fits[i, j] == lanes.fits(moves, horizon), (building_id, variant)
+                assert fits[i, j] == lanes.fits(moves), (building_id, variant)
 
 
 @st.composite
@@ -1213,7 +1215,7 @@ def test_swap_arrays_agree_with_rebuilding_every_lane(case):
     )
     ids = sorted(durations)
     starts, lengths, _before, _ends, following = balsched.improve._Lanes(
-        buildings, schedule
+        BuildingTable.of(buildings), schedule, horizon
     ).slots(ids)
     placement = {b: (t, s) for t, pairs in assignments.items() for b, s in pairs}
     every = np.arange(len(ids))
@@ -1239,8 +1241,8 @@ def _picks(problem, chosen):
 
 def _composed(project, schedule, picks):
     """_compose on a fresh lane index: which picks applied, and the schedule."""
-    lanes = _Lanes(project.buildings, schedule)
-    return _compose(lanes, picks, project.horizon_months), lanes.schedule()
+    lanes = _Lanes(project.buildings, schedule, project.horizon_months)
+    return _compose(lanes, picks), lanes.schedule()
 
 
 def test_apply_all_none_is_identity(kope):
@@ -1269,9 +1271,9 @@ def test_apply_catalogue_selection_moves_a7_a8(kope):
 
 def test_apply_preserves_buildings_and_durations(kope):
     problem = BudgetedMCKP(groups=KOPE_CATALOGUE, budget=3.0)
-    lanes = _Lanes(kope.project.buildings, kope.team_schedule)
+    lanes = _Lanes(kope.project.buildings, kope.team_schedule, kope.project.horizon_months)
     durations = dict(lanes.duration)
-    _compose(lanes, _picks(problem, mckp_greedy(problem).chosen), kope.project.horizon_months)
+    _compose(lanes, _picks(problem, mckp_greedy(problem).chosen))
     assert sorted(b for _t, b, _s in lanes.schedule().placements()) == sorted(
         b for _t, b, _s in kope.team_schedule.placements()
     )

@@ -24,6 +24,7 @@ from balsched.homebuilding import (
     FLOOR_TYPES,
     RATE_BASES,
     Building,
+    BuildingTable,
     BuildingType,
     Project,
     RequirementTable,
@@ -241,9 +242,15 @@ def test_a_building_id_given_twice_writes_its_last_row(path):
     kope = build_fixture("kope-1982")
     a1, a2 = kope.project.buildings["a1"], kope.project.buildings["a2"]
     twice = [a2, a1, Building("a2", a1.building_type, a1.section_counts, 1.5, 2.5)]
+    table = BuildingTable.from_columns(
+        [b.id for b in twice], [b.building_type for b in twice],
+        [tuple(b.section_counts.items()) for b in twice],
+        [b.assembly_duration for b in twice], [b.start for b in twice],
+        [b.general_square for b in twice],
+    )
     project = kope.project
     instance = _kope_with(project=Project(
-        project.section_types, project.building_types, twice, 19))
+        project.section_types, project.building_types, table, 19))
     assert list(instance.project.buildings.ids) == ["a2", "a1", "a2"]
     _assert_writes_the_oracle(instance, path)
 
