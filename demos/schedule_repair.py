@@ -39,7 +39,7 @@ print("  ...")
 result = improvement_loop(project, schedule, capacity, f.improve_params)
 print("\nloop trace:")
 for rec in result.trace:
-    moves = [variant.describe(target) for target, variant in rec.moves()]
+    moves = [variant.describe(target) for target, variant in rec.moves]
     print(f"  iter {rec.iteration}: V {rec.v_before:.4f} -> {rec.v_after:.4f}"
           f" ({'accepted' if rec.accepted else 'rejected'}) {'; '.join(moves)}")
 print(f"stop: {result.stop_reason}")

@@ -10,6 +10,7 @@ schedule is balanced when every interval's bag sits within proximity
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .core import Instance, IntervalBag, SlotSchedule, interval_bags
@@ -21,14 +22,17 @@ TOTAL_TOLERANCE = 1e-6
 def count_vector(
     bag: IntervalBag | Iterable[str], universe
 ) -> tuple[int, ...]:
-    """Per-type multiplicities of a bag, in universe order.
+    """Per-type multiplicities of a bag, in universe order; an IntervalBag
+    is read from its count row.
 
     Raises:
         ValueError: on an element type not present in the universe.
     """
     counts = [0] * universe.size
-    for element in bag.elements if isinstance(bag, IntervalBag) else bag:
-        counts[universe.position(element)] += 1
+    pairs = zip(bag.types, bag.counts) if isinstance(bag, IntervalBag) else zip(bag, repeat(1))
+    for element, count in pairs:
+        if count:
+            counts[universe.position(element)] += count
     return tuple(counts)
 
 

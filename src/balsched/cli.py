@@ -253,7 +253,7 @@ def improve(file, budget, max_iters, out):
     except ValueError as exc:  # a horizon too large to tabulate
         _fail(str(exc))
     for record in result.trace:
-        moves = [variant.describe(target) for target, variant in record.moves()]
+        moves = [variant.describe(target) for target, variant in record.moves]
         chosen = ", ".join(moves) if moves else "none"
         status = "accepted" if record.accepted else "rejected"
         _echo(

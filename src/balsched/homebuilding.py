@@ -317,9 +317,6 @@ class MonthlyFloorProfile:
     month: int
     sections: Mapping[str, Mapping[str, float]]
 
-    def entry(self, section: str, floor: str) -> float:
-        return self.sections.get(section, {}).get(floor, 0.0)
-
 
 @dataclass(frozen=True)
 class RequirementTable:
@@ -400,18 +397,6 @@ class Project:
     def kernel(self) -> RequirementKernel:
         """The RequirementKernel of this project's building table."""
         return RequirementKernel(self)
-
-
-def requirement_zeros(horizon: int, *lead: int) -> np.ndarray:
-    """(*lead x horizon x 8) zeros: requirement tables to add into.
-
-    Raises:
-        ValueError: if numpy refuses the array as too large.
-    """
-    try:
-        return np.zeros((*lead, horizon, len(DETAIL_TYPES)))
-    except (MemoryError, ValueError):
-        raise ValueError(f"horizon of {horizon} months is too large to tabulate") from None
 
 
 def _clamped_output(rate, top, lo, start, edges: np.ndarray) -> np.ndarray:
@@ -521,8 +506,17 @@ class RequirementKernel:
 
     def total(self, rows, starts) -> np.ndarray:
         """(horizon x 8) sum of the placements' tables: each window added
-        in placement order into +0.0, months past the horizon dropped."""
-        total = requirement_zeros(self.horizon)
+        in placement order into +0.0, months past the horizon dropped.
+
+        Raises:
+            ValueError: if numpy refuses the table as too large.
+        """
+        try:
+            total = np.zeros((self.horizon, len(DETAIL_TYPES)))
+        except (MemoryError, ValueError):
+            raise ValueError(
+                f"horizon of {self.horizon} months is too large to tabulate"
+            ) from None
         first, tables = self.window(rows, starts)
         months = first[:, None] + np.arange(self.width)
         np.add.at(total, months[months < self.horizon], tables[months < self.horizon])

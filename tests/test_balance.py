@@ -15,6 +15,7 @@ from balsched.core import (
     CompositeJob,
     ElementUniverse,
     Instance,
+    IntervalBag,
     SlotSchedule,
     TimeGrid,
     interval_bags,
@@ -156,6 +157,28 @@ def test_count_vector_names_the_first_unknown_element():
         count_vector(("e1", "e9", ["e1"]), universe)
     with pytest.raises(ValueError, match=r"unknown element type '\['e1'\]'"):
         count_vector(("e1", ["e1"], "e9"), universe)
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_vector_of_a_bag_equals_its_element_walk(data):
+    """Read from its count row, a bag gives the counts of a walk over its
+    elements, or raises naming the same first unknown type."""
+    letters = st.sampled_from("abcdefxy")
+    universe = ElementUniverse(tuple(data.draw(st.lists(letters, min_size=1, max_size=6))), 0)
+    types = tuple(data.draw(st.lists(letters, max_size=8)))
+    counts = data.draw(st.lists(st.integers(0, 3), min_size=len(types), max_size=len(types)))
+    bag = IntervalBag(1, tuple(counts), types)
+    assert _outcome(count_vector, bag, universe) == _outcome(
+        count_vector, iter(bag.elements), universe
+    )
 
 
 @st.composite

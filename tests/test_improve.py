@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import json
 import random
+from collections.abc import Mapping
 from math import ceil
 
 import numpy as np
@@ -62,7 +64,7 @@ from oracles import (
     whole_horizon_menu,
     whole_horizon_profit,
 )
-from synthetic import synthetic_instance
+from synthetic import synthetic_document, synthetic_instance
 
 
 @pytest.fixture(scope="module")
@@ -235,13 +237,13 @@ def test_column_greedy_equals_mckp_greedy_on_the_groups(case):
     menu, budget = case
     groups = tuple(menu.groups())
     assert [g.index for g in groups] == list(range(1, len(menu.targets) + 1))
-    selection = menu.selection(menu.pack(budget))
+    rows = menu.pack(budget)
+    selection = menu.selection(rows)
     assert selection == mckp_greedy(BudgetedMCKP(groups=groups, budget=budget))
     assert selection.chosen == ratio_greedy(
         [[(v.profit, v.cost) for v in g.variants] for g in groups], budget
     )
-    assert [v for _target, v in
-            (menu.move(row) for row in menu.rows(selection))] == [
+    assert [menu.move(row)[1] for row in rows] == [
         g.variants[j] for g, j in zip(groups, selection.chosen) if j
     ]
 
@@ -833,11 +835,14 @@ def test_three_iteration_loops_keep_their_selections(size):
         ImproveParams(budget=5, max_iters=3),
     )
     chosen = [
-        ", ".join(variant.describe(target) for target, variant in record.moves())
+        ", ".join(variant.describe(target) for target, variant in record.moves)
         for record in result.trace
     ]
     expected, final_v = THREE_ITERATION_PINS[size]
     assert chosen == expected
+    for record in result.trace:
+        assert sum(1 for j in record.selection.chosen if j) == len(record.moves)
+        assert record.selection.total_profit == sum(v.profit for _t, v in record.moves)
     assert result.v_sequence()[-1] == final_v
     assert result.stop_reason == "max iterations"
 
@@ -959,6 +964,56 @@ def test_improve_transcript_and_written_file_at_72_buildings(kope, tmp_path):
     assert result.exit_code == 0, result.output
     assert result.stdout.splitlines() == SMALL_SYNTHETIC_TRANSCRIPT + [f"wrote {out}"]
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_SYNTHETIC_WRITTEN_SHA256
+
+
+# `improve` with default parameters on synthetic_instance(72, 16, 17): nine
+# accepted passes, then a tenth whose composed moves do not lower V, which
+# ends the run. The closing "wrote" line is left out. ROADMAP item 1 step 1
+# (apply the best single move when the composed selection fails) changes
+# this run on purpose.
+REJECTED_PASS_TRANSCRIPT = [
+    "iteration 1: V 2.8007 -> 2.4734 accepted; chosen: b0015 -3d, b0033 -3d, "
+    "exchange b0036<->b0066, b0069 +3d (profit 0.3273, cost 2.90)",
+    "iteration 2: V 2.4734 -> 1.9524 accepted; chosen: exchange b0027<->b0070, "
+    "b0033 -3d, b0034 -3d, exchange b0045<->b0069 (profit 0.5480, cost 4.60)",
+    "iteration 3: V 1.9524 -> 1.6606 accepted; chosen: exchange b0009<->b0067, "
+    "b0059 +3d, b0062 +3d, b0068 +3d (profit 0.2918, cost 2.90)",
+    "iteration 4: V 1.6606 -> 1.3933 accepted; chosen: exchange b0018<->b0065, "
+    "exchange b0054<->b0058, b0059 +3d, b0062 +3d, b0068 +3d (profit 0.2939, "
+    "cost 4.90)",
+    "iteration 5: V 1.3933 -> 1.3124 accepted; chosen: exchange b0019<->b0059, "
+    "b0032 -3d, b0034 -3d, b0068 +3d (profit 0.0987, cost 2.90)",
+    "iteration 6: V 1.3124 -> 1.1925 accepted; chosen: b0009 +3d, b0018 +3d, "
+    "b0023 +3d, b0033 +3d, b0036 +3d, b0042 -3d, exchange b0054<->b0064, "
+    "b0059 +3d, b0062 +3d, b0063 +3d, b0068 +3d (profit 0.1454, cost 5.00)",
+    "iteration 7: V 1.1925 -> 1.1174 accepted; chosen: b0001 -3d, b0002 -3d, "
+    "b0005 -3d, b0008 -3d, b0010 -3d, b0011 -3d, b0015 -3d, b0018 +3d, b0044 +3d, "
+    "b0047 +3d, b0049 +3d, b0050 +3d, b0051 +3d, b0053 +3d, b0054 +3d, b0056 +3d "
+    "(profit 0.1132, cost 4.80)",
+    "iteration 8: V 1.1174 -> 1.0717 accepted; chosen: exchange b0005<->b0071, "
+    "b0051 +3d, b0055 +3d, b0056 +3d (profit 0.0457, cost 2.90)",
+    "iteration 9: V 1.0717 -> 1.0480 accepted; chosen: exchange b0014<->b0062, "
+    "b0019 +3d, b0064 +3d (profit 0.0279, cost 2.60)",
+    "iteration 10: V 1.0480 -> 1.0480 rejected; chosen: b0002 +3d, b0003 +3d, "
+    "b0007 +3d, b0008 +3d, b0011 +3d, b0012 +3d, b0013 +3d, b0014 +3d, b0016 +3d, "
+    "b0040 -3d, b0062 +3d, b0063 +3d, b0070 -3d, b0071 +3d (profit 0.0477, "
+    "cost 4.20)",
+    "stop: no decrease in violation measure",
+    "final peak d1: 4601.38 (month 3)",
+]
+REJECTED_PASS_WRITTEN_SHA256 = (
+    "2eba9dbcc754f0302f9600f06c91d04f9330e5e5d7677a0184c2758c59ed0157"
+)
+
+
+def test_improve_transcript_and_written_file_ending_in_a_rejected_pass(tmp_path):
+    source = tmp_path / "in.json"
+    source.write_text(json.dumps(synthetic_document(72, 16, 17)))
+    out = tmp_path / "out.json"
+    result = CliRunner().invoke(main, ["improve", str(source), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert result.stdout.splitlines() == REJECTED_PASS_TRANSCRIPT + [f"wrote {out}"]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == REJECTED_PASS_WRITTEN_SHA256
 
 
 def test_menus_decide_every_exchange_without_the_lane_check(monkeypatch):
@@ -1427,13 +1482,49 @@ def test_loop_is_deterministic(kope):
 
 
 def test_loop_trace_profit_only_counts_applied_moves(kope):
-    result = improvement_loop(
-        kope.project, kope.team_schedule, kope.capacity, kope.improve_params
-    )
+    params = kope.improve_params
+    result = improvement_loop(kope.project, kope.team_schedule, kope.capacity, params)
     for record in result.trace:
-        recomputed = sum(
-            g.variants[j].profit
-            for g, j in zip(record.menu.groups(), record.selection.chosen)
-        )
-        assert record.selection.total_profit == pytest.approx(recomputed)
-        assert record.selection.total_cost <= kope.improve_params.budget + 1e-9
+        # the schedule this pass started from, and the menu it priced there
+        before = improvement_loop(
+            kope.project, kope.team_schedule, kope.capacity,
+            dataclasses.replace(params, max_iters=record.iteration - 1),
+        ).schedule
+        groups = generate_correction_groups(kope.project, before, kope.capacity)
+        assert list(record.moves) == [
+            (g.targets[0], g.variants[j]) for g, j in zip(groups, record.selection.chosen) if j
+        ]
+        recomputed = sum(variant.profit for _target, variant in record.moves)
+        assert record.selection.total_profit == recomputed
+        assert record.selection.total_cost <= params.budget + 1e-9
+
+
+def _reachable(value):
+    """Every object reachable from ``value`` through dataclass fields,
+    mapping keys and values, and sequence and set items."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        yield item
+        if dataclasses.is_dataclass(item):
+            stack.extend(getattr(item, f.name) for f in dataclasses.fields(item))
+        elif isinstance(item, Mapping):
+            stack.extend(item.keys())
+            stack.extend(item.values())
+        elif isinstance(item, (tuple, list, set, frozenset)):
+            stack.extend(item)
+
+
+@pytest.mark.parametrize("size", [None, (72, 16, 17)], ids=["kope", "72-16-17"])
+def test_loop_result_keeps_no_menu_and_no_array(kope, size):
+    """A trace holds the moves each pass made, not the menus it priced."""
+    instance = kope if size is None else synthetic_instance(*size)
+    result = improvement_loop(
+        instance.project, instance.team_schedule, instance.capacity, instance.improve_params
+    )
+    assert result.trace and any(record.moves for record in result.trace)
+    for item in _reachable(result):
+        assert not isinstance(item, (CorrectionMenu, np.ndarray, np.generic)), type(item)
+        assert dataclasses.is_dataclass(item) or isinstance(
+            item, (str, int, float, type(None), tuple, list, Mapping)
+        ), type(item)

@@ -1,9 +1,10 @@
 """The names the package exports, and the names the benchmark under
 ``perfbench/`` imports, wraps or taps, still exist with the shapes it
-uses."""
+uses, and so do the attributes of results that it reads."""
 
 import ast
 import importlib
+import importlib.util
 import itertools
 from pathlib import Path
 
@@ -11,8 +12,19 @@ import numpy as np
 import pytest
 
 import balsched
+from balsched.balance import interval_bags
+from balsched.core import validate_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import horizon_requirement_table
+from balsched.improve import (
+    BudgetedMCKP,
+    ImproveParams,
+    generate_correction_groups,
+    improvement_loop,
+    mckp_greedy,
+    score_variant,
+)
+from balsched.jit import schedule_windows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -90,3 +102,56 @@ def test_benchmark_call_of_violation_measure():
     v = violation_measure(table.to_array(), capacity_vector(kope.capacity))
     assert isinstance(v, float) and v > 0
     assert violation_measure(np.zeros((3, 8)), capacity_vector({})) == 0.0
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_benchmark_hooks_read_the_results_they_are_given():
+    """The tracer's hooks read attributes of the results of the calls they
+    wrap: the loop trace's selections, the bags' elements, the greedy
+    selection and the score. Each hook runs here on a real result."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    kope = build_fixture("kope-1982")
+    project, schedule, capacity = kope.project, kope.team_schedule, kope.capacity
+    result = improvement_loop(project, schedule, capacity, ImproveParams(max_iters=1))
+    tracing._loop_hook(tracer, (), {}, result)
+    assert tracer.counts["improve.iterations"] == 1
+    assert tracer.counts["improve.applied_moves"] == len(result.trace[0].moves) > 0
+
+    groups = generate_correction_groups(project, schedule, capacity)
+    tracing._greedy_hook(tracer, (), {}, mckp_greedy(BudgetedMCKP(tuple(groups), 5.0)))
+    assert tracer.counts["improve.greedy_moves"] > 0
+    target, variant = result.trace[0].moves[0]
+    tracing._score_hook(tracer, (), {}, score_variant(project, schedule, variant, capacity, target))
+    assert tracer.counts["improve.profitable"] == 1
+
+    demo = build_fixture("modular-demo")
+    instance = validate_instance(demo.universe, demo.jobs, demo.processors, demo.grid)
+    bags = interval_bags(instance, demo.schedule)
+    tracing._bags_hook(tracer, (), {}, bags)
+    assert tracer.counts["core.bag_elements"] == sum(b.cardinality for b in bags) > 0
+
+
+def test_benchmark_reads_the_groups_bags_and_window_completions():
+    """Attributes read where no hook runs on a package result: the groups
+    hook (``targets``, ``variants``) and the modular workload's check
+    (a bag's ``index`` and ``elements``, the window ``completions``)."""
+    kope = build_fixture("kope-1982")
+    groups = generate_correction_groups(kope.project, kope.team_schedule, kope.capacity)
+    assert groups and all(
+        isinstance(g.targets[0], str) and len(g.variants) >= 1 for g in groups
+    )
+    demo = build_fixture("modular-demo")
+    instance = validate_instance(demo.universe, demo.jobs, demo.processors, demo.grid)
+    bag = interval_bags(instance, demo.schedule)[0]
+    assert bag.index == 1 and len(bag.elements) == bag.cardinality
+    windows = build_fixture("jit-windows").window_jobs
+    completions = schedule_windows(windows).completions
+    assert all(isinstance(completions[job.id], float) for job in windows)
