@@ -105,9 +105,6 @@ class Selection:
     total_profit: float
     total_cost: float
 
-    def is_all_none(self) -> bool:
-        return all(j == 0 for j in self.chosen)
-
 
 @dataclass(frozen=True)
 class BudgetedMCKP:
