@@ -1,8 +1,10 @@
 """Command-line surface: validate, evaluate, balance, improve, report,
 and fixture management for instance files.
 
-Exit codes: 0 on success, 1 on validation failure, 2 on I/O or usage
-errors. All output is deterministic for a given input.
+Exit codes: 0 on success, a violated balance verdict included; 1 on a
+refused input, with one ``invalid:`` line per broken structural rule and
+one ``error:`` line per schema issue or refused value on stderr; 2 on I/O
+or usage errors. All output is deterministic for a given input.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from .core import (
     Instance,
     ValidationError,
     makespan,
-    schedule_violations,
     validate_instance,
+    validate_schedule,
 )
 from .fileio import (
     InstanceFile,
@@ -33,10 +35,8 @@ from .fileio import (
 )
 from .homebuilding import (
     DETAIL_TYPES,
-    RequirementTable,
-    TeamSchedule,
     horizon_requirement_table,
-    team_schedule_violations,
+    validate_team_schedule,
 )
 from .improve import (
     ImproveParams,
@@ -60,53 +60,47 @@ def _fail(message: str, code: int = 1) -> NoReturn:
 
 
 def _load(path) -> InstanceFile:
-    """Load an instance file, translating failures into exit codes."""
+    """Load an instance file, exiting 2 if it cannot be read."""
     try:
         return load_instance(path)
-    except SchemaError as exc:
-        for issue in exc.issues:
-            _echo(f"error: {issue}", err=True)
-        sys.exit(1)
     except OSError as exc:
         _fail(f"cannot read {path}: {exc.strerror}", 2)
 
 
 def _validated(instance: InstanceFile) -> Instance | None:
-    """Check the instance and its schedule once, exiting 1 with one
-    ``invalid:`` line per violation. Returns the validated modular
-    Instance, or None for a home-building instance."""
-    validated = None
-    if instance.mode == "modular":
-        try:
-            validated = validate_instance(
-                instance.universe, instance.jobs, instance.processors,
-                instance.grid,
-            )
-        except ValidationError as exc:
-            violations = exc.violations
-        else:
-            violations = schedule_violations(validated, instance.schedule)
-    else:
-        violations = team_schedule_violations(
-            instance.team_schedule, instance.project.buildings
-        )
-    if violations:
-        for v in violations:
-            _echo(f"invalid: {v}", err=True)
-        sys.exit(1)
+    """Check the instance and its schedule once, raising ValidationError
+    on any broken rule. Returns the validated modular Instance, or None
+    for a home-building instance."""
+    if instance.mode != "modular":
+        validate_team_schedule(instance.team_schedule, instance.project.buildings)
+        return None
+    validated = validate_instance(
+        instance.universe, instance.jobs, instance.processors, instance.grid
+    )
+    validate_schedule(validated, instance.schedule)
     return validated
 
 
-def _requirements(instance: InstanceFile, schedule: TeamSchedule | None = None) -> RequirementTable:
-    """The horizon table of a valid home-building instance (under
-    ``schedule``, if given), exiting 1 if the horizon is too large."""
-    try:
-        return horizon_requirement_table(instance.project, schedule or instance.team_schedule)
-    except ValueError as exc:
-        _fail(str(exc))
+class _RefusingGroup(click.Group):
+    """Runs the command, printing what it refuses on stderr and exiting 1:
+    one ``error:`` line per schema issue, one ``invalid:`` line per broken
+    structural rule, and ``error: <message>`` for any other ValueError."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except SchemaError as exc:
+            lines = [f"error: {issue}" for issue in exc.issues]
+        except ValidationError as exc:
+            lines = [f"invalid: {v}" for v in exc.violations]
+        except ValueError as exc:
+            lines = [f"error: {exc}"]
+        for line in lines:
+            _echo(line, err=True)
+        sys.exit(1)
 
 
-@click.group()
+@click.group(cls=_RefusingGroup)
 def main():
     """Interval-balanced scheduling of modular jobs and serial building."""
 
@@ -130,10 +124,7 @@ def evaluate(file):
     if instance.mode == "modular":
         _echo(f"makespan: {makespan(validated, instance.schedule)}")
         if instance.window_jobs:
-            try:
-                result = schedule_windows(instance.window_jobs)
-            except ValueError as exc:
-                _fail(str(exc))
+            result = schedule_windows(instance.window_jobs)
             weights = instance.penalty_weights
             _echo(
                 "window jobs: "
@@ -160,7 +151,7 @@ def evaluate(file):
                     f"{penalty_max(instance.window_jobs, result.completions, weights):.2f}"
                 )
     else:
-        table = _requirements(instance)
+        table = horizon_requirement_table(instance.project, instance.team_schedule)
         _echo(f"months: {len(table.months)}")
         _echo("peak requirements:")
         for detail in DETAIL_TYPES:
@@ -178,15 +169,12 @@ def balance(file):
     if instance.mode == "modular":
         if instance.reference_profile is None or instance.proximity_threshold is None:
             _fail("instance has no reference profile / threshold")
-        try:
-            verdict = balance_mod.balance_verdict(
-                validated,
-                instance.schedule,
-                instance.reference_profile,
-                instance.proximity_threshold,
-            )
-        except ValueError as exc:
-            _fail(str(exc))
+        verdict = balance_mod.balance_verdict(
+            validated,
+            instance.schedule,
+            instance.reference_profile,
+            instance.proximity_threshold,
+        )
         _echo(
             "interval deltas: " + " ".join(str(d) for d in verdict.deltas)
         )
@@ -203,7 +191,7 @@ def balance(file):
     else:
         if not instance.capacity:
             _fail("instance has no capacity profile")
-        table = _requirements(instance)
+        table = horizon_requirement_table(instance.project, instance.team_schedule)
         months = violated_months(table.to_array(), capacity_vector(instance.capacity))
         for detail in sorted(instance.capacity):
             month, value = table.peak(detail)
@@ -246,12 +234,9 @@ def improve(file, budget, max_iters, out):
         budget=params.budget if budget is None else budget,
         max_iters=params.max_iters if max_iters is None else max_iters,
     )
-    try:
-        result = improvement_loop(
-            instance.project, instance.team_schedule, instance.capacity, params
-        )
-    except ValueError as exc:  # a horizon too large to tabulate
-        _fail(str(exc))
+    result = improvement_loop(
+        instance.project, instance.team_schedule, instance.capacity, params
+    )
     for record in result.trace:
         moves = [variant.describe(target) for target, variant in record.moves]
         chosen = ", ".join(moves) if moves else "none"
@@ -263,7 +248,7 @@ def improve(file, budget, max_iters, out):
             f"cost {record.selection.total_cost:.2f})"
         )
     _echo(f"stop: {result.stop_reason}")
-    table = _requirements(instance, result.schedule)
+    table = horizon_requirement_table(instance.project, result.schedule)
     for detail in sorted(instance.capacity):
         month, value = table.peak(detail)
         _echo(f"final peak {detail}: {value:.2f} (month {month})")
@@ -289,11 +274,9 @@ def report(file, detail, capacity, csv_path):
     _validated(instance)
     if instance.mode != "homebuilding":
         _fail("report needs a homebuilding instance")
-    table = _requirements(instance)
+    table = horizon_requirement_table(instance.project, instance.team_schedule)
     try:
         export_balance_curve(table, capacity, detail, csv_path)
-    except ValueError as exc:
-        _fail(str(exc))
     except OSError as exc:
         _fail(f"cannot write {csv_path}: {exc.strerror}", 2)
     month, value = table.peak(detail)

@@ -329,7 +329,7 @@ def _building(bid, v) -> Building:
         section_counts=_get(v, "section_counts", _counts),
         assembly_duration=_get(v, "assembly_duration", _float),
         start=_get(v, "start", _float),
-        general_square=_get(v, "general_square", _float, 0.0),
+        general_square=_get(v, "general_square", _float, Building.general_square),
     )
 
 
@@ -340,7 +340,8 @@ def _building_table(items: dict) -> BuildingTable | None:
     records = list(items.values())
     try:
         numbers = [_numbers(_column(records, key)) for key in ("assembly_duration", "start")]
-        numbers.append(_numbers([0.0 if v is None else v
+        square = Building.general_square
+        numbers.append(_numbers([square if v is None else v
                                  for v in _column(records, "general_square")]))
         if None in numbers:
             return None
@@ -381,13 +382,14 @@ def _capacity(detail, v) -> float:
 def _improve(v) -> ImproveParams:
     v = _obj(v)
     return ImproveParams(
-        _get(v, "budget", _float, 5.0), _get(v, "max_iters", _int, 10)
+        _get(v, "budget", _float, ImproveParams.budget),
+        _get(v, "max_iters", _int, ImproveParams.max_iters),
     )
 
 
 def _reference(v) -> RequirementTable:
     v = _obj(v)
-    details = _get(v, "details", _list_of(_detail), DETAIL_TYPES)
+    details = _get(v, "details", _list_of(_detail), RequirementTable.details)
     months = _get(v, "months", _list_of(_int))
     values = _get(v, "values", _list_of(_list_of(_float, len(details))))
     if len(values) != len(months):
@@ -404,7 +406,7 @@ def _load_homebuilding(block: dict, issues: list) -> dict:
     )
     buildings = _each(block, "buildings", _obj, _building, issues, at, fast=_building_table)
     horizon = _field(block, "horizon_months", _int, issues, at)
-    rate_basis = _field(block, "rate_basis", _str, issues, at, "U-1")
+    rate_basis = _field(block, "rate_basis", _str, issues, at, Project.rate_basis)
     out = {}
     schedule = _field(block, "team_schedule", _obj, issues, at)
     if schedule is not None:
@@ -438,8 +440,8 @@ def _window_job(ids: set, _, v) -> WindowJob:
         processing_time=_get(v, "processing_time", _float),
         t1=_get(v, "t1", _float),
         t2=_get(v, "t2", _float),
-        machine=_get(v, "machine", _int, 1),
-        position=_get(v, "position", _int, 1),
+        machine=_get(v, "machine", _int, WindowJob.machine),
+        position=_get(v, "position", _int, WindowJob.position),
     )
 
 
@@ -459,8 +461,9 @@ def _window_table(items: list) -> WindowTable | None:
     try:
         ids = _column(items, "id")
         numbers = [_numbers(_column(items, key)) for key in ("processing_time", "t1", "t2")]
-        ints = [[1 if n is None else n for n in _column(items, key)]
-                for key in ("machine", "position")]
+        ints = [[default if n is None else n for n in _column(items, key)]
+                for key, default in (("machine", WindowJob.machine),
+                                     ("position", WindowJob.position))]
     except TypeError:
         return None
     if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)

@@ -25,6 +25,8 @@ from math import isfinite
 
 import numpy as np
 
+from .core import ValidationError
+
 FLOOR_TYPES = ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")
 DETAIL_TYPES = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
 
@@ -303,10 +305,11 @@ def team_schedule_violations(
 def validate_team_schedule(
     schedule: TeamSchedule, buildings: Mapping[str, Building]
 ) -> TeamSchedule:
-    """Raise ValueError on any broken rule; otherwise return the schedule."""
+    """Raise ValidationError, carrying every violation, on any broken
+    rule; otherwise return the schedule."""
     violations = team_schedule_violations(schedule, buildings)
     if violations:
-        raise ValueError("; ".join(violations))
+        raise ValidationError(violations)
     return schedule
 
 

@@ -697,7 +697,7 @@ def generate_correction_groups(
     Returns an empty list when no month exceeds capacity.
 
     Raises:
-        ValueError: naming the violations, when the schedule is invalid.
+        ValidationError: naming the violations, when the schedule is invalid.
     """
     validate_team_schedule(schedule, project.buildings)
     table = CascadeCache(project).schedule_table(schedule)
@@ -801,7 +801,7 @@ def improvement_loop(
     iteration with the schedule unchanged.
 
     Raises:
-        ValueError: naming the violations, when the schedule is invalid.
+        ValidationError: naming the violations, when the schedule is invalid.
     """
     validate_team_schedule(schedule, project.buildings)
     cap = capacity_vector(capacity)
@@ -811,11 +811,10 @@ def improvement_loop(
     table = cache.schedule_table(current)
     v = violation_measure(table, cap)
     trace: list[IterationRecord] = []
-    stop_reason = "balanced" if v <= REL_TOL else "max iterations"
+    stop_reason = "max iterations"
 
     for iteration in range(1, params.max_iters + 1):
         if v <= REL_TOL:
-            stop_reason = "balanced"
             break
         menu = _correction_menu(project.kernel, lanes, cap, table)
         noise = REL_TOL * max(1.0, v)
@@ -851,4 +850,6 @@ def improvement_loop(
             stop_reason = reason
             break
         current, table, v = candidate, new_table, new_v
+    if v <= REL_TOL:  # also when the last allowed iteration balanced it
+        stop_reason = "balanced"
     return LoopResult(schedule=current, trace=tuple(trace), stop_reason=stop_reason)

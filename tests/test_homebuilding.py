@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from balsched.cli import main
+from balsched.core import ValidationError
 from balsched.fileio import save_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
@@ -604,6 +605,19 @@ def test_overlapping_placements_flagged(kope):
     )
     violations = team_schedule_violations(bad, kope.project.buildings)
     assert violations == ["team P1: placements a1 and a3 overlap"]
+
+
+def test_validate_team_schedule_raises_every_violation(kope):
+    bad = TeamSchedule(
+        teams=("P1",),
+        assignments={"P1": (("a1", 0.0), ("a3", 8.0)), "P9": (("a2", 20.0),)},
+    )
+    violations = team_schedule_violations(bad, kope.project.buildings)
+    with pytest.raises(ValidationError) as err:
+        validate_team_schedule(bad, kope.project.buildings)
+    assert err.value.violations == violations
+    assert len(violations) == 2
+    assert str(err.value) == "; ".join(violations)
 
 
 def test_back_to_back_placements_allowed(kope):

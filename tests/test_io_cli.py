@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from balsched import fileio
 from balsched.cli import main
-from balsched.core import CompositeJob, ElementUniverse, JobTable, SlotSchedule, TimeGrid
+from balsched.core import (
+    CompositeJob, ElementUniverse, JobTable, SlotSchedule, TimeGrid, ValidationError,
+)
 from balsched.fileio import (
     InstanceFile,
     SchemaError,
@@ -775,6 +777,21 @@ def test_cli_improve_budget_zero_makes_no_changes(runner, emitted):
     assert "stop: no improving selection" in result.output
 
 
+def test_cli_improve_reports_balanced_when_the_last_allowed_iteration_balances(
+    runner, emitted
+):
+    result = runner.invoke(main, ["improve", str(emitted["kope-1982"]), "--max-iters", "2"])
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.splitlines() == [
+        "iteration 1: V 0.7009 -> 0.3414 accepted; chosen: a3 -3d, exchange a4<->a6, "
+        "a7 +3d, a9 +3d (profit 0.4191, cost 2.90)",
+        "iteration 2: V 0.3414 -> 0.0000 accepted; chosen: exchange a1<->a5, "
+        "exchange a2<->a7, a6 -3d, a8 +7d (profit 0.5466, cost 5.00)",
+        "stop: balanced",
+        "final peak d1: 1377.98 (month 10)",
+    ]
+
+
 def test_cli_report(runner, tmp_path, emitted):
     csv_path = tmp_path / "d1.csv"
     result = runner.invoke(
@@ -948,12 +965,91 @@ def test_cli_domain_errors_are_one_error_line(
     assert result.stderr.splitlines() == [f"error: {line}"]
 
 
+REPORT = ["--detail", "d1", "--capacity", "1480", "--csv", "d1.csv"]
+
+
+# "@name" stands for the emitted fixture file, "*.json" and "*.csv" for a path
+# in tmp_path
+@pytest.mark.parametrize(
+    "args, target",
+    [
+        (["validate", "@kope-1982"], "validate_team_schedule"),
+        (["validate", "@modular-demo"], "validate_instance"),
+        (["validate", "@modular-demo"], "validate_schedule"),
+        (["evaluate", "@modular-demo"], "makespan"),
+        (["evaluate", "@jit-windows"], "schedule_windows"),
+        (["evaluate", "@jit-windows"], "penalty_sum"),
+        (["evaluate", "@kope-1982"], "horizon_requirement_table"),
+        (["evaluate", "@kope-1982"], "render_gantt"),
+        (["balance", "@modular-demo"], "balance_mod.balance_verdict"),
+        (["balance", "@kope-1982"], "horizon_requirement_table"),
+        (["balance", "@kope-1982"], "violated_months"),
+        (["improve", "@kope-1982"], "improvement_loop"),
+        (["improve", "@kope-1982"], "horizon_requirement_table"),
+        (["improve", "@kope-1982", "--out", "out.json"], "save_instance"),
+        (["report", "@kope-1982", *REPORT], "horizon_requirement_table"),
+        (["report", "@kope-1982", *REPORT], "export_balance_curve"),
+        (["fixtures", "list"], "fixtures_mod.list_fixtures"),
+        (["fixtures", "emit", "kope-1982", "--out", "out.json"], "save_instance"),
+    ],
+)
+def test_cli_prints_a_value_error_from_any_call_as_one_error_line(
+    runner, monkeypatch, tmp_path, emitted, args, target
+):
+    def refuse(*_args, **_kwargs):
+        raise ValueError(f"{target} refused")
+
+    monkeypatch.setattr(f"balsched.cli.{target}", refuse)
+    argv = [
+        str(emitted[arg[1:]]) if arg.startswith("@")
+        else str(tmp_path / arg) if arg.endswith((".json", ".csv"))
+        else arg
+        for arg in args
+    ]
+    result = runner.invoke(main, argv)
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert (result.exit_code, result.stderr) == (1, f"error: {target} refused\n")
+
+
+@pytest.mark.parametrize(
+    "target, error, lines",
+    [
+        ("load_instance", SchemaError(["/a: first", "/b: second"]),
+         ["error: /a: first", "error: /b: second"]),
+        ("improvement_loop", ValidationError(["first", "second"]),
+         ["invalid: first", "invalid: second"]),
+    ],
+)
+def test_cli_prints_each_issue_or_violation_of_a_refusal_on_its_own_line(
+    runner, monkeypatch, emitted, target, error, lines
+):
+    def refuse(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(f"balsched.cli.{target}", refuse)
+    result = runner.invoke(main, ["improve", str(emitted["kope-1982"])])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == lines
+
+
 def test_cli_refuses_a_document_that_is_no_object(runner, tmp_path):
     bad = tmp_path / "list.json"
     bad.write_text("[1, 2]")
     result = runner.invoke(main, ["validate", str(bad)])
     assert result.exit_code == 1
     assert result.stderr.splitlines() == ["error: /: expected a JSON object"]
+
+
+def test_cli_refuses_a_file_that_is_no_utf8_with_one_error_line(runner, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"mode": "\xff"}')
+    result = runner.invoke(main, ["validate", str(bad)])
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == [
+        "error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+    ]
 
 
 @pytest.mark.parametrize("command", ["validate", "evaluate", "balance", "improve"])
