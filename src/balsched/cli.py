@@ -69,8 +69,9 @@ def _load(path) -> InstanceFile:
 
 def _validated(instance: InstanceFile) -> Instance | None:
     """Check the instance and its schedule once, raising ValidationError
-    on any broken rule. Returns the validated modular Instance, or None
-    for a home-building instance."""
+    on any broken rule, then a modular file's window sequences, raising
+    ValueError on positions that do not form 1..n. Returns the validated
+    modular Instance, or None for a home-building instance."""
     if instance.mode != "modular":
         validate_team_schedule(instance.team_schedule, instance.project.buildings)
         return None
@@ -78,6 +79,8 @@ def _validated(instance: InstanceFile) -> Instance | None:
         instance.universe, instance.jobs, instance.processors, instance.grid
     )
     validate_schedule(validated, instance.schedule)
+    if instance.window_jobs:
+        list(WindowTable.of(instance.window_jobs).sequences())
     return validated
 
 
@@ -117,47 +120,44 @@ def validate(file):
 @main.command()
 @click.argument("file", type=click.Path())
 def evaluate(file):
-    """Makespan, window penalties, or the monthly requirement table."""
+    """Makespan, window penalties, or the monthly requirement table,
+    printed once all of it is computed."""
     instance = _load(file)
     validated = _validated(instance)
-    _echo(f"mode: {instance.mode}")
+    lines = [f"mode: {instance.mode}"]
+    gantt = ""
     if instance.mode == "modular":
-        _echo(f"makespan: {makespan(validated, instance.schedule)}")
+        lines.append(f"makespan: {makespan(validated, instance.schedule)}")
         if instance.window_jobs:
             result = schedule_windows(instance.window_jobs)
             weights = instance.penalty_weights
-            _echo(
-                "window jobs: "
-                + ("feasible" if result.feasible else "infeasible")
-            )
+            lines.append("window jobs: " + ("feasible" if result.feasible else "infeasible"))
             if result.infeasible_jobs:
-                _echo(
-                    "outside window: " + " ".join(result.infeasible_jobs)
-                )
+                lines.append("outside window: " + " ".join(result.infeasible_jobs))
             table = WindowTable.of(instance.window_jobs)
             for machine, rows in table.sequences():
                 cells = "  ".join(
                     f"{job_id} C={result.completions[job_id]:.2f}"
                     for job_id in map(table.id.__getitem__, rows.tolist())
                 )
-                _echo(f"machine {machine}: {cells}")
+                lines.append(f"machine {machine}: {cells}")
             if weights:
-                _echo(
+                lines.append(
                     "penalty sum: "
                     f"{penalty_sum(instance.window_jobs, result.completions, weights):.2f}"
                 )
-                _echo(
+                lines.append(
                     "penalty max: "
                     f"{penalty_max(instance.window_jobs, result.completions, weights):.2f}"
                 )
     else:
         table = horizon_requirement_table(instance.project, instance.team_schedule)
-        _echo(f"months: {len(table.months)}")
-        _echo("peak requirements:")
+        lines += [f"months: {len(table.months)}", "peak requirements:"]
         for detail in DETAIL_TYPES:
             month, value = table.peak(detail)
-            _echo(f"  {detail}: {value:.2f} (month {month})")
-        _echo(render_gantt(instance.project, instance.team_schedule), nl=False)
+            lines.append(f"  {detail}: {value:.2f} (month {month})")
+        gantt = render_gantt(instance.project, instance.team_schedule)
+    _echo("\n".join(lines) + "\n" + gantt, nl=False)
 
 
 @main.command()

@@ -347,6 +347,15 @@ def validate_instance(
     )
 
 
+def lane_overlaps(spans: Iterable[tuple], tolerance) -> list[tuple]:
+    """The (earlier id, later id) pairs of neighbours, in sorted order, on
+    a lane of (start, end, id) spans where the later span starts more than
+    ``tolerance`` before the earlier one ends."""
+    spans = sorted(spans)
+    return [(a, b) for (_s, end, a), (start, _e, b) in zip(spans, spans[1:])
+            if start < end - tolerance]
+
+
 def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]:
     """Check a schedule against its instance; returns all violations.
 
@@ -391,12 +400,8 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
                     f"beyond horizon {horizon}"
                 )
             occupied.append((start, end, job_id))
-        occupied.sort()
-        for (s1, e1, j1), (s2, e2, j2) in zip(occupied, occupied[1:]):
-            if s2 < e1:
-                violations.append(
-                    f"processor {proc}: jobs {j1} and {j2} overlap"
-                )
+        violations += [f"processor {proc}: jobs {j1} and {j2} overlap"
+                       for j1, j2 in lane_overlaps(occupied, 0)]
     return violations
 
 

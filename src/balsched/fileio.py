@@ -548,8 +548,12 @@ def _parse(text: str):
 
 
 def _read(path) -> str:
+    """The file's text; a SchemaError at its first byte that is not UTF-8."""
     with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError([f"/: invalid UTF-8 at byte {exc.start}: {exc.reason}"]) from None
 
 
 def load_instance(path) -> InstanceFile:
@@ -557,7 +561,8 @@ def load_instance(path) -> InstanceFile:
     collector paused (process-wide) while it parses and reads.
 
     Raises:
-        SchemaError: on malformed JSON (with line/column) or schema issues.
+        SchemaError: on a file that is not UTF-8 (with the byte offset),
+            malformed JSON (with line/column) or schema issues.
         OSError: if the file cannot be read.
     """
     with _collector_paused():
@@ -573,11 +578,12 @@ def load_instance(path) -> InstanceFile:
 # their own names, leaving out fields that are None. _SHAPES holds the
 # values shaped another way; _document lays out the file around them.
 # save_instance writes the bytes of json.dumps(instance_to_dict(x),
-# indent=2, sort_keys=True) from the values: the buildings and the team
-# lanes by one template per record, a row of finite floats by one
-# float.__repr__ join. A value no layout takes (a bool, None, a non-finite
-# float, a numpy scalar, a key that is not a string) sends the whole file
-# to json, once: only hand-built instances hold such values.
+# indent=2, sort_keys=True) from the values: the buildings by one
+# template per record, a row of finite floats by one float.__repr__ join,
+# and every other value, the team lanes included, by its shape. A value no
+# layout takes (a bool, None, a non-finite float, a numpy scalar, a key
+# that is not a string) sends the whole file to json, once: only
+# hand-built instances hold such values.
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _quote = json.encoder.encode_basestring_ascii
@@ -668,17 +674,6 @@ def _buildings(table: BuildingTable, pad: str) -> str:
                   for b, record in sorted(dict(zip(table.ids, records)).items())], pad, "{}")
 
 
-def _team_lanes(schedule: TeamSchedule, pad: str) -> str:
-    """The schedule with one [id, start] template per placement."""
-    i3, i4 = "\n" + pad + "      ", "\n" + pad + "        "
-    placed = {t: schedule.assignments.get(t, ()) for t in schedule.teams}
-    lanes = [f"{_quote(t)}: " + _join([f"[{i4}{_quote(b)},{i4}{start}{i3}]" for (b, _), start
-                                       in zip(pairs, _floats([s for _, s in pairs]))], pad + "    ")
-             for t, pairs in sorted(placed.items())]
-    return _join([f'"assignments": {_join(lanes, pad + "  ", "{}")}',
-                  f'"teams": {_text(schedule.teams, pad + "  ")}'], pad, "{}")
-
-
 _LAYOUTS = dict.fromkeys((list, tuple), lambda values, pad: _join(
     _floats(values) if values and type(values[0]) is float  # a row of floats
     else [_text(v, pad + "  ") for v in values], pad,
@@ -689,7 +684,6 @@ _LAYOUTS = dict.fromkeys((list, tuple), lambda values, pad: _join(
     dict: lambda value, pad: _join([
         f"{_quote(k)}: {_text(v, pad + '  ')}" for k, v in sorted(value.items())], pad, "{}"),
     BuildingTable: _buildings,
-    TeamSchedule: _team_lanes,
 }
 
 

@@ -25,7 +25,7 @@ from math import isfinite
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, lane_overlaps
 
 FLOOR_TYPES = ("r1", "r2", "r3", "r4", "r5", "r6", "r7", "r8")
 DETAIL_TYPES = ("d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8")
@@ -293,12 +293,8 @@ def team_schedule_violations(
                 violations.append(f"building {building_id}: placement end {end} is not finite")
                 continue
             spans.append((start, end, building_id))
-        spans.sort()
-        for (s1, e1, b1), (s2, e2, b2) in zip(spans, spans[1:]):
-            if s2 < e1 - LANE_TOLERANCE:
-                violations.append(
-                    f"team {team}: placements {b1} and {b2} overlap"
-                )
+        violations += [f"team {team}: placements {b1} and {b2} overlap"
+                       for b1, b2 in lane_overlaps(spans, LANE_TOLERANCE)]
     return violations
 
 

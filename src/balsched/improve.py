@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .core import lane_overlaps
 from .homebuilding import (
     DAYS_PER_MONTH,
     DETAIL_TYPES,
@@ -265,17 +266,6 @@ def violated_months(table: np.ndarray, cap: np.ndarray) -> tuple[int, ...]:
 Move = tuple[str, str, float, str, float]
 
 
-def _lane_fits(lane: list, removed: Sequence[tuple], added: Sequence[tuple]) -> bool:
-    """Whether a lane of (start, end, id) spans, less ``removed`` and plus
-    ``added``, keeps every pair of neighbours apart within LANE_TOLERANCE.
-    The whole lane is sorted and checked: lanes hold tens of spans, so
-    this costs microseconds.
-    """
-    spans = sorted([span for span in lane if span not in removed] + list(added))
-    return not any(start < end - LANE_TOLERANCE
-                   for (_s, end, _b), (start, _e, _n) in zip(spans, spans[1:]))
-
-
 class _Lanes:
     """A valid schedule indexed for moves within [0, ``horizon``]: each
     team's lane of sorted (start, end, id) spans, each building's (team,
@@ -328,7 +318,8 @@ class _Lanes:
 
     def fits(self, moves: Sequence[Move]) -> bool:
         """Whether the moved schedule keeps every moved building inside
-        [0, horizon] and passes team_schedule_violations."""
+        [0, horizon] and each touched lane, less the removed spans plus the
+        added ones, free of lane_overlaps, as team_schedule_violations."""
         removed: dict[str, list] = {}
         added: dict[str, list] = {}
         for building_id, old_team, old_start, new_team, new_start in moves:
@@ -338,10 +329,10 @@ class _Lanes:
                 return False
             removed.setdefault(old_team, []).append(self._span(building_id, old_start))
             added.setdefault(new_team, []).append(self._span(building_id, new_start))
-        return all(
-            _lane_fits(self.lanes[team], removed.get(team, ()), added.get(team, ()))
-            for team in removed.keys() | added.keys()
-        )
+        return not any(
+            lane_overlaps([span for span in self.lanes[team] if span not in removed.get(team, ())]
+                          + added.get(team, []), LANE_TOLERANCE)
+            for team in removed.keys() | added.keys())
 
     def slots(self, ids: Sequence[str]) -> tuple[np.ndarray, ...]:
         """Per building of ``ids``: its start, its duration, the start and

@@ -12,7 +12,7 @@ t1, t2); records passed in are turned into one on entry.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -118,15 +118,25 @@ class WindowTable(Sequence):
 
     __hash__ = None
 
-    def sequences(self) -> list[tuple[int, np.ndarray]]:
+    def sequences(self) -> Iterator[tuple[int, np.ndarray]]:
         """Each machine, in increasing order, with its rows sorted by
-        position (stably)."""
+        position (stably).
+
+        Raises:
+            ValueError: on reaching a machine whose positions do not form
+                1..n, n its number of jobs.
+        """
         if not len(self.id):
-            return []
+            return
         order = np.lexsort((self.position, self.machine))
         machines = self.machine[order]
         cuts = np.flatnonzero(machines[1:] != machines[:-1]) + 1
-        return list(zip(machines[np.r_[0, cuts]].tolist(), np.split(order, cuts)))
+        for machine, rows in zip(machines[np.r_[0, cuts]].tolist(), np.split(order, cuts)):
+            if not np.array_equal(self.position[rows], np.arange(1, len(rows) + 1)):
+                raise ValueError(
+                    f"machine {machine}: positions must form 1..{len(rows)} without gaps"
+                )
+            yield machine, rows
 
 
 @dataclass(frozen=True)
@@ -223,12 +233,7 @@ def schedule_windows(jobs: Sequence[WindowJob]) -> WindowScheduleResult:
     starts: dict[str, float] = {}
     completions: dict[str, float] = {}
     infeasible: list[str] = []
-    for machine, rows in table.sequences():
-        if not np.array_equal(table.position[rows], np.arange(1, len(rows) + 1)):
-            raise ValueError(
-                f"machine {machine}: positions must form 1..{len(rows)} "
-                "without gaps"
-            )
+    for _machine, rows in table.sequences():
         previous = 0.0
         for row, t1, p, t2 in zip(
             rows.tolist(), table.t1[rows].tolist(), table.p[rows].tolist(),

@@ -263,7 +263,7 @@ def test_values_too_large_for_the_cascade_are_one_error_line(tmp_path, edit, lin
     if command[0] == "report":
         args += ["--csv", str(tmp_path / "curve.csv")]
     result = CliRunner().invoke(main, args)
-    assert result.exit_code == 1
+    assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr.splitlines() == [line]
 
 

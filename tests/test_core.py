@@ -13,6 +13,7 @@ from balsched.core import (
     ValidationError,
     collect_violations,
     interval_bags,
+    lane_overlaps,
     makespan,
     schedule_violations,
     validate_instance,
@@ -96,6 +97,20 @@ def test_schedule_overlap_detected():
     )
     violations = schedule_violations(instance, clash)
     assert violations == ["processor P1: jobs a4a and a1 overlap"]
+
+
+@pytest.mark.parametrize("spans, tolerance, pairs", [
+    # slots past int64 stay exact: touching is no overlap, one slot is
+    ([(2**70 + 3, 2**70 + 9, "b"), (2**70, 2**70 + 3, "a"), (2**70 + 8, 2**70 + 9, "c")],
+     0, [("b", "c")]),
+    # a team lane forgives a start up to the tolerance before the end
+    ([(2.0, 3.0, "b"), (0.0, 2.0 + 5e-10, "a"), (3.0 - 2e-9, 4.0, "c")],
+     1e-9, [("b", "c")]),
+    ([(1.0, 2.0, "y"), (1.0, 2.0, "x"), (0.0, 5.0, "w")], 0, [("w", "x"), ("x", "y")]),
+    ([], 0, []),
+])
+def test_lane_overlaps_names_sorted_neighbours_past_the_tolerance(spans, tolerance, pairs):
+    assert lane_overlaps(spans, tolerance) == pairs
 
 
 def test_schedule_job_placed_twice():

@@ -951,8 +951,9 @@ def test_a_bad_bulk_entry_reports_as_the_path_tracking_readers_do(name, changes,
          "capacity mismatch: reference profile totals 6 but interval capacity is 9"),
         ("balance", "modular-demo", ("modular", "grid", "k"), 3,
          "grid shorter than horizon: 9 < 12"),
-        ("evaluate", "jit-windows", ("window_jobs", 0, "position"), 9,
-         "machine 1: positions must form 1..4 without gaps"),
+        *[(command, "jit-windows", ("window_jobs", 0, "position"), 9,
+           "machine 1: positions must form 1..4 without gaps")
+          for command in ("evaluate", "validate", "balance", "improve")],
     ],
 )
 def test_cli_domain_errors_are_one_error_line(
@@ -961,7 +962,7 @@ def test_cli_domain_errors_are_one_error_line(
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(mutant(name, path, value)))
     result = runner.invoke(main, [command, str(bad)])
-    assert result.exit_code == 1
+    assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr.splitlines() == [f"error: {line}"]
 
 
@@ -1048,7 +1049,7 @@ def test_cli_refuses_a_file_that_is_no_utf8_with_one_error_line(runner, tmp_path
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr.splitlines() == [
-        "error: 'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        "error: /: invalid UTF-8 at byte 10: invalid start byte"
     ]
 
 
