@@ -544,6 +544,15 @@ def section_progress(
     return {floor: float(u) for floor, u in zip(FLOOR_TYPES, units)}
 
 
+def _checked_months(months: Sequence[int], horizon: int) -> tuple[int, ...]:
+    """months as a tuple; a ValueError names every month outside 1..horizon."""
+    months = tuple(months)
+    outside = [str(m) for m in months if not 1 <= m <= horizon]
+    if outside:
+        raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
+    return months
+
+
 def monthly_floor_requirements(
     project: Project, schedule: TeamSchedule, month: int
 ) -> MonthlyFloorProfile:
@@ -551,7 +560,9 @@ def monthly_floor_requirements(
 
     Every section of a building progresses in parallel, so a building
     contributes its per-section progress multiplied by its section counts.
+    A month outside 1..horizon raises ValueError.
     """
+    _checked_months((month,), project.horizon_months)
     table, kernel = project.buildings, project.kernel
     rows, starts = kernel.placements(schedule)
     output = kernel.output(rows, starts, np.array([[month - 1.0], [month]]))
@@ -599,10 +610,7 @@ def horizon_requirement_table(
     """
     horizon = project.horizon_months
     if months is not None:
-        months = tuple(months)
-        outside = [str(m) for m in months if not 1 <= m <= horizon]
-        if outside:
-            raise ValueError(f"months outside 1..{horizon}: {', '.join(outside)}")
+        months = _checked_months(months, horizon)
     kernel = project.kernel
     total = kernel.total(*kernel.placements(schedule))
     if months is None:

@@ -237,6 +237,11 @@ def test_window_table_refuses_as_the_first_refused_record():
         WindowTable(**rows)
 
 
+def test_window_table_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^window job columns differ in length$"):
+        WindowTable(("a", "b"), [1.0], [0.0], [2.0], [1], [1])
+
+
 def test_window_machines_past_int64_keep_their_values():
     big = 2**70
     jobs = [WindowJob("a", 1.0, 0.0, 2.0, big, 1), WindowJob("b", 1.0, 0.0, 2.0, 3, 1)]

@@ -224,6 +224,11 @@ def test_the_table_refuses_as_the_first_refused_record():
         BuildingTable.from_columns(**columns)
 
 
+def test_the_table_refuses_columns_of_unequal_length():
+    with pytest.raises(ValueError, match=r"^building columns differ in length$"):
+        BuildingTable.from_columns(("a", "b"), ("t",), [(("s", 1),)], [1.0], [0.0], [0.0])
+
+
 def test_the_writer_emits_a_table_as_its_records():
     kope = build_fixture("kope-1982")
     records = dict(kope.project.buildings)

@@ -13,7 +13,6 @@ from balsched.core import ValidationError
 from balsched.fileio import save_instance
 from balsched.fixtures import build_fixture
 from balsched.homebuilding import (
-    DETAIL_TYPES,
     FLOOR_TYPES,
     RATE_BASES,
     Building,
@@ -511,6 +510,12 @@ def test_months_outside_the_horizon_are_refused(kope, months, named):
 def test_monthly_detail_vector_refuses_a_month_outside_the_horizon(kope, month):
     with pytest.raises(ValueError, match=f"months outside 1..19: {month}$"):
         monthly_detail_requirements(kope.project, kope.team_schedule, month)
+
+
+@pytest.mark.parametrize("month", [0, -3, 25])
+def test_monthly_floor_profile_refuses_a_month_outside_the_horizon(kope, month):
+    with pytest.raises(ValueError, match=f"^months outside 1..19: {month}$"):
+        monthly_floor_requirements(kope.project, kope.team_schedule, month)
 
 
 def test_month1_detail_vector_matches_hand_composition(kope):

@@ -119,6 +119,15 @@ def test_group_first_variant_must_be_none():
         )
 
 
+def test_records_refuse_an_unknown_kind_an_empty_group_and_a_negative_budget():
+    with pytest.raises(ValueError, match=r"^unknown correction kind 'bogus'$"):
+        CorrectionVariant("bogus")
+    with pytest.raises(ValueError, match=r"^group 1: needs at least one variant$"):
+        CorrectionGroup(1, ("a1",), ())
+    with pytest.raises(ValueError, match=r"^budget must be non-negative$"):
+        BudgetedMCKP((), -1.0)
+
+
 def test_problem_sorts_groups_canonically():
     g2, g1 = group(2, [(1.0, 1.0)]), group(1, [(1.0, 1.0)])
     problem = BudgetedMCKP(groups=(g2, g1), budget=1.0)
@@ -410,6 +419,12 @@ def test_single_move_scores_agree_with_whole_horizon_pricing(kope, capacity):
                     [(b, other_team, other_start), (other, team, start)],
                 )
                 assert abs(profit - oracle) <= 1e-12 * max(1.0, v), (b, other)
+
+
+def test_score_shift_without_target_is_an_error(kope):
+    shift = CorrectionVariant(kind="shift_right", days=3)
+    with pytest.raises(ValueError, match=r"^shift variant needs a target building$"):
+        score_variant(kope.project, kope.team_schedule, shift, kope.capacity)
 
 
 def test_score_unplaced_target_is_an_error(kope):

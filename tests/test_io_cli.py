@@ -869,6 +869,10 @@ def mutant(name, path, value):
     return data
 
 
+KOPE_REFERENCE_ROWS = json.loads(FIXTURE_JSON["kope-1982"])["homebuilding"][
+    "reference_requirements"]["values"]
+
+
 @pytest.mark.parametrize(
     "name, path, value, line",
     [
@@ -883,6 +887,23 @@ def mutant(name, path, value):
         ("jit-windows", ("window_jobs", 1, "id"), "a1",
          "/window_jobs/1/id: duplicate id 'a1'"),
         ("kope-1982", ("homebuilding",), DELETE, "/homebuilding: missing"),
+        # the next four are refused by the Project the loader builds
+        ("kope-1982", ("homebuilding", "horizon_months"), 0,
+         "/homebuilding: horizon_months must be positive"),
+        ("kope-1982", ("homebuilding", "rate_basis"), "X",
+         "/homebuilding: unknown rate basis 'X'; expected one of ('U-1', 'U')"),
+        ("kope-1982", ("homebuilding", "buildings", "a1", "section_counts", "zz"), 1,
+         "/homebuilding: building a1: unknown section type 'zz'"),
+        ("kope-1982", ("homebuilding", "buildings", "a1", "building_type"), "nope",
+         "/homebuilding: building a1: unknown building type 'nope'"),
+        ("kope-1982", ("homebuilding", "building_types", "18-floor", "r2"), -1,
+         "/homebuilding/building_types/18-floor: building type 18-floor: negative count for r2"),
+        ("kope-1982", ("homebuilding", "team_schedule", "assignments", "P2"),
+         [["a4", 7.0], ["a7", 11.8], ["a9"]],
+         "/homebuilding/team_schedule/assignments/P2/2: expected [building id, start]"),
+        ("kope-1982", ("homebuilding", "reference_requirements", "values"),
+         KOPE_REFERENCE_ROWS[:-1],
+         "/homebuilding/reference_requirements/values: expected one row per month"),
     ],
 )
 def test_malformed_input_is_one_schema_error(runner, tmp_path, name, path, value, line):
@@ -964,6 +985,44 @@ def test_cli_domain_errors_are_one_error_line(
     result = runner.invoke(main, [command, str(bad)])
     assert (result.exit_code, result.stdout) == (1, "")
     assert result.stderr.splitlines() == [f"error: {line}"]
+
+
+def test_cli_refuses_a_universe_of_only_the_idle_type(runner, tmp_path):
+    universe = {"types": ["idle"], "idle_index": 0}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutant("jit-windows", ("modular", "universe"), universe)))
+    result = runner.invoke(main, ["validate", str(bad)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == ["invalid: universe: needs at least one non-idle type"]
+
+
+@pytest.mark.parametrize("command", ["balance", "improve"])
+def test_cli_refuses_a_homebuilding_file_without_capacity(runner, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutant("kope-1982", ("homebuilding", "capacity"), DELETE)))
+    result = runner.invoke(main, [command, str(bad)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr.splitlines() == ["error: instance has no capacity profile"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["improve", "@kope-1982", "--out", "{missing}"],
+        ["report", "@kope-1982", "--detail", "d1", "--capacity", "1480", "--csv", "{missing}"],
+        ["fixtures", "emit", "kope-1982", "--out", "{missing}"],
+    ],
+)
+def test_cli_refuses_to_write_into_a_missing_directory(runner, tmp_path, emitted, args):
+    missing = tmp_path / "absent" / "out"
+    argv = [str(emitted[arg[1:]]) if arg.startswith("@") else arg.format(missing=missing)
+            for arg in args]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: cannot write {missing}: No such file or directory"
+    ]
+    assert not missing.parent.exists()
 
 
 REPORT = ["--detail", "d1", "--capacity", "1480", "--csv", "d1.csv"]

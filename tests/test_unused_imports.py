@@ -1,14 +1,18 @@
-"""Every module of the package uses each name it imports. Deletions leave
-imports behind; ``__init__.py`` imports only to re-export, so it is not
-read."""
+"""Every module of the package, every test module and every demo uses each
+name it imports. Deletions leave imports behind; the package's
+``__init__.py`` imports only to re-export, so it is not read."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "balsched"
-MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+# package modules by name, test modules and demos by folder and name
+FILES = {path.name: path for path in (ROOT / "src" / "balsched").glob("*.py")
+         if path.name != "__init__.py"}
+FILES.update({f"{folder}/{path.name}": path
+              for folder in ("tests", "demos") for path in (ROOT / folder).glob("*.py")})
 
 
 def unused_imports(source: str) -> list[str]:
@@ -24,9 +28,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in read]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(FILES))
 def test_a_module_reads_every_name_it_imports(module):
-    assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert unused_imports(FILES[module].read_text(encoding="utf-8")) == []
 
 
 def test_the_scan_finds_an_unread_import():

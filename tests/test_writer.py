@@ -1,6 +1,7 @@
 """The canonical writer: save_instance against json's own layout of the
 instance's dictionary form (oracles.canonical_text)."""
 
+import hashlib
 import json
 import math
 import re
@@ -78,6 +79,21 @@ def test_fixtures_and_generated_instances_write_the_oracle_bytes(monkeypatch, pa
     for instance, text in zip(instances, expected):
         save_instance(instance, path)
         assert path.read_text() == text
+
+
+# SHA-256 of each bundled instance's saved bytes, as ``fixtures emit`` writes them
+FIXTURE_DIGESTS = {
+    "jit-windows": "48526a1ac1ce1471cd891738a2ff471f3fb540a4027273adabdc442f8c6d45bf",
+    "kope-1982": "1a45b912f0d961321f44a03caac2d683fa70a28b73161470f9e4c3baa57fba9b",
+    "modular-demo": "f82b3053b69d6a0f8e3588d0f71d86912e51f688f1790c4cb221f64680b6d937",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURE_DIGESTS))
+def test_a_fixture_saves_its_pinned_bytes(path, name):
+    assert list_fixtures() == sorted(FIXTURE_DIGESTS)
+    save_instance(build_fixture(name), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FIXTURE_DIGESTS[name]
 
 
 # --- hand-built instances ---------------------------------------------------------
