@@ -32,6 +32,7 @@ from .core import (
     Instance,
     IntervalBag,
     JobTable,
+    SlotLane,
     SlotSchedule,
     TimeGrid,
     ValidationError,
@@ -134,6 +135,7 @@ __all__ = [
     "SchemaError",
     "SectionType",
     "Selection",
+    "SlotLane",
     "SlotSchedule",
     "TeamSchedule",
     "TimeGrid",

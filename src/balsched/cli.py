@@ -76,8 +76,7 @@ def _validated(instance: InstanceFile) -> Instance | None:
         validate_team_schedule(instance.team_schedule, instance.project.buildings)
         return None
     validated = validate_instance(
-        instance.universe, instance.jobs, instance.processors, instance.grid
-    )
+        instance.universe, instance.jobs, instance.processors, instance.grid)
     validate_schedule(validated, instance.schedule)
     if instance.window_jobs:
         list(WindowTable.of(instance.window_jobs).sequences())
@@ -141,15 +140,9 @@ def evaluate(file):
                     for job_id in map(table.id.__getitem__, rows.tolist())
                 )
                 lines.append(f"machine {machine}: {cells}")
-            if weights:
-                lines.append(
-                    "penalty sum: "
-                    f"{penalty_sum(instance.window_jobs, result.completions, weights):.2f}"
-                )
-                lines.append(
-                    "penalty max: "
-                    f"{penalty_max(instance.window_jobs, result.completions, weights):.2f}"
-                )
+            for name, penalty in (("sum", penalty_sum), ("max", penalty_max)) if weights else ():
+                value = penalty(instance.window_jobs, result.completions, weights)
+                lines.append(f"penalty {name}: {value:.2f}")
     else:
         table = horizon_requirement_table(instance.project, instance.team_schedule)
         lines += [f"months: {len(table.months)}", "peak requirements:"]
@@ -170,24 +163,14 @@ def balance(file):
         if instance.reference_profile is None or instance.proximity_threshold is None:
             _fail("instance has no reference profile / threshold")
         verdict = balance_mod.balance_verdict(
-            validated,
-            instance.schedule,
-            instance.reference_profile,
-            instance.proximity_threshold,
+            validated, instance.schedule, instance.reference_profile, instance.proximity_threshold
         )
-        _echo(
-            "interval deltas: " + " ".join(str(d) for d in verdict.deltas)
-        )
+        _echo("interval deltas: " + " ".join(map(str, verdict.deltas)))
         _echo(f"max delta: {verdict.max_delta}")
         _echo(f"threshold: {verdict.threshold}")
-        if verdict.satisfied:
-            _echo("balance: satisfied")
-        else:
-            _echo(
-                "violating intervals: "
-                + " ".join(str(i) for i in verdict.violating)
-            )
-            _echo("balance: violated")
+        if not verdict.satisfied:
+            _echo("violating intervals: " + " ".join(map(str, verdict.violating)))
+        _echo("balance: " + ("satisfied" if verdict.satisfied else "violated"))
     else:
         if not instance.capacity:
             _fail("instance has no capacity profile")
@@ -200,10 +183,8 @@ def balance(file):
                 f"capacity {instance.capacity[detail]:.2f}"
             )
         if months:
-            _echo("violated months: " + " ".join(str(m) for m in months))
-            _echo("balance: violated")
-        else:
-            _echo("balance: satisfied")
+            _echo("violated months: " + " ".join(map(str, months)))
+        _echo("balance: " + ("violated" if months else "satisfied"))
 
 
 def _finite(_ctx, _param, value: float | None) -> float | None:
@@ -237,28 +218,30 @@ def improve(file, budget, max_iters, out):
     result = improvement_loop(
         instance.project, instance.team_schedule, instance.capacity, params
     )
+    lines = []  # printed once --out is written, so a refused write prints nothing
     for record in result.trace:
         moves = [variant.describe(target) for target, variant in record.moves]
         chosen = ", ".join(moves) if moves else "none"
         status = "accepted" if record.accepted else "rejected"
-        _echo(
+        lines.append(
             f"iteration {record.iteration}: V {record.v_before:.4f} -> "
             f"{record.v_after:.4f} {status}; chosen: {chosen} "
             f"(profit {record.selection.total_profit:.4f}, "
             f"cost {record.selection.total_cost:.2f})"
         )
-    _echo(f"stop: {result.stop_reason}")
+    lines.append(f"stop: {result.stop_reason}")
     table = horizon_requirement_table(instance.project, result.schedule)
     for detail in sorted(instance.capacity):
         month, value = table.peak(detail)
-        _echo(f"final peak {detail}: {value:.2f} (month {month})")
+        lines.append(f"final peak {detail}: {value:.2f} (month {month})")
     if out:
         updated = dataclasses.replace(instance, team_schedule=result.schedule)
         try:
             save_instance(updated, out)
         except OSError as exc:
             _fail(f"cannot write {out}: {exc.strerror}", 2)
-        _echo(f"wrote {out}")
+        lines.append(f"wrote {out}")
+    _echo("\n".join(lines))
 
 
 @main.command()

@@ -9,9 +9,10 @@ checks compare those bags against a reference output profile.
 
 An instance always holds its jobs as a JobTable: ids, CSR chain offsets
 and one flat array of universe type codes; hand-built record mappings are
-converted on entry. Schedule checks, makespans and bags read only the
-table's rows, codes and lengths; CompositeJob records are built only when
-something asks for one. All types are immutable values after validation
+converted on entry. A loaded schedule holds each lane as a SlotLane of ids
+and starts. Schedule checks, makespans and bags map the placements to job
+rows once per schedule and read only columns; CompositeJob records are
+built only when something asks for one. All types are immutable values after validation
 (the table's arrays are read-only) and every operation is pure, so
 instances and schedules can be shared freely across threads.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import index, itemgetter
+from operator import index
 
 import numpy as np
 
@@ -92,8 +93,30 @@ class CompositeJob:
         return len(self.chain)
 
 
+def _ints(values) -> np.ndarray:
+    """An int64 column of Python ints below 2**62 in size, so that a sum of
+    two stays in int64; an object column keeps other values as they are."""
+    values = list(values)
+    ints = set(map(type, values)) <= {int}
+    if ints and -2**62 < min(values, default=0) and max(values, default=0) < 2**62:
+        return np.array(values, dtype=np.int64)
+    return np.array(values, dtype=object)
+
+
+class _Columns(Sequence):
+    """A sequence of records, each built on request from columns. It
+    equals a sequence of its own class, or a tuple, of equal records."""
+
+    def __eq__(self, other):
+        if isinstance(other, (type(self), tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    __hash__ = None
+
+
 @dataclass(frozen=True, eq=False)
-class JobTable(Sequence):
+class JobTable(_Columns):
     """Composite jobs over one universe as columns: ``ids``, CSR ``offsets``
     (row i's chain is ``codes[offsets[i]:offsets[i + 1]]``) and the flat
     universe ``codes`` of every chain element, in read-only arrays. It is a
@@ -146,13 +169,6 @@ class JobTable(Sequence):
         codes = self.codes[self.offsets[i]:self.offsets[i + 1]].tolist()
         return CompositeJob(self.ids[i], tuple(map(self.universe.types.__getitem__, codes)))
 
-    def __eq__(self, other):
-        if isinstance(other, (JobTable, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
-
 
 class JobIndex(Mapping):
     """A job table's jobs by id, each CompositeJob built on request."""
@@ -170,17 +186,53 @@ class JobIndex(Mapping):
         return len(self.table.ids)
 
 
+@dataclass(frozen=True, eq=False)
+class SlotLane(_Columns):
+    """One processor's placements as columns: job ``ids`` and ``starts``,
+    read-only, int64 where every start is an int below 2**62 in size. It is a
+    sequence of (job id, start) pairs, each built on request, and equals
+    a lane or tuple of equal pairs.
+    """
+
+    ids: tuple[str, ...]
+    starts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "starts", _ints(self.starts))
+        self.starts.flags.writeable = False
+        if len(self.ids) != len(self.starts):
+            raise ValueError("slot lane columns differ in length")
+
+    @classmethod
+    def of(cls, pairs: Iterable[tuple[str, int]]) -> SlotLane:
+        """pairs as a lane: a lane itself, or (id, start) pairs as columns."""
+        return pairs if isinstance(pairs, SlotLane) else cls(*(tuple(zip(*pairs)) or ((), ())))
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int) -> tuple[str, int]:
+        i = range(len(self.ids))[i]
+        return self.ids[i], self.starts.item(i)
+
+    def __iter__(self):
+        return zip(self.ids, self.starts.tolist())
+
+
 @dataclass(frozen=True)
 class SlotSchedule:
     """Per-processor placements of jobs at integer start slots.
 
-    ``placements`` maps a processor id to an ordered list of
-    (job id, start slot) pairs. Jobs run contiguously; gaps are idle.
+    ``placements`` maps a processor id to a SlotLane, or an ordered tuple
+    of (job id, start slot) pairs. Jobs run contiguously; gaps are idle.
+    The checks read the placements as columns, mapped against a job table
+    once and kept; the mapping must not be mutated.
     """
 
     processors: tuple[str, ...]
-    placements: Mapping[str, tuple[tuple[str, int], ...]]
+    placements: Mapping[str, SlotLane | tuple[tuple[str, int], ...]]
     horizon_slots: int
+    _columns: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -281,8 +333,6 @@ def collect_violations(
     if len(universe.types) < 2:
         violations.append("universe: needs at least one non-idle type")
 
-    # a chain of these alone breaks no element rule
-    non_idle = {t for t, code in universe.codes.items() if code != universe.idle_index}
     seen_jobs: set[str] = set()
     for job in jobs:
         if job.id in seen_jobs:
@@ -290,11 +340,6 @@ def collect_violations(
         seen_jobs.add(job.id)
         if len(job.chain) == 0:
             violations.append(f"job {job.id}: empty chain")
-        try:
-            if non_idle.issuperset(job.chain):
-                continue
-        except TypeError:  # an unhashable element, reported by the loop
-            pass
         for element in job.chain:
             if element not in universe:
                 violations.append(
@@ -339,12 +384,7 @@ def validate_instance(
     violations = collect_violations(universe, jobs, processors, grid)
     if violations:
         raise ValidationError(violations)
-    return Instance(
-        universe=universe,
-        jobs=JobIndex(jobs),
-        processors=tuple(processors),
-        grid=grid,
-    )
+    return Instance(universe, JobIndex(jobs), tuple(processors), grid)
 
 
 def lane_overlaps(spans: Iterable[tuple], tolerance) -> list[tuple]:
@@ -356,32 +396,63 @@ def lane_overlaps(spans: Iterable[tuple], tolerance) -> list[tuple]:
             if start < end - tolerance]
 
 
+def _placed(table: JobTable, schedule: SlotSchedule, known: bool = False) -> tuple:
+    """(ids, rows, starts, offsets) of the placements on the schedule's
+    processors, in order: each job's row in table (-1 for an id not in it,
+    or KeyError on the first such id if known), the starts as one column,
+    and the lanes' CSR offsets; mapped once per schedule and table."""
+    if schedule._columns is None or schedule._columns[0] is not table:
+        lanes = [SlotLane.of(schedule.placements.get(proc, ())) for proc in schedule.processors]
+        ids = tuple(chain.from_iterable(lane.ids for lane in lanes))
+        rows = np.fromiter(map(table.row.get, ids, repeat(-1)), np.intp, len(ids))
+        starts = np.concatenate([lane.starts for lane in lanes] or [_ints(())])
+        offsets = np.cumsum([0, *map(len, lanes)]).tolist()
+        object.__setattr__(schedule, "_columns", (table, (ids, rows, starts, offsets)))
+    ids, rows, starts, offsets = placed = schedule._columns[1]
+    if known and rows.min(initial=0) < 0:
+        raise KeyError(ids[rows.argmin()])
+    return placed
+
+
+def _clean(table: JobTable, schedule: SlotSchedule) -> bool:
+    """Whether the placements break no rule, decided on their columns:
+    ids known and placed once, int starts from 0 to the horizon less the
+    job's length, and each job on a lane starting where the one listed
+    before it ends or later (so a lane out of start order is walked)."""
+    _ids, rows, starts, offsets = _placed(table, schedule)
+    if starts.dtype == object or rows.min(initial=0) < 0 or starts.min(initial=0) < 0:
+        return False
+    ends = starts + table.lengths[rows]
+    lanes = np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+    return (np.bincount(rows).max(initial=0) < 2
+            and int(ends.max(initial=0)) <= schedule.horizon_slots
+            and not ((starts[1:] < ends[:-1]) & (lanes[1:] == lanes[:-1])).any())
+
+
 def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]:
     """Check a schedule against its instance; returns all violations.
 
-    One walk over the placements, processor by processor, reading each
-    job's chain length from the instance's job table. A start that is not
-    an integer is one violation, and its placement is checked no further.
+    The placements' columns decide a valid schedule; only an invalid one
+    is walked, processor by processor, to name its violations in order.
+    A start that is not an integer is one violation, and its placement is
+    checked no further.
     """
-    violations: list[str] = []
-    for proc in schedule.placements:
-        if proc not in schedule.processors:
-            violations.append(f"schedule: unknown processor '{proc}'")
-    for proc in schedule.processors:  # a subset of the instance's is fine
-        if proc not in instance.processors:
-            violations.append(f"schedule: unknown processor '{proc}'")
+    violations = [f"schedule: unknown processor '{proc}'" for proc in schedule.placements
+                  if proc not in schedule.processors]
+    violations += [f"schedule: unknown processor '{proc}'" for proc in schedule.processors
+                   if proc not in instance.processors]  # a subset of the instance's is fine
     table = instance.jobs.table
-    row, lengths = table.row, table.lengths.tolist()
+    if not violations and _clean(table, schedule):
+        return violations
+    ids, rows, starts, offsets = _placed(table, schedule)
+    rows, starts, lengths = rows.tolist(), starts.tolist(), table.lengths.tolist()
     horizon = schedule.horizon_slots
     placed: set[str] = set()
-    for proc in schedule.processors:
+    for proc, first, last in zip(schedule.processors, offsets, offsets[1:]):
         occupied: list[tuple[int, int, str]] = []
-        for job_id, start in schedule.placements.get(proc, ()):
-            r = row.get(job_id)
-            if r is None:
-                violations.append(
-                    f"processor {proc}: unknown job id '{job_id}'"
-                )
+        for job_id, r, start in zip(ids[first:last], rows[first:last], starts[first:last]):
+            if r < 0:
+                violations.append(f"processor {proc}: unknown job id '{job_id}'")
                 continue
             try:
                 index(start)
@@ -395,10 +466,8 @@ def schedule_violations(instance: Instance, schedule: SlotSchedule) -> list[str]
                 violations.append(f"job {job_id}: negative start slot {start}")
             end = start + lengths[r]
             if end > horizon:
-                violations.append(
-                    f"processor {proc}: job {job_id} ends at slot {end} "
-                    f"beyond horizon {horizon}"
-                )
+                violations.append(f"processor {proc}: job {job_id} ends at slot {end} "
+                                  f"beyond horizon {horizon}")
             occupied.append((start, end, job_id))
         violations += [f"processor {proc}: jobs {j1} and {j2} overlap"
                        for j1, j2 in lane_overlaps(occupied, 0)]
@@ -417,16 +486,15 @@ def makespan(instance: Instance, schedule: SlotSchedule) -> int:
     """Last occupied interval index over all processors; 0 if empty.
 
     An interval is occupied if any chain element of a placed job falls in it.
-    One walk in Python numbers, so starts past int64 stay exact.
+    The last slot is read off the placement columns, in Python numbers
+    where the start column is not int64, so it stays exact.
+
+    Raises:
+        KeyError: on a job id not in the instance.
     """
     table = instance.jobs.table
-    row, lengths = table.row, table.lengths.tolist()
-    last_slot = -1
-    for proc in schedule.processors:
-        for job_id, start in schedule.placements.get(proc, ()):
-            end = start + lengths[row[job_id]] - 1
-            if end > last_slot:
-                last_slot = end
+    _ids, rows, starts, _offsets = _placed(table, schedule, known=True)
+    last_slot = max(chain((-1,), (starts + table.lengths[rows] - 1).tolist()))
     if last_slot < 0:
         return 0
     return last_slot // instance.grid.interval_len_slots + 1
@@ -460,16 +528,14 @@ def interval_bags(instance: Instance, schedule: SlotSchedule) -> list[IntervalBa
             f"{schedule.horizon_slots}"
         )
     universe, table = instance.universe, instance.jobs.table
-    lanes = (schedule.placements.get(proc, ()) for proc in schedule.processors)
-    pairs = list(chain.from_iterable(lanes))
-    n = len(pairs)
     # rows first, so an unknown id raises before a start that is no integer
-    rows = np.fromiter(map(table.row.__getitem__, map(itemgetter(0), pairs)), np.intp, n)
+    _ids, rows, starts, _offsets = _placed(table, schedule, known=True)
     outside = f"placement outside the grid's {grid.horizon_slots} slots"
-    try:
-        starts = np.fromiter(map(index, map(itemgetter(1), pairs)), np.int64, n)
-    except OverflowError:  # a start past int64 is past the grid
-        raise ValueError(outside) from None
+    if starts.dtype == object:
+        try:
+            starts = np.fromiter(map(index, starts.tolist()), np.int64, len(starts))
+        except OverflowError:  # a start past int64 is past the grid
+            raise ValueError(outside) from None
     lengths = table.lengths[rows]
     slots = _ramps(starts, lengths)  # each element's slot
     if len(slots) and (slots.min() < 0 or slots.max() >= grid.horizon_slots):

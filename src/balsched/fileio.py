@@ -27,6 +27,7 @@ from .core import (
     CompositeJob,
     ElementUniverse,
     JobTable,
+    SlotLane,
     SlotSchedule,
     TimeGrid,
 )
@@ -64,10 +65,10 @@ class SchemaError(ValueError):
 class InstanceFile:
     """Everything one run needs, as loaded from a single JSON file.
 
-    A loaded file holds its modular jobs as a JobTable and its window jobs
-    as a WindowTable; an instance built by hand may hold tuples of records
-    instead, and compares equal to its loaded form. A project holds its
-    buildings as a BuildingTable either way.
+    A loaded file holds its modular jobs as a JobTable, its slot lanes as
+    SlotLanes and its window jobs as a WindowTable; an instance built by hand
+    may hold tuples of records and pairs instead, and compares equal to its
+    loaded form. A project holds its buildings as a BuildingTable either way.
     """
 
     mode: str
@@ -97,15 +98,15 @@ class InstanceFile:
 # _field and _each turn failures into issues: a bad field or entry is
 # reported and skipped, and reading goes on, so one run lists every problem.
 #
-# The modular jobs, the window jobs and the buildings object first get one
-# fast pass: exact type tests and defaults over whole columns, no path
-# bookkeeping and no issues. Jobs become a JobTable of universe codes,
-# window jobs a WindowTable and buildings a BuildingTable, so a valid file
-# builds no job or building records. If any entry misses a test, an
-# element is not in the universe, or a table refuses an entry, the pass
-# gives up and the whole list is read again by the path-tracking readers,
-# so every issue keeps its text and order. Slot and team lanes have only
-# their path-tracking readers.
+# The modular jobs, each slot lane, the window jobs and the buildings object
+# first get one fast pass: exact type tests and defaults over whole
+# columns, no path bookkeeping and no issues. Jobs become a JobTable of
+# universe codes, slot lanes SlotLanes, window jobs a WindowTable and
+# buildings a BuildingTable, so a valid file builds no job, placement or
+# building records. If any entry misses a test, an element is not in the
+# universe, or a table refuses an entry, the pass gives up and the whole
+# list is read again by the path-tracking readers, so every issue keeps its
+# text and order. Team lanes have only their path-tracking reader.
 # load_instance pauses the cyclic collector while it parses and reads: a
 # load allocates tens of thousands of containers but makes no reference
 # cycles, so collections during it would free nothing.
@@ -228,10 +229,11 @@ def _each(data: dict, key: str, kind, read, issues: list, path: str,
     return out if kind is _obj else tuple(out.values())
 
 
-def _lanes(data: dict, key: str, pair, issues: list, path: str) -> dict:
+def _lanes(data: dict, key: str, pair, issues: list, path: str, fast=None) -> dict:
     """An optional object of lanes, each a list of [id, start] pairs."""
     lanes = _field(data, key, _obj, issues, path, None) or {}
-    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}") for lane in lanes}
+    return {lane: _each(lanes, lane, _list, pair, issues, f"{path}/{key}", fast=fast)
+            for lane in lanes}
 
 
 def _universe(v) -> ElementUniverse:
@@ -273,6 +275,15 @@ def _slot(_, v) -> tuple[str, int]:
     raise _Bad("expected [job id, start slot]")
 
 
+def _slot_lane(items: list) -> SlotLane | None:
+    """The fast pass of _slot over a whole lane, one type test a column."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        ids, starts = tuple(zip(*items)) or ((), ())
+        if set(map(type, ids)) <= {str} and set(map(type, starts)) <= {int}:
+            return SlotLane(ids, starts)
+    return None
+
+
 def _load_modular(block: dict, issues: list) -> dict:
     at = "/modular"
     out = {
@@ -293,7 +304,7 @@ def _load_modular(block: dict, issues: list) -> dict:
         at += "/schedule"
         out["schedule"] = SlotSchedule(
             horizon_slots=_field(schedule, "horizon_slots", _int, issues, at),
-            placements=_lanes(schedule, "placements", _slot, issues, at),
+            placements=_lanes(schedule, "placements", _slot, issues, at, fast=_slot_lane),
             processors=_field(schedule, "processors", _strs, issues, at),
         )
     return out
@@ -596,7 +607,7 @@ def _record_writer(kind: type, skip: str | None = None):
 
 
 _SHAPES = {
-    JobTable: list, WindowTable: list,
+    JobTable: list, SlotLane: list, WindowTable: list,
     BuildingTable: lambda table: dict(  # a building's id is its map key
         zip(table.ids, map(_record_writer(Building, skip="id"), table.values()))),
     SectionType: lambda st: dict(zip(FLOOR_TYPES, map(list, st.detail_matrix))),

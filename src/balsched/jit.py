@@ -14,8 +14,11 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
+
+from .core import _Columns, _ints
 
 #: Completions beyond t2 by more than this count as infeasible.
 FEASIBILITY_TOLERANCE = 1e-9
@@ -47,24 +50,12 @@ class WindowJob:
             )
 
 
-def _ints(values) -> np.ndarray:
-    """An int64 column of Python ints; an object column of other numbers,
-    or of ints past int64, keeps them as they are."""
-    values = list(values)
-    if set(map(type, values)) <= {int}:
-        try:
-            return np.array(values, dtype=np.int64)
-        except OverflowError:
-            pass
-    return np.array(values, dtype=object)
-
-
 @dataclass(frozen=True, eq=False)
-class WindowTable(Sequence):
+class WindowTable(_Columns):
     """Window jobs as read-only columns: ``id``, ``p`` (processing times),
     ``t1``, ``t2``, ``machine`` and ``position``. It is a sequence of
     WindowJob records, each built on request, and equals a table or tuple
-    of equal records.
+    of equal records. Its machine sequences are sorted and checked once.
 
     Raises:
         ValueError: as WindowJob does, for the first job it refuses.
@@ -111,12 +102,17 @@ class WindowTable(Sequence):
             self.machine.item(i), self.position.item(i),
         )
 
-    def __eq__(self, other):
-        if isinstance(other, (WindowTable, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    __hash__ = None
+    @cached_property
+    def by_machine(self) -> list[tuple[int, np.ndarray, bool]]:
+        """Each machine, in increasing order, with its rows sorted by
+        position (stably) and whether those positions form 1..n."""
+        order = np.lexsort((self.position, self.machine))
+        order.flags.writeable = False  # and so each machine's rows
+        machines = self.machine[order]
+        cuts = np.flatnonzero(machines[1:] != machines[:-1]) + 1
+        return [(machine, rows, np.array_equal(self.position[rows], np.arange(1, len(rows) + 1)))
+                for machine, rows in zip(machines[np.r_[0, cuts]].tolist() if len(order) else [],
+                                         np.split(order, cuts))]
 
     def sequences(self) -> Iterator[tuple[int, np.ndarray]]:
         """Each machine, in increasing order, with its rows sorted by
@@ -126,13 +122,8 @@ class WindowTable(Sequence):
             ValueError: on reaching a machine whose positions do not form
                 1..n, n its number of jobs.
         """
-        if not len(self.id):
-            return
-        order = np.lexsort((self.position, self.machine))
-        machines = self.machine[order]
-        cuts = np.flatnonzero(machines[1:] != machines[:-1]) + 1
-        for machine, rows in zip(machines[np.r_[0, cuts]].tolist(), np.split(order, cuts)):
-            if not np.array_equal(self.position[rows], np.arange(1, len(rows) + 1)):
+        for machine, rows, gapless in self.by_machine:
+            if not gapless:
                 raise ValueError(
                     f"machine {machine}: positions must form 1..{len(rows)} without gaps"
                 )
@@ -249,9 +240,4 @@ def schedule_windows(jobs: Sequence[WindowJob]) -> WindowScheduleResult:
             if completion > t2 + FEASIBILITY_TOLERANCE:
                 infeasible.append(job_id)
             previous = completion
-    return WindowScheduleResult(
-        starts=starts,
-        completions=completions,
-        feasible=not infeasible,
-        infeasible_jobs=tuple(infeasible),
-    )
+    return WindowScheduleResult(starts, completions, not infeasible, tuple(infeasible))

@@ -11,6 +11,7 @@ import itertools
 import json
 import sys
 from collections import deque
+from operator import index
 from typing import NamedTuple
 
 import numpy as np
@@ -572,6 +573,9 @@ def record_schedule_violations(jobs, processors, schedule):
             if job_id not in jobs:
                 violations.append(f"processor {proc}: unknown job id '{job_id}'")
                 continue
+            if not isinstance(start, int):  # a bool is an int
+                violations.append(f"job {job_id}: start slot {start!r} is not an integer")
+                continue
             if job_id in placed:
                 violations.append(f"job {job_id}: placed more than once")
             placed.add(job_id)
@@ -602,16 +606,18 @@ def record_makespan(jobs, schedule, interval_len):
 def record_interval_bags(universe, jobs, schedule, grid):
     """(index, elements, counts) of each interval's bag: elements sorted by
     first position in the universe and idle-padded to capacity, counts in
-    universe order. Raises ValueError as interval_bags does."""
+    universe order. Raises as interval_bags does."""
     if grid.horizon_slots < schedule.horizon_slots:
         raise ValueError(
             f"grid shorter than horizon: {grid.horizon_slots} < {schedule.horizon_slots}"
         )
+    pairs = [pair for proc in schedule.processors for pair in schedule.placements.get(proc, ())]
+    chains = [jobs[job_id].chain for job_id, _start in pairs]  # an unknown id first
+    starts = [index(start) for _job_id, start in pairs]  # then a start that is no integer
     placed = [
         (start + offset, element)
-        for proc in schedule.processors
-        for job_id, start in schedule.placements.get(proc, ())
-        for offset, element in enumerate(jobs[job_id].chain)
+        for start, chain in zip(starts, chains)
+        for offset, element in enumerate(chain)
     ]
     if any(not 0 <= slot < grid.horizon_slots for slot, _ in placed):
         raise ValueError(f"placement outside the grid's {grid.horizon_slots} slots")

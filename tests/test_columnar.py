@@ -5,6 +5,7 @@ the pinned lines of the error paths."""
 import dataclasses
 import json
 from collections import Counter
+from itertools import product
 
 import pytest
 from click.testing import CliRunner
@@ -17,6 +18,7 @@ from balsched.core import (
     ElementUniverse,
     Instance,
     JobTable,
+    SlotLane,
     SlotSchedule,
     TimeGrid,
     ValidationError,
@@ -26,7 +28,14 @@ from balsched.core import (
     schedule_violations,
     validate_instance,
 )
-from balsched.fileio import instance_to_dict, load_instance
+from balsched.fileio import (
+    InstanceFile,
+    SchemaError,
+    instance_from_dict,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+)
 from balsched.fixtures import build_fixture
 from balsched.jit import (
     PenaltyWeights,
@@ -101,7 +110,8 @@ def modular_cases(draw):
     free = dict.fromkeys(processors, draw(st.integers(0, 1)))
     lengths = {job.id: len(job.chain) for job in jobs}
     placed = [job.id for job in jobs if not rarely(draw)]  # some left unplaced
-    defect = draw(st.sampled_from([None] * 6 + ["repeat", "ghost", "negative", "late"]))
+    defect = draw(st.sampled_from([None] * 6 + [
+        "repeat", "ghost", "negative", "late", "fraction", "bool", "past int64"]))
     if placed and defect == "repeat":
         placed.append(draw(st.sampled_from(placed)))
     if defect == "ghost":
@@ -114,6 +124,16 @@ def modular_cases(draw):
     if defect == "negative":
         p = draw(st.sampled_from(processors))
         lanes[p] = [(job_id, start - 2) for job_id, start in lanes[p]]
+    if defect in ("fraction", "bool", "past int64") and placed:
+        p = draw(st.sampled_from([p for p in processors if lanes[p]] or processors))
+        for i in draw(st.sets(st.integers(0, len(lanes[p]) - 1), max_size=2)):
+            job_id, start = lanes[p][i]
+            lanes[p][i] = job_id, (start + 0.5 if defect == "fraction" else bool(start)
+                                   if defect == "bool" else draw(st.sampled_from(
+                                       [2**62 - 1, 2**63 - 2, 2**63, 2**70])))
+    if rarely(draw):  # a lane listed out of start order
+        p = draw(st.sampled_from(processors))
+        lanes[p] = draw(st.permutations(lanes[p]))
     if rarely(draw):
         lanes["P9"] = []
     horizon = max(free.values(), default=0) + draw(st.integers(0, 1)) - 3 * (defect == "late")
@@ -146,7 +166,17 @@ def test_columnar_checks_equal_the_record_walks(case):
     assert expected == [] and dict(instance.jobs) == {j.id: j for j in jobs}
     records = {j.id: j for j in jobs}
     hand_built = Instance(universe, records, processors, grid)
-    for inst in (instance, hand_built):
+    schedules = [schedule]
+    document = instance_to_dict(InstanceFile(
+        "modular", universe, tuple(jobs), processors, grid, schedule))
+    try:
+        schedules.append(instance_from_dict(document).schedule)
+    except SchemaError:  # a start that is no JSON integer
+        assert any(type(start) is not int for lane in schedule.placements.values()
+                   for _job_id, start in lane)
+    else:
+        assert type(schedules[1].placements["P1"]) is SlotLane and schedules[1] == schedule
+    for inst, schedule in product((instance, hand_built), schedules):
         assert schedule_violations(inst, schedule) == record_schedule_violations(
             records, processors, schedule
         )
@@ -283,9 +313,23 @@ def test_a_valid_bulk_file_builds_no_job_records(tmp_path, monkeypatch):
     assert built == Counter({"CompositeJob": 1})
 
 
+def test_a_command_maps_its_placements_once(tmp_path, monkeypatch):
+    path = _bulk_file(tmp_path)
+    lanes = []
+    of = SlotLane.of.__func__
+    monkeypatch.setattr(SlotLane, "of", classmethod(
+        lambda cls, pairs: lanes.append(pairs) or of(cls, pairs)))
+    processors = load_instance(path).schedule.processors
+    for command in ("validate", "evaluate", "balance"):
+        lanes.clear()
+        assert CliRunner().invoke(main, [command, str(path)]).exit_code == 0
+        assert len(lanes) == len(processors)
+        assert all(type(lane) is SlotLane for lane in lanes)
+
+
 def test_table_columns_are_read_only(tmp_path):
     f = load_instance(_bulk_file(tmp_path))
-    columns = [f.jobs.offsets, f.jobs.codes, f.jobs.lengths]
+    columns = [f.jobs.offsets, f.jobs.codes, f.jobs.lengths, f.schedule.placements["P01"].starts]
     columns += [getattr(f.window_jobs, name) for name in ("p", "t1", "t2", "machine", "position")]
     for column in columns:
         with pytest.raises(ValueError, match="read-only"):
@@ -294,9 +338,14 @@ def test_table_columns_are_read_only(tmp_path):
 
 def test_loaded_tables_equal_and_save_as_their_records(tmp_path):
     f = load_instance(_bulk_file(tmp_path))
-    records = dataclasses.replace(f, jobs=tuple(f.jobs), window_jobs=tuple(f.window_jobs))
+    pairs = {proc: tuple(lane) for proc, lane in f.schedule.placements.items()}
+    records = dataclasses.replace(f, jobs=tuple(f.jobs), window_jobs=tuple(f.window_jobs),
+                                  schedule=dataclasses.replace(f.schedule, placements=pairs))
     assert records == f and f == records
     assert instance_to_dict(records) == instance_to_dict(f)
+    for name, instance in (("records", records), ("loaded", f)):
+        save_instance(instance, tmp_path / name)
+    assert (tmp_path / "records").read_bytes() == (tmp_path / "loaded").read_bytes()
 
 
 # --- the pinned lines of the error paths ------------------------------------------

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from balsched import fileio
 from balsched.cli import main
 from balsched.core import (
-    CompositeJob, ElementUniverse, JobTable, SlotSchedule, TimeGrid, ValidationError,
+    CompositeJob, ElementUniverse, JobTable, SlotLane, SlotSchedule, TimeGrid, ValidationError,
 )
 from balsched.fileio import (
     InstanceFile,
@@ -225,11 +225,16 @@ def _bulk_documents():
 def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
     docs = _bulk_documents()
     fast = [instance_from_dict(doc) for doc in docs]
-    for name in ("_job_table", "_window_table", "_building_table"):  # all fall back
+    for name in ("_job_table", "_slot_lane", "_window_table", "_building_table"):  # all fall back
         monkeypatch.setattr(fileio, name, lambda *args: None)
     slow = [instance_from_dict(doc) for doc in docs]
     assert slow == fast
     assert all(type(f.jobs) is tuple for f in slow if f.mode == "modular")
+    lanes = [(s.schedule.placements, f.schedule.placements)
+             for s, f in zip(slow, fast) if f.mode == "modular"]
+    assert any(placements for placements, _ in lanes)
+    assert all(type(lane) is tuple for placements, _ in lanes for lane in placements.values())
+    assert all(type(lane) is SlotLane for _, placements in lanes for lane in placements.values())
     # Project turns the fallback's records into a table too
     assert all(type(f.project.buildings) is BuildingTable for f in slow if f.project)
     assert all(type(f.jobs) is JobTable for f in fast if f.mode == "modular")
@@ -240,6 +245,7 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
     docs = _bulk_documents()
     modular = [doc["modular"] for doc in docs if doc["mode"] == "modular"]
     assert any(block["jobs"] for block in modular)
+    assert any(any(block["schedule"]["placements"].values()) for block in modular)
     assert any(doc.get("window_jobs") for doc in docs)
     paths = []
     for i, doc in enumerate(docs):
@@ -249,7 +255,7 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
 
     def refuse(*args):
         raise AssertionError("a path-tracking reader ran on a valid file")
-    for name in ("_job", "_window_job", "_building"):
+    for name in ("_job", "_slot", "_window_job", "_building"):
         monkeypatch.setattr(fileio, name, refuse)
     assert [load_instance(path) for path in paths] == expected
 
@@ -1018,7 +1024,7 @@ def test_cli_refuses_to_write_into_a_missing_directory(runner, tmp_path, emitted
     argv = [str(emitted[arg[1:]]) if arg.startswith("@") else arg.format(missing=missing)
             for arg in args]
     result = runner.invoke(main, argv)
-    assert result.exit_code == 2
+    assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.splitlines() == [
         f"error: cannot write {missing}: No such file or directory"
     ]
