@@ -94,8 +94,12 @@ class CompositeJob:
 
 
 def _ints(values) -> np.ndarray:
-    """An int64 column of Python ints below 2**62 in size, so that a sum of
-    two stays in int64; an object column keeps other values as they are."""
+    """An int64 column of ints below 2**62 in size, so that a sum of two
+    stays in int64; an object column keeps other values as they are. An
+    int64 array is taken as given, its bounds tested by numpy."""
+    if type(values) is np.ndarray and values.dtype == np.int64:
+        small = -2**62 < values.min(initial=0) and values.max(initial=0) < 2**62
+        return values if small else values.astype(object)
     values = list(values)
     ints = set(map(type, values)) <= {int}
     if ints and -2**62 < min(values, default=0) and max(values, default=0) < 2**62:

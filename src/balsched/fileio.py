@@ -17,11 +17,13 @@ import gc
 import json
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     CompositeJob,
@@ -98,15 +100,15 @@ class InstanceFile:
 # _field and _each turn failures into issues: a bad field or entry is
 # reported and skipped, and reading goes on, so one run lists every problem.
 #
-# The modular jobs, each slot lane, the window jobs and the buildings object
-# first get one fast pass: exact type tests and defaults over whole
-# columns, no path bookkeeping and no issues. Jobs become a JobTable of
-# universe codes, slot lanes SlotLanes, window jobs a WindowTable and
-# buildings a BuildingTable, so a valid file builds no job, placement or
-# building records. If any entry misses a test, an element is not in the
-# universe, or a table refuses an entry, the pass gives up and the whole
-# list is read again by the path-tracking readers, so every issue keeps its
-# text and order. Team lanes have only their path-tracking reader.
+# The modular jobs, each slot lane, the window jobs, the section types, the
+# buildings object and each team lane first get one fast pass: exact type
+# tests and defaults over whole columns, no path bookkeeping and no issues.
+# Jobs become a JobTable of universe codes, slot lanes SlotLanes, window
+# jobs a WindowTable and buildings a BuildingTable, so a valid file builds
+# no job, placement or building records. If any entry misses a test, an
+# element is not in the universe, or a table or record refuses an entry,
+# the pass gives up and the whole list is read again by the path-tracking
+# readers, so every issue keeps its text and order.
 # load_instance pauses the cyclic collector while it parses and reads: a
 # load allocates tens of thousands of containers but makes no reference
 # cycles, so collections during it would free nothing.
@@ -206,15 +208,15 @@ def _each(data: dict, key: str, kind, read, issues: list, path: str,
     by entry with read(entry key, value) into a dict or a tuple. A bad
     entry is reported and skipped; a bad container gives None.
 
-    fast, if given, reads a whole list at once and returns None (or raises
-    ValueError) where some entry needs read."""
+    fast, if given, reads a whole container at once and returns None (or
+    raises KeyError, TypeError or ValueError) where some entry needs read."""
     items = _field(data, key, kind, issues, path, default)
     if items is None:
         return None
     if fast is not None:
         try:
             out = fast(items)
-        except ValueError:
+        except (KeyError, TypeError, ValueError):  # an entry of the wrong shape, or refused
             out = None
         if out is not None:
             return out
@@ -254,13 +256,10 @@ def _column(items: list, key: str) -> list:
 
 def _job_table(universe: ElementUniverse | None, items: list) -> JobTable | None:
     """The fast pass of _job over a whole list, as a table of universe."""
-    try:
-        ids, chains = _column(items, "id"), _column(items, "chain")
-        if (universe is not None and set(map(type, ids)) <= {str}
-                and set(map(type, chains)) <= {list}):
-            return JobTable.from_chains(universe, ids, chains)
-    except (KeyError, TypeError):  # an entry that is no object, or an element not in universe
-        pass
+    ids, chains = _column(items, "id"), _column(items, "chain")
+    if (universe is not None and set(map(type, ids)) <= {str}
+            and set(map(type, chains)) <= {list}):
+        return JobTable.from_chains(universe, ids, chains)
     return None
 
 
@@ -280,6 +279,9 @@ def _slot_lane(items: list) -> SlotLane | None:
     if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
         ids, starts = tuple(zip(*items)) or ((), ())
         if set(map(type, ids)) <= {str} and set(map(type, starts)) <= {int}:
+            # an int64 column, which SlotLane takes as given, unless a start is past int64
+            with suppress(OverflowError):
+                starts = np.array(starts, np.int64)
             return SlotLane(ids, starts)
     return None
 
@@ -320,6 +322,19 @@ def _section_type(sid, rows) -> SectionType:
     )
 
 
+def _section_types(items: dict) -> dict[str, SectionType] | None:
+    """The fast pass of _section_type over a whole object, one type test a
+    column; SectionType refuses a negative entry."""
+    rows = [row for floor in FLOOR_TYPES for row in _column(list(items.values()), floor)]
+    if set(map(type, rows)) <= {list} and set(map(len, rows)) <= {len(DETAIL_TYPES)}:
+        values = _numbers(list(chain.from_iterable(rows)))
+        if values is not None:
+            rows = list(zip(*[iter(values)] * len(DETAIL_TYPES)))  # floor-major
+            return {sid: SectionType(sid, tuple(rows[i::len(items)]))
+                    for i, sid in enumerate(items)}
+    return None
+
+
 def _count(v) -> int:
     # a count past the float range could not scale a float ladder or
     # matrix; a negative count is left to the domain check
@@ -349,19 +364,16 @@ def _building_table(items: dict) -> BuildingTable | None:
     section compositions are checked once each; the table's own check
     refuses a building that Building would."""
     records = list(items.values())
-    try:
-        numbers = [_numbers(_column(records, key)) for key in ("assembly_duration", "start")]
-        square = Building.general_square
-        numbers.append(_numbers([square if v is None else v
-                                 for v in _column(records, "general_square")]))
-        if None in numbers:
-            return None
-        table = BuildingTable.from_columns(
-            tuple(items), _column(records, "building_type"),
-            map(tuple, map(dict.items, _column(records, "section_counts"))), *numbers,
-        )
-    except TypeError:  # an entry or its section_counts is no object, or a count no number
+    numbers = [_numbers(_column(records, key)) for key in ("assembly_duration", "start")]
+    square = Building.general_square
+    numbers.append(_numbers([square if v is None else v
+                             for v in _column(records, "general_square")]))
+    if None in numbers:
         return None
+    table = BuildingTable.from_columns(
+        tuple(items), _column(records, "building_type"),
+        map(tuple, map(dict.items, _column(records, "section_counts"))), *numbers,
+    )
     if set(map(type, table.building_types)) <= {str} and all(
         type(n) is int and n <= _MAX
         for counts in table.compositions for _section, n in counts
@@ -374,6 +386,15 @@ def _start(_, v) -> tuple[str, float]:
     if type(v) is list and len(v) == 2 and type(v[0]) is str:
         return v[0], _at(1, _float, v[1])
     raise _Bad("expected [building id, start]")
+
+
+def _team_lane(items: list) -> tuple[tuple[str, float], ...] | None:
+    """The fast pass of _start over a whole lane, one type test a column."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        ids, starts = tuple(zip(*items)) or ((), ())
+        if set(map(type, ids)) <= {str} and (starts := _numbers(list(starts))) is not None:
+            return tuple(zip(ids, starts))
+    return None
 
 
 def _detail(v) -> str:
@@ -410,7 +431,8 @@ def _reference(v) -> RequirementTable:
 
 def _load_homebuilding(block: dict, issues: list) -> dict:
     at = "/homebuilding"
-    sections = _each(block, "section_types", _obj, _section_type, issues, at)
+    sections = _each(block, "section_types", _obj, _section_type, issues, at,
+                     fast=_section_types)
     building_types = _each(
         block, "building_types", _obj,
         lambda bid, counts: BuildingType(bid, _counts(counts)), issues, at,
@@ -423,7 +445,8 @@ def _load_homebuilding(block: dict, issues: list) -> dict:
     if schedule is not None:
         out["team_schedule"] = TeamSchedule(
             _field(schedule, "teams", _strs, issues, at + "/team_schedule"),
-            _lanes(schedule, "assignments", _start, issues, at + "/team_schedule"),
+            _lanes(schedule, "assignments", _start, issues, at + "/team_schedule",
+                   fast=_team_lane),
         )
     out["capacity"] = _each(block, "capacity", _obj, _capacity, issues, at, None)
     out["improve_params"] = _field(block, "improve", _improve, issues, at, None)
@@ -469,14 +492,11 @@ def _numbers(values: list) -> list | None:
 def _window_table(items: list) -> WindowTable | None:
     """The fast pass of _window_job over a whole list; the table's own
     check refuses an empty window or a negative processing time."""
-    try:
-        ids = _column(items, "id")
-        numbers = [_numbers(_column(items, key)) for key in ("processing_time", "t1", "t2")]
-        ints = [[default if n is None else n for n in _column(items, key)]
-                for key, default in (("machine", WindowJob.machine),
-                                     ("position", WindowJob.position))]
-    except TypeError:
-        return None
+    ids = _column(items, "id")
+    numbers = [_numbers(_column(items, key)) for key in ("processing_time", "t1", "t2")]
+    ints = [[default if n is None else n for n in _column(items, key)]
+            for key, default in (("machine", WindowJob.machine),
+                                 ("position", WindowJob.position))]
     if not (set(map(type, ids)) <= {str} and len(set(ids)) == len(ids)
             and None not in numbers
             and all(set(map(type, column)) <= {int} for column in ints)):
@@ -826,8 +846,9 @@ def render_gantt(project: Project, schedule: TeamSchedule) -> str:
     width = max(3, max((len(b) for b in buildings.ids), default=2) + 1)
     header = "team " + "".join(f"{m:>{width}}" for m in range(1, horizon + 1))
     lines = [header]
+    empty = f"{'.':>{width}}"  # cells are padded once each: "." and one id per placement
     for team in schedule.teams:
-        cells = ["."] * horizon
+        cells = [empty] * horizon
         placements = sorted(
             schedule.assignments.get(team, ()), key=lambda p: (p[1], p[0])
         )
@@ -835,9 +856,9 @@ def render_gantt(project: Project, schedule: TeamSchedule) -> str:
             end = start + durations[buildings.row[building_id]]
             first = int(math.floor(start)) + 1
             last = max(first, int(math.ceil(end - 0.5)))
+            cell = f"{building_id:>{width}}"
             for month in range(max(1, first), min(horizon, last) + 1):
-                if cells[month - 1] == ".":
-                    cells[month - 1] = building_id
-        line = f"{team:<5}" + "".join(f"{c:>{width}}" for c in cells)
-        lines.append(line)
+                if cells[month - 1] == empty:
+                    cells[month - 1] = cell
+        lines.append(f"{team:<5}" + "".join(cells))
     return "\n".join(lines) + "\n"

@@ -505,21 +505,23 @@ class RequirementKernel:
 
     def total(self, rows, starts) -> np.ndarray:
         """(horizon x 8) sum of the placements' tables: each window added
-        in placement order into +0.0, months past the horizon dropped.
+        in placement order into +0.0 by one bincount over flat (month,
+        detail) cells, months past the horizon cut off as one extra row.
 
         Raises:
             ValueError: if numpy refuses the table as too large.
         """
+        first, tables = self.window(rows, starts)
+        months = np.minimum(first[:, None] + np.arange(self.width), self.horizon)
+        cells = months[..., None] * len(DETAIL_TYPES) + np.arange(len(DETAIL_TYPES))
+        size = self.horizon * len(DETAIL_TYPES)
         try:
-            total = np.zeros((self.horizon, len(DETAIL_TYPES)))
+            total = np.bincount(cells.ravel(), tables.ravel(), size + len(DETAIL_TYPES))
         except (MemoryError, ValueError):
             raise ValueError(
                 f"horizon of {self.horizon} months is too large to tabulate"
             ) from None
-        first, tables = self.window(rows, starts)
-        months = first[:, None] + np.arange(self.width)
-        np.add.at(total, months[months < self.horizon], tables[months < self.horizon])
-        return total
+        return total[:size].reshape(self.horizon, len(DETAIL_TYPES))
 
 
 def section_progress(
@@ -613,9 +615,11 @@ def horizon_requirement_table(
         months = _checked_months(months, horizon)
     kernel = project.kernel
     total = kernel.total(*kernel.placements(schedule))
-    if months is None:
+    if months is None:  # the whole horizon: no rows to gather
         months = tuple(range(1, horizon + 1))
-    values = tuple(map(tuple, total[[month - 1 for month in months]].tolist()))
+    else:
+        total = total[[month - 1 for month in months]]
+    values = tuple(map(tuple, total.tolist()))
     return RequirementTable(months=months, values=values)
 
 

@@ -870,3 +870,40 @@ def record_horizon_table(block, records):
             if int(first) + k < horizon:
                 total[int(first) + k] += row
     return total
+
+
+# --- the read-only home-building outputs -------------------------------------
+#
+# The requirement table's sum and the text Gantt chart as they were written
+# before the flat-cell bincount and the padded cells: np.add.at of each
+# window row into its month, and one format per chart cell.
+
+def add_at_total(horizon, first, tables):
+    """(horizon x 8) sum of window ``tables`` (P x width x 8), placement p's
+    row k added into month first[p] + k by np.add.at, in placement order
+    into +0.0, months past the horizon dropped."""
+    total = np.zeros((horizon, len(DETAIL_ORDER)))
+    months = np.asarray(first)[:, None] + np.arange(np.shape(tables)[1])
+    np.add.at(total, months[months < horizon], tables[months < horizon])
+    return total
+
+
+def cell_gantt(horizon, durations, teams, assignments):
+    """Month-granular text chart: a header of months, then per team its
+    cells, each formatted on its own. ``durations`` maps every building id
+    to its duration (their widest id sets the cell width); ``assignments``
+    maps a team to its (building id, start) pairs. A building fills months
+    floor(start)+1 through ceil(end - 0.5), at least one; in a contested
+    month the placement with the earlier (start, id) keeps the cell."""
+    width = max(3, max((len(b) for b in durations), default=2) + 1)
+    lines = ["team " + "".join(f"{m:>{width}}" for m in range(1, horizon + 1))]
+    for team in teams:
+        cells = ["."] * horizon
+        for building_id, start in sorted(assignments.get(team, ()), key=lambda p: (p[1], p[0])):
+            first = int(np.floor(start)) + 1
+            last = max(first, int(np.ceil(start + durations[building_id] - 0.5)))
+            for month in range(max(1, first), min(horizon, last) + 1):
+                if cells[month - 1] == ".":
+                    cells[month - 1] = building_id
+        lines.append(f"{team:<5}" + "".join(f"{c:>{width}}" for c in cells))
+    return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ import json
 from collections import Counter
 from itertools import product
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
@@ -176,6 +177,12 @@ def test_columnar_checks_equal_the_record_walks(case):
                    for _job_id, start in lane)
     else:
         assert type(schedules[1].placements["P1"]) is SlotLane and schedules[1] == schedule
+        # a lane is int64 where every start is below 2**62 in size (2**62 - 1
+        # is; 2**63 - 2 fits int64 but is not; 2**63 and 2**70 do not fit)
+        for lane in schedules[1].placements.values():
+            small = all(-2**62 < start < 2**62 for _job_id, start in lane)
+            assert lane.starts.dtype == (np.int64 if small else object)
+            assert {type(start) for start in lane.starts.tolist()} <= {int}
     for inst, schedule in product((instance, hand_built), schedules):
         assert schedule_violations(inst, schedule) == record_schedule_violations(
             records, processors, schedule
@@ -325,6 +332,19 @@ def test_a_command_maps_its_placements_once(tmp_path, monkeypatch):
         assert CliRunner().invoke(main, [command, str(path)]).exit_code == 0
         assert len(lanes) == len(processors)
         assert all(type(lane) is SlotLane for lane in lanes)
+
+
+@pytest.mark.parametrize("starts, kind", [
+    ([], np.int64), ([0, 2**62 - 1, 1 - 2**62], np.int64),
+    ([3, 2**62], object), ([-(2**62), 3], object), ([2**63 - 1], object),
+])
+def test_a_lane_takes_an_int64_column_as_given_and_bounds_it(starts, kind):
+    column = np.array(starts, dtype=np.int64)
+    lane, from_ints = SlotLane(("j",) * len(starts), column), SlotLane(("j",) * len(starts), starts)
+    assert lane.starts.dtype == from_ints.starts.dtype == kind
+    assert (lane.starts is column) is (kind is np.int64)
+    assert lane.starts.tolist() == starts and lane == from_ints
+    assert {type(start) for start in lane.starts.tolist()} <= {int}
 
 
 def test_table_columns_are_read_only(tmp_path):

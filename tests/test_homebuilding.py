@@ -33,7 +33,7 @@ from balsched.homebuilding import (
     validate_team_schedule,
 )
 
-from oracles import double_clip_output, hand_month1_d2, unit_overlap_progress
+from oracles import add_at_total, double_clip_output, hand_month1_d2, unit_overlap_progress
 from synthetic import synthetic_instance
 
 
@@ -279,6 +279,46 @@ def test_kernel_slices_equal_single_building_tables(kope, rate_basis, placements
     for at, table, row, start in zip(first, stack, rows, starts):
         assert kernel.window([row], [start])[0] == at
         assert np.array_equal(table, kernel.window([row], [start])[1][0])
+
+
+_EDGES = st.integers(-2, 25).map(float)
+
+
+@given(
+    rate_basis=st.sampled_from(RATE_BASES),
+    placements=st.lists(
+        st.tuples(
+            st.sampled_from(KOPE_IDS),
+            _EDGES  # on a month edge, one ulp either side of it, at either zero, or anywhere
+            | _EDGES.map(lambda m: float(np.nextafter(m, np.inf)))
+            | _EDGES.map(lambda m: float(np.nextafter(m, -np.inf)))
+            | st.sampled_from((0.0, -0.0))
+            | st.floats(min_value=-2.0, max_value=25.0),
+        ),
+        max_size=40,
+    ),
+    repeats=st.integers(1, 3),
+)
+@settings(max_examples=100, deadline=None)
+def test_kernel_total_is_the_add_at_sum_bit_for_bit(kope, rate_basis, placements, repeats):
+    """The flat-cell bincount adds each cell's terms in placement order
+    into +0.0, as np.add.at does, so every table keeps its bytes: for
+    windows that run past the 19-month horizon and for repeated rows."""
+    kernel = dataclasses.replace(kope.project, rate_basis=rate_basis).kernel
+    rows = np.array([kernel.row[b] for b, _start in placements] * repeats, dtype=np.intp)
+    starts = [start for _b, start in placements] * repeats
+    total = kernel.total(rows, starts)
+    assert total.shape == (19, 8)
+    assert total.tobytes() == add_at_total(kernel.horizon, *kernel.window(rows, starts)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_whole_synthetic_tables_are_the_add_at_sum_bit_for_bit(seed):
+    instance = synthetic_instance(288, 8, seed)
+    kernel = instance.project.kernel
+    rows, starts = kernel.placements(instance.team_schedule)
+    expected = add_at_total(kernel.horizon, *kernel.window(rows, starts))
+    assert kernel.total(rows, starts).tobytes() == expected.tobytes()
 
 
 @given(

@@ -48,6 +48,8 @@ from balsched.homebuilding import (
 )
 from balsched.improve import ImproveParams
 from balsched.jit import PenaltyWeights, WindowJob, WindowTable
+from oracles import cell_gantt
+from synthetic import synthetic_document
 
 
 # --- schema ------------------------------------------------------------------
@@ -214,10 +216,27 @@ def test_files_with_the_dropped_catalogue_key_still_load():
     assert instance_from_dict(data) == build_fixture("kope-1982")
 
 
+def _integral_as_ints(doc):
+    """doc with every whole section-row value and team start written as a
+    JSON integer."""
+    block = doc["homebuilding"]
+    as_int = lambda v: int(v) if v == int(v) else v  # noqa: E731
+    for rows in block["section_types"].values():
+        for floor, row in rows.items():
+            rows[floor] = list(map(as_int, row))
+    for lane in block["team_schedule"]["assignments"].values():
+        lane[:] = [[b, as_int(start)] for b, start in lane]
+    return doc
+
+
 def _bulk_documents():
-    """Parsed JSON of every fixture and of 100 random modular instances."""
+    """Parsed JSON of every fixture, of kope with whole numbers written as
+    integers, of a 36-building synthetic project and of 100 random
+    modular instances."""
     rng = random.Random(7)
     docs = [instance_to_dict(build_fixture(name)) for name in list_fixtures()]
+    docs.append(_integral_as_ints(json.loads(json.dumps(docs[list_fixtures().index("kope-1982")]))))
+    docs.append(synthetic_document(36, 4, 1))
     docs += [instance_to_dict(_random_modular_instance(rng)) for _ in range(100)]
     return [json.loads(json.dumps(doc)) for doc in docs]
 
@@ -225,10 +244,17 @@ def _bulk_documents():
 def test_fast_pass_equals_the_path_tracking_readers(monkeypatch):
     docs = _bulk_documents()
     fast = [instance_from_dict(doc) for doc in docs]
-    for name in ("_job_table", "_slot_lane", "_window_table", "_building_table"):  # all fall back
+    for name in ("_job_table", "_slot_lane", "_window_table", "_section_types",
+                 "_building_table", "_team_lane"):  # all fall back
         monkeypatch.setattr(fileio, name, lambda *args: None)
     slow = [instance_from_dict(doc) for doc in docs]
     assert slow == fast
+    # the fast passes read JSON integers as floats, as _float does
+    for f in fast:
+        if f.mode == "homebuilding":
+            assert {type(v) for section in f.project.section_types.values()
+                    for row in section.detail_matrix for v in row} == {float}
+            assert {type(start) for _t, _b, start in f.team_schedule.placements()} <= {float}
     assert all(type(f.jobs) is tuple for f in slow if f.mode == "modular")
     lanes = [(s.schedule.placements, f.schedule.placements)
              for s, f in zip(slow, fast) if f.mode == "modular"]
@@ -247,6 +273,11 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
     assert any(block["jobs"] for block in modular)
     assert any(any(block["schedule"]["placements"].values()) for block in modular)
     assert any(doc.get("window_jobs") for doc in docs)
+    homebuilding = [doc["homebuilding"] for doc in docs if doc["mode"] == "homebuilding"]
+    assert any(type(v) is int for block in homebuilding for rows in block["section_types"].values()
+               for row in rows.values() for v in row)
+    assert any(type(start) is int for block in homebuilding
+               for lane in block["team_schedule"]["assignments"].values() for _b, start in lane)
     paths = []
     for i, doc in enumerate(docs):
         paths.append(tmp_path / f"{i}.json")
@@ -255,9 +286,64 @@ def test_fast_pass_is_taken_on_valid_files(monkeypatch, tmp_path):
 
     def refuse(*args):
         raise AssertionError("a path-tracking reader ran on a valid file")
-    for name in ("_job", "_slot", "_window_job", "_building"):
+    for name in ("_job", "_slot", "_window_job", "_detail_row", "_building", "_start"):
         monkeypatch.setattr(fileio, name, refuse)
     assert [load_instance(path) for path in paths] == expected
+
+
+def _rows(hb, section="g1"):
+    return hb["section_types"][section]
+
+
+def _lane(hb, team="P2"):
+    return hb["team_schedule"]["assignments"][team]
+
+
+# (edit of kope's homebuilding block, whether the file stays valid)
+FAST_PASS_DEFECTS = {
+    "int value": (lambda hb: _rows(hb)["r2"].__setitem__(0, 19), True),
+    "bool value": (lambda hb: _rows(hb)["r2"].__setitem__(1, True), False),
+    "int past the float range": (lambda hb: _rows(hb)["r2"].__setitem__(2, 10**400), False),
+    "row of 7": (lambda hb: _rows(hb)["r3"].pop(), False),
+    "row of 9": (lambda hb: _rows(hb)["r3"].append(1.0), False),
+    "missing floor": (lambda hb: _rows(hb).pop("r4"), False),
+    "null floor": (lambda hb: _rows(hb).__setitem__("r4", None), False),
+    "extra key": (lambda hb: _rows(hb).__setitem__("r9", [1.0] * 8), True),
+    "negative entry": (lambda hb: _rows(hb)["r1"].__setitem__(2, -1.0), False),
+    "row no list": (lambda hb: _rows(hb).__setitem__("r5", "x"), False),
+    "section type no object": (lambda hb: hb["section_types"].__setitem__("g2", []), False),
+    "two bad section types": (lambda hb: (_rows(hb, "g2")["r8"].pop(),
+                                          _rows(hb)["r1"].__setitem__(0, False)), False),
+    "int start": (lambda hb: _lane(hb)[0].__setitem__(1, 3), True),
+    "bool start": (lambda hb: _lane(hb)[0].__setitem__(1, True), False),
+    "start past the float range": (lambda hb: _lane(hb)[1].__setitem__(1, -10**400), False),
+    "entry no list": (lambda hb: _lane(hb).__setitem__(0, {"a4": 1.0}), False),
+    "entry a string": (lambda hb: _lane(hb).__setitem__(0, "a4"), False),
+    "entry of 3 items": (lambda hb: _lane(hb)[0].append(1.0), False),
+    "entry of 1 item": (lambda hb: _lane(hb)[0].pop(), False),
+    "non-string id": (lambda hb: _lane(hb)[0].__setitem__(0, 4), False),
+    "lane no list": (lambda hb: hb["team_schedule"]["assignments"].__setitem__("P3", {}), False),
+    "two bad lanes": (lambda hb: (_lane(hb, "P3")[0].__setitem__(1, None),
+                                  _lane(hb)[1].__setitem__(0, None)), False),
+}
+
+
+@pytest.mark.parametrize("name", list(FAST_PASS_DEFECTS))
+def test_fast_pass_refusals_equal_the_path_tracking_readers(monkeypatch, name):
+    edit, valid = FAST_PASS_DEFECTS[name]
+    doc = json.loads(json.dumps(instance_to_dict(build_fixture("kope-1982"))))
+    edit(doc["homebuilding"])
+
+    def read():
+        try:
+            return instance_from_dict(json.loads(json.dumps(doc)))
+        except SchemaError as exc:
+            return exc.issues
+    fast = read()
+    for fast_pass in ("_section_types", "_team_lane"):
+        monkeypatch.setattr(fileio, fast_pass, lambda *args: None)
+    assert read() == fast
+    assert isinstance(fast, InstanceFile) is valid, fast
 
 
 @pytest.mark.parametrize("enabled", [True, False])
@@ -525,6 +611,37 @@ def test_gantt_empty_team_row(kope_table):
     lines = render_gantt(f.project, f.team_schedule).splitlines()
     p1 = next(line for line in lines if line.startswith("P1"))
     assert set(p1.split()[1:]) == {"."}
+
+
+@st.composite
+def gantt_cases(draw):
+    """(project, schedule, durations, assignments): kope's first building
+    under ids of mixed widths (one may be "."), on lanes where a start may
+    sit on an earlier end, past the horizon or nowhere (an empty team)."""
+    kope = build_fixture("kope-1982").project
+    template = kope.buildings["a1"]
+    horizon = draw(st.integers(1, 30))
+    ids = draw(st.lists(st.text(".ab7", min_size=1, max_size=7), max_size=12, unique=True))
+    teams = [f"T{i}" for i in range(draw(st.integers(1, 4)))]
+    durations, assignments, ends = {}, {}, [0.0, horizon - 0.5]
+    for building_id in ids:
+        durations[building_id] = draw(st.floats(0.1, 12.0) | st.sampled_from((0.5, 1.0, 6.2)))
+        start = draw(st.floats(0.0, horizon + 5.0) | st.sampled_from(ends))
+        ends.append(start + durations[building_id])
+        assignments.setdefault(draw(st.sampled_from(teams)), []).append((building_id, start))
+    buildings = {b: Building(b, template.building_type, dict(template.section_counts), d, 0.0)
+                 for b, d in durations.items()}
+    project = Project(kope.section_types, kope.building_types, buildings, horizon)
+    schedule = TeamSchedule(tuple(teams), {t: tuple(lane) for t, lane in assignments.items()})
+    return project, schedule, durations, assignments
+
+
+@given(gantt_cases())
+@settings(max_examples=200, deadline=None)
+def test_gantt_equals_the_cell_by_cell_chart(case):
+    project, schedule, durations, assignments = case
+    assert render_gantt(project, schedule) == cell_gantt(
+        project.horizon_months, durations, schedule.teams, assignments)
 
 
 # --- CLI ---------------------------------------------------------------------
