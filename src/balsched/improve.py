@@ -130,6 +130,21 @@ class BudgetedMCKP:
 RATIO_DIGITS = 9
 
 
+def _rounded(x: np.ndarray) -> np.ndarray:
+    """Python's ``round(x, RATIO_DIGITS)`` of each value, bit for bit: the
+    double nearest the exact x * 10**RATIO_DIGITS rounded half to even,
+    over 10**RATIO_DIGITS. rint of the rounded product gives that integer
+    unless the product lies within its ulp of a half-way point or is not
+    below 2**52 (inf and nan too); Python's round decides those."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * 10.0**RATIO_DIGITS
+        near = np.abs(scaled - np.floor(scaled) - 0.5) <= np.spacing(np.abs(scaled))
+    out = np.rint(scaled) / 10.0**RATIO_DIGITS
+    for i in np.flatnonzero(near | ~(np.abs(scaled) < 2.0**52)).tolist():
+        out[i] = round(x[i].item(), RATIO_DIGITS)
+    return out
+
+
 def _pack(
     group: np.ndarray, profit: np.ndarray, cost: np.ndarray, budget: float, floor: float = 0.0
 ) -> list[int]:
@@ -138,22 +153,23 @@ def _pack(
     Rows are the variants other than none, in (group, variant) order, given
     as columns. Rows with profit at or below ``floor`` are never taken;
     zero-cost rows with a larger profit rank first. Ratios are Python's
-    ``round(profit / cost, RATIO_DIGITS)``, so ratios equal up to float
-    noise tie, and a stable sort breaks ties on row order.
+    ``round(profit / cost, RATIO_DIGITS)`` (_rounded), so ratios equal up
+    to float noise tie, and a stable sort breaks ties on row order. The
+    scan stops once the cheapest row no longer fits.
     """
-    rows = np.flatnonzero(profit > floor).tolist()
-    profits, costs = profit[rows].tolist(), cost[rows].tolist()
-    groups = group[rows].tolist()
-    ratios = [
-        inf if c == 0 else round(p / c, RATIO_DIGITS) for p, c in zip(profits, costs)
-    ]
+    rows = np.flatnonzero(profit > floor)
+    costs = cost[rows]
+    ratios = _rounded(np.divide(profit[rows], costs, out=np.full(len(rows), inf), where=costs != 0))
+    order = np.argsort(np.negative(ratios), kind="stable").tolist()
+    rows, costs, groups = rows.tolist(), costs.tolist(), group[rows].tolist()
+    limit, cheapest = budget + 1e-9, min(costs, default=0.0)
     taken: set[int] = set()
     picked = []
     total_cost = 0.0
-    for k in np.argsort(np.negative(ratios), kind="stable").tolist():
-        if groups[k] in taken:
-            continue
-        if total_cost + costs[k] <= budget + 1e-9:
+    for k in order:
+        if total_cost + cheapest > limit:
+            break
+        if groups[k] not in taken and total_cost + costs[k] <= limit:
             taken.add(groups[k])
             picked.append(rows[k])
             total_cost += costs[k]
@@ -168,20 +184,16 @@ def mckp_greedy(problem: BudgetedMCKP) -> Selection:
     ties break on (group index, variant index), so the result is
     deterministic and float noise in equal ratios does not pick the move.
     """
-    group, index, profit, cost = [], [], [], []
-    for gi, g in enumerate(problem.groups):
-        for j, variant in enumerate(g.variants[1:], start=1):
-            group.append(gi)
-            index.append(j)
-            profit.append(variant.profit)
-            cost.append(variant.cost)
-    chosen = [0] * len(problem.groups)
+    rows = [(gi, j, v) for gi, g in enumerate(problem.groups)
+            for j, v in enumerate(g.variants) if j]
     picked = _pack(
-        np.array(group, dtype=np.intp), np.array(profit, dtype=float),
-        np.array(cost, dtype=float), problem.budget,
+        np.array([gi for gi, _j, _v in rows], dtype=np.intp),
+        np.array([v.profit for *_, v in rows], dtype=float),
+        np.array([v.cost for *_, v in rows], dtype=float), problem.budget,
     )
-    for row in picked:
-        chosen[group[row]] = index[row]
+    chosen = [0] * len(problem.groups)
+    for gi, j, _v in (rows[row] for row in picked):
+        chosen[gi] = j
     profit = sum(g.variants[j].profit for g, j in zip(problem.groups, chosen))
     cost = sum(g.variants[j].cost for g, j in zip(problem.groups, chosen))
     return Selection(chosen=tuple(chosen), total_profit=profit, total_cost=cost)
@@ -440,54 +452,61 @@ def _tables(
     kernel: RequirementKernel, rows: np.ndarray, starts: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(first, tables, key): the window of placement i (kernel row
-    ``rows[i]`` at ``starts[i]``) is first[key[i]], tables[key[i]].
+    ``rows[i]`` at ``starts[i]``) is first[i], tables[key[i]].
 
-    A table depends only on the row's kind and the start, so each distinct
-    (kernel.kind, start) pair is computed once, in kernel.window calls of
-    at most PRICE_BLOCK placements. Starts are equal as floats: one ulp
-    apart they differ, and -0.0 and 0.0 give the same window bit for bit.
-    Slices of a stacked call equal one-row calls bit for bit, so every
-    gathered table is the one its own call would give.
+    kernel.window reads a start only through (first + k) - start, first
+    being clip(floor(start), 0, horizon): where the offset start - first is
+    exact, k less the offset, rounded once. So a table depends only on the
+    row's kind and the offset, exact by Sterbenz where first is 0 or start
+    <= 2 * first; a start past twice the horizon keys by itself, above
+    every offset. Each distinct (kernel.kind, key) is computed once, at its
+    first placement's start, in kernel.window calls of at most PRICE_BLOCK
+    placements. Keys one ulp apart differ; -0.0 and 0.0 are one and give
+    the same window bit for bit. Slices of a stacked call equal one-row
+    calls bit for bit, so every gathered table is the one its own call gives.
     """
+    first = np.clip(np.floor(starts), 0, kernel.horizon)
+    exact = (first == 0) | (starts <= 2 * first)
     pairs = np.empty(len(rows), dtype=complex)
-    pairs.real, pairs.imag = kernel.kind[rows], starts
+    pairs.real, pairs.imag = kernel.kind[rows], np.where(exact, starts - first, starts)
     _distinct, once, key = np.unique(pairs, return_index=True, return_inverse=True)
-    first = np.empty(len(once), dtype=np.intp)
     tables = np.empty((len(once), kernel.width, len(cols)))
     for block in range(0, len(once), PRICE_BLOCK):
         block = slice(block, block + PRICE_BLOCK)
-        first[block], tables[block] = kernel.window(rows[once[block]], starts[once[block]], cols)
-    return first, tables, key
+        tables[block] = kernel.window(rows[once[block]], starts[once[block]], cols)[1]
+    return first.astype(np.intp), tables, key
 
 
 def _profits(
     kernel: RequirementKernel,
     table: np.ndarray,
     cap: np.ndarray,
-    placed: Sequence[str],
+    rows: np.ndarray,
     starts: np.ndarray,
     target: np.ndarray,
     new_starts: np.ndarray,
     partner: np.ndarray,
 ) -> np.ndarray:
-    """Profits of moves on the buildings ``placed`` at ``starts``, whose
-    table is ``table``: row r moves ``placed[target[r]]`` to
+    """Profits of moves on the placements of kernel ``rows`` at ``starts``,
+    whose table is ``table``: row r moves placement ``target[r]`` to
     ``new_starts[r]``, and unless ``partner[r]`` is -1 it exchanges it
-    with ``placed[partner[r]]``, which starts there.
+    with placement ``partner[r]``, which starts there.
 
     Tables are linear in placements and V reads only the details with a
     finite capacity, so a row changes those columns on two windows: its
     new tables less its old ones, from the months of the new and the old
     start. Its profit is V less V of the changed table over both windows,
     merged into one span of twice their width where they overlap. Every
-    window the menu needs (each placed building where it stands, each
-    row's target at its new start, and for an exchange the partner at the
-    target's start) is computed once per distinct (kind, start), by
+    window the menu needs (each placement where it stands, each row's
+    target at its new start, and for an exchange the partner at the
+    target's start) is computed once per distinct (kind, offset), by
     _tables, and gathered. Rows are priced independently, PRICE_BLOCK at
-    a time.
+    a time: one bincount adds each block's gained windows, then its lost
+    ones, into +0.0, and one gather reads every row's months from the
+    table padded with copies of its first month.
     """
     cols = np.flatnonzero(np.isfinite(cap))
-    rows = np.array([kernel.row[b] for b in placed])
+    placed, moves = len(rows), len(target)
     swapping = np.flatnonzero(partner >= 0)
     first, tables, key = _tables(
         kernel,
@@ -495,33 +514,37 @@ def _profits(
         np.concatenate([starts, new_starts, starts[target[swapping]]]),
         cols,
     )
-    # per row, the key of its target's new table and of its partner's
-    target_key = key[len(rows):len(rows) + len(target)]
-    partner_key = np.full(len(target), -1)
-    partner_key[swapping] = key[len(rows) + len(target):]
-    here_first, here = first[key[:len(rows)]], tables[key[:len(rows)]]
-    table, cap, width, steps = table[:, cols], cap[cols], kernel.width, np.arange(kernel.width)
+    here_key, target_key = key[:placed], key[placed:placed + moves]
+    new_first = first[placed:placed + moves]
+    partner_key = np.full(moves, -1)
+    partner_key[swapping] = key[placed + moves:]
+    width, details, cap = kernel.width, len(cols), cap[cols]
+    padded = np.concatenate([table[:, cols], np.repeat(table[:1, cols], 2 * width, axis=0)])
+    steps, cells = np.arange(width), np.arange(width * details).reshape(width, details)
     profits = [np.empty(0)]
-    for block in range(0, len(target), PRICE_BLOCK):
+    for block in range(0, moves, PRICE_BLOCK):
         block = slice(block, block + PRICE_BLOCK)
         moving, partners = target[block], partner[block]
         n, swap = len(moving), np.flatnonzero(partners >= 0)
-        gained = tables[target_key[block]]
-        gained[swap] -= here[partners[swap]]
-        lost = -here[moving]
-        lost[swap] += tables[partner_key[block][swap]]
-        new, old = first[target_key[block]], here_first[moving]
+        # each row's gained windows, then its lost ones
+        windows = np.empty((2, n, width, details))
+        np.take(tables, target_key[block], axis=0, out=windows[0])
+        windows[0][swap] -= tables[here_key[partners[swap]]]
+        np.negative(tables[here_key[moving]], out=windows[1])
+        windows[1][swap] += tables[partner_key[block][swap]]
+        new, old = new_first[block], first[moving]
         lo, apart = np.minimum(new, old), np.abs(new - old) >= width
-        halves = np.where(apart, [new, old], [lo, lo + width]).T
-        months = (halves[:, :, None] + steps).reshape(n, 2 * width)
-        delta = np.zeros((n, 2 * width, len(cols)))
-        at = np.arange(n)[:, None]
-        delta[at, np.where(apart, 0, new - lo)[:, None] + steps] += gained
-        delta[at, np.where(apart, width, old - lo)[:, None] + steps] += lost
-        inside = months < len(table)
-        delta[~inside] = 0.0
-        base = table[np.where(inside, months, 0)]
-        profits.append(_violation_measures(base, cap) - _violation_measures(base + delta, cap))
+        months = np.where(apart, [new, old], [lo, lo + width]).T[:, :, None] + steps
+        months = months.reshape(n, 2 * width)
+        at = np.where(apart, [[0], [width]], [new - lo, old - lo]) + np.arange(n) * 2 * width
+        delta = np.bincount((at[..., None, None] * details + cells).ravel(), windows.ravel(),
+                            n * 2 * width * details).reshape(n, 2 * width, details)
+        np.copyto(delta, 0.0, where=(months >= len(table))[..., None])
+        stack = np.empty((2, n, 2 * width, details))
+        np.take(padded, months, axis=0, out=stack[0])
+        np.add(stack[0], delta, out=stack[1])
+        v = _violation_measures(stack.reshape(2 * n, 2 * width, details), cap)
+        profits.append(v[:n] - v[n:])
     return np.concatenate(profits)
 
 
@@ -549,7 +572,8 @@ def score_variant(
     exchange = variant.kind == "exchange"
     profit = _profits(
         project.kernel, CascadeCache(project).schedule_table(schedule), capacity_vector(capacity),
-        placed, np.array(starts), np.array([0]), np.array(new_starts[:1]),
+        np.array([project.kernel.row[b] for b in placed]), np.array(starts), np.array([0]),
+        np.array(new_starts[:1]),
         np.array([1 if exchange else -1]),
     )
     return float(profit[0]), EXCHANGE_COST if exchange else DAY_COST * variant.days
@@ -632,6 +656,7 @@ def _correction_menu(
     """generate_correction_groups' menu, as columns, for the valid
     schedule indexed by ``lanes``, whose requirement table is ``table``."""
     placed = sorted(lanes.placement)
+    rows = np.array([kernel.row[b] for b in placed])
     months = violated_months(table, cap)
     starts, durations, prev_starts, prev_ends, following = lanes.slots(placed)
     is_target = _active(starts, durations, months).any(axis=0)
@@ -655,7 +680,7 @@ def _correction_menu(
     # Two buildings of one kind (kernel.kind: type, composition and
     # duration) gather equal kernel rows, so their exchange changes no
     # table bit and its profit is 0.0: the menu leaves it out.
-    kind = kernel.kind[[kernel.row[b] for b in placed]]
+    kind = kernel.kind[rows]
     eligible &= kind[targets, None] != kind
     swaps = eligible & _swap_fits(starts, durations, following, lanes.horizon, targets)
     # a column per shift (right by each step, then left, as VARIANT_KINDS
@@ -667,7 +692,7 @@ def _correction_menu(
     days = np.where(shift, np.array(SHIFT_STEPS)[column % steps], 0)
     partner = np.where(shift, -1, column - 2 * steps)
     new_start = np.hstack([new_starts, np.tile(starts, (len(targets), 1))])[group, column]
-    profit = _profits(kernel, table, cap, placed, starts, targets[group], new_start, partner)
+    profit = _profits(kernel, table, cap, rows, starts, targets[group], new_start, partner)
     cost = np.where(kind == EXCHANGE, EXCHANGE_COST, DAY_COST * days)
     return CorrectionMenu(placed, targets.tolist(), group, kind, days, partner, profit, cost)
 

@@ -232,6 +232,31 @@ def ratio_greedy(groups, budget, digits=9):
     return tuple(chosen)
 
 
+def list_pack(group, profit, cost, budget, floor=0.0):
+    """The ratio greedy over menu columns as it was written before the
+    ratios were rounded in numpy: every positive row's ratio by Python's
+    round in a list, a stable sort on the negated ratios, then a scan of
+    every row that skips taken groups and takes each row that fits the
+    budget within 1e-9. Returns the picked rows in pick order."""
+    rows = np.flatnonzero(profit > floor).tolist()
+    profits, costs = profit[rows].tolist(), cost[rows].tolist()
+    groups = group[rows].tolist()
+    ratios = [
+        float("inf") if c == 0 else round(p / c, 9) for p, c in zip(profits, costs)
+    ]
+    taken = set()
+    picked = []
+    total_cost = 0.0
+    for k in np.argsort(np.negative(ratios), kind="stable").tolist():
+        if groups[k] in taken:
+            continue
+        if total_cost + costs[k] <= budget + 1e-9:
+            taken.add(groups[k])
+            picked.append(rows[k])
+            total_cost += costs[k]
+    return picked
+
+
 # --- hand composition of one month of the building cascade -----------------
 #
 # The value below is the second route for the "first month, second detail

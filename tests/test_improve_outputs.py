@@ -2,9 +2,12 @@
 
 The set is kope-1982 and the seeded synthetic projects 72/16 seeds 12-27,
 144/32 seeds 5-8, and 288/8 and 288/64 seed 3, each run with default
-parameters and with ``--max-iters 3``. ``improve_outputs.json`` holds, per
-run, SHA-256 digests of stdout (less its closing ``wrote <path>`` line) and
-of the written file, and the exit code.
+parameters and with ``--max-iters 3``. Kope, 72/16 seeds 12-15 and 144/32
+seed 5 also run three iterations under budgets of 0.2 and 50, where the
+greedy's early stop and its rounded ratios decide the picks.
+``improve_outputs.json`` holds, per run, SHA-256 digests of stdout (less
+its closing ``wrote <path>`` line) and of the written file, and the exit
+code.
 
 A change that alters these outputs on purpose regenerates the file with
 
@@ -38,6 +41,11 @@ INSTANCES = {
 }
 
 OPTIONS = {"default": [], "--max-iters 3": ["--max-iters", "3"]}
+BUDGETS = {
+    f"--budget {budget} --max-iters 3": ["--budget", budget, "--max-iters", "3"]
+    for budget in ("0.2", "50")
+}
+BUDGET_RUNS = {"kope-1982", *(f"72/16 seed {seed}" for seed in range(12, 16)), "144/32 seed 5"}
 
 
 def run_digests(name: str, directory: Path) -> dict[str, dict]:
@@ -46,7 +54,8 @@ def run_digests(name: str, directory: Path) -> dict[str, dict]:
     source, out = directory / "instance.json", directory / "out.json"
     source.write_text(json.dumps(INSTANCES[name]()))
     runs = {}
-    for option, args in OPTIONS.items():
+    options = {**OPTIONS, **(BUDGETS if name in BUDGET_RUNS else {})}
+    for option, args in options.items():
         out.unlink(missing_ok=True)
         result = CliRunner().invoke(main, ["improve", str(source), *args, "--out", str(out)])
         lines = result.stdout.splitlines(keepends=True)
