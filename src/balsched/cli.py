@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import sys
+from itertools import chain
 from typing import NoReturn
 
 import click
@@ -135,10 +136,9 @@ def evaluate(file):
                 lines.append("outside window: " + " ".join(result.infeasible_jobs))
             table = WindowTable.of(instance.window_jobs)
             for machine, rows in table.sequences():
-                cells = "  ".join(
-                    f"{job_id} C={result.completions[job_id]:.2f}"
-                    for job_id in map(table.id.__getitem__, rows.tolist())
-                )
+                ids = list(map(table.id.__getitem__, rows.tolist()))
+                cells = "  ".join(["%s C=%.2f"] * len(ids)) % tuple(
+                    chain.from_iterable(zip(ids, map(result.completions.__getitem__, ids))))
                 lines.append(f"machine {machine}: {cells}")
             for name, penalty in (("sum", penalty_sum), ("max", penalty_max)) if weights else ():
                 value = penalty(instance.window_jobs, result.completions, weights)

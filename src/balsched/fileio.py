@@ -16,11 +16,13 @@ from __future__ import annotations
 import gc
 import json
 import math
+import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, fields, is_dataclass
-from functools import partial
-from itertools import chain, repeat
+from functools import cache, partial
+from itertools import chain, islice, repeat
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -609,12 +611,12 @@ def load_instance(path) -> InstanceFile:
 # their own names, leaving out fields that are None. _SHAPES holds the
 # values shaped another way; _document lays out the file around them.
 # save_instance writes the bytes of json.dumps(instance_to_dict(x),
-# indent=2, sort_keys=True) from the values: the buildings by one
-# template per record, a row of finite floats by one float.__repr__ join,
-# and every other value, the team lanes included, by its shape. A value no
-# layout takes (a bool, None, a non-finite float, a numpy scalar, a key
-# that is not a string) sends the whole file to json, once: only
-# hand-built instances hold such values.
+# indent=2, sort_keys=True) from the values: the buildings, section types,
+# team lanes and requirement rows by templates, a row of finite floats by
+# one float.__repr__ join, and every other value (a record a template
+# cannot take included) by its shape. A value no layout takes (a bool,
+# None, a non-finite float, a numpy scalar, a non-string key) sends the
+# whole file to json, once: only hand-built instances hold such values.
 
 _PLAIN = frozenset({str, int, float, bool, type(None)})
 _quote = json.encoder.encode_basestring_ascii
@@ -705,17 +707,77 @@ def _buildings(table: BuildingTable, pad: str) -> str:
                   for b, record in sorted(dict(zip(table.ids, records)).items())], pad, "{}")
 
 
+class _Text(str):
+    """A value's text, already laid out at its pad."""
+
+
+def _rows(count: int, width: int, pad: str, texts) -> _Text:
+    """count lists of width entries at pad, by one template over the texts."""
+    return _Text(_join([_join(["%s"] * width, pad + "  ")] * count, pad) % tuple(texts))
+
+
+@cache
+def _section_template(pad: str) -> str:
+    """A section type's text at pad, a %s slot per entry in detail_matrix
+    order: FLOOR_TYPES is in sorted order."""
+    return _text(dict.fromkeys(FLOOR_TYPES, [_Text("%s")] * len(DETAIL_TYPES)), pad)
+
+
+def _section_layout(st: SectionType, pad: str) -> str:
+    values = list(chain.from_iterable(st.detail_matrix))
+    if {*map(type, values)} <= {float}:
+        return _section_template(pad) % tuple(_floats(values))
+    return _text(_SHAPES[SectionType](st), pad)
+
+
+def _schedule_layout(ts: TeamSchedule, pad: str) -> str:
+    """Each team in ts.teams once, its lane by one template over its pairs."""
+    lanes = {team: ts.assignments.get(team, ()) for team in ts.teams}
+    pairs = list(chain.from_iterable(lanes.values()))
+    if {(len(p), *map(type, p)) for p in pairs} <= {(2, str, float)}:
+        ids, starts = zip(*pairs) if pairs else ((), ())
+        texts = iter(chain.from_iterable(zip(map(_quote, ids), _floats(starts))))
+        return _text({"teams": ts.teams, "assignments": {
+            team: _rows(len(lane), 2, pad + "    ", islice(texts, 2 * len(lane)))
+            for team, lane in lanes.items()}}, pad)
+    return _text(_SHAPES[TeamSchedule](ts), pad)
+
+
+def _requirements_layout(table: RequirementTable, pad: str) -> str:
+    record, rows = _shape(RequirementTable)(table), table.values
+    if type(rows) is tuple and {*map(type, rows)} <= {tuple} and len({*map(len, rows)}) <= 1:
+        values = list(chain.from_iterable(rows))
+        if {*map(type, values)} <= {float}:
+            width = len(rows[0]) if rows else 0
+            record["values"] = _rows(len(rows), width, pad + "  ", _floats(values))
+    return _text(record, pad)
+
+
 _LAYOUTS = dict.fromkeys((list, tuple), lambda values, pad: _join(
     _floats(values) if values and type(values[0]) is float  # a row of floats
     else [_text(v, pad + "  ") for v in values], pad,
 )) | {
     str: lambda value, pad: _quote(value),
+    _Text: lambda value, pad: value,
     int: lambda value, pad: int.__repr__(value),
     float: lambda value, pad: _floats((value,))[0],
     dict: lambda value, pad: _join([
         f"{_quote(k)}: {_text(v, pad + '  ')}" for k, v in sorted(value.items())], pad, "{}"),
     BuildingTable: _buildings,
+    SectionType: _section_layout,
+    TeamSchedule: _schedule_layout,
+    RequirementTable: _requirements_layout,
 }
+
+
+def _write(path, text: str) -> None:
+    """Write text over path in place: a new file gets the mode open(path,
+    "w") gives it, and a regular file is then cut to the written length.
+    A write failing partway leaves the new bytes over the old file's tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+        handle.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+            handle.truncate()
 
 
 def save_instance(instance: InstanceFile, path) -> None:
@@ -724,8 +786,7 @@ def save_instance(instance: InstanceFile, path) -> None:
         text = _text(_document(instance), "")
     except (TypeError, ValueError):  # a value no layout takes: json writes the file
         text = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    _write(path, text + "\n")
 
 
 # --- reports -----------------------------------------------------------------
@@ -735,8 +796,7 @@ def export_requirements_csv(table: RequirementTable, path) -> None:
     lines = ["month," + ",".join(table.details)]
     for month, row in zip(table.months, table.values):
         lines.append(f"{month}," + ",".join(f"{v:.2f}" for v in row))
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 def export_balance_curve(
@@ -758,8 +818,7 @@ def export_balance_curve(
     for month, required in zip(table.months, table.column(detail)):
         excess = max(0.0, required - capacity)
         lines.append(f"{month},{required:.2f},{capacity:.2f},{excess:.2f}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 @dataclass(frozen=True)
@@ -826,8 +885,7 @@ def export_comparison_csv(rows: Sequence[ComparisonRow], path) -> None:
             f"{row.month},{row.detail},{row.computed:.2f},"
             f"{row.reference:.2f},{pct}"
         )
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
 
 
 # --- text Gantt --------------------------------------------------------------

@@ -1128,24 +1128,38 @@ def test_cli_refuses_a_homebuilding_file_without_capacity(runner, tmp_path, comm
     assert result.stderr.splitlines() == ["error: instance has no capacity profile"]
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["improve", "@kope-1982", "--out", "{missing}"],
-        ["report", "@kope-1982", "--detail", "d1", "--capacity", "1480", "--csv", "{missing}"],
-        ["fixtures", "emit", "kope-1982", "--out", "{missing}"],
-    ],
-)
+WRITING = [
+    ["improve", "@kope-1982", "--out", "{missing}"],
+    ["report", "@kope-1982", "--detail", "d1", "--capacity", "1480", "--csv", "{missing}"],
+    ["fixtures", "emit", "kope-1982", "--out", "{missing}"],
+]
+
+
+def _write_to(runner, emitted, args, target):
+    argv = [str(emitted[arg[1:]]) if arg.startswith("@") else arg.format(missing=target)
+            for arg in args]
+    return runner.invoke(main, argv)
+
+
+@pytest.mark.parametrize("args", WRITING)
 def test_cli_refuses_to_write_into_a_missing_directory(runner, tmp_path, emitted, args):
     missing = tmp_path / "absent" / "out"
-    argv = [str(emitted[arg[1:]]) if arg.startswith("@") else arg.format(missing=missing)
-            for arg in args]
-    result = runner.invoke(main, argv)
+    result = _write_to(runner, emitted, args, missing)
     assert (result.exit_code, result.stdout) == (2, "")
     assert result.stderr.splitlines() == [
         f"error: cannot write {missing}: No such file or directory"
     ]
     assert not missing.parent.exists()
+
+
+@pytest.mark.parametrize("args", WRITING)
+def test_cli_refuses_to_write_over_a_directory(runner, tmp_path, emitted, args):
+    directory = tmp_path / "out"
+    directory.mkdir()
+    result = _write_to(runner, emitted, args, directory)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [f"error: cannot write {directory}: Is a directory"]
+    assert list(directory.iterdir()) == []
 
 
 REPORT = ["--detail", "d1", "--capacity", "1480", "--csv", "d1.csv"]

@@ -4,7 +4,9 @@ instance's dictionary form (oracles.canonical_text)."""
 import hashlib
 import json
 import math
+import os
 import re
+import stat
 
 import numpy as np
 import pytest
@@ -368,3 +370,92 @@ def test_window_cells_outside_int64_are_written_as_their_records_hold_them(path,
     table = WindowTable.of([WindowJob("w", 1.0, 0.0, 2.0, machine, 1), jit.window_jobs[1]])
     assert table.machine.dtype == object
     _assert_writes_the_oracle(InstanceFile(**{**jit.__dict__, "window_jobs": table}), path)
+
+
+# --- templates ------------------------------------------------------------------
+
+# floats a template takes, among them a signed zero, a subnormal and one
+# whose repr needs an exponent; ints send a record to its shape
+FLOATS = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1, 1480.35]) | st.floats(0.0, 1e6)
+ENTRIES = st.sampled_from([FLOATS, FLOATS | st.integers(0, 10**6)])
+
+
+@st.composite
+def templated_files(draw):
+    """kope with two drawn section matrices, a drawn team schedule and a
+    drawn reference table."""
+    project = build_fixture("kope-1982").project
+    sections = dict(project.section_types) | {
+        s: SectionType(s, tuple(tuple(draw(st.lists(entries, min_size=8, max_size=8)))
+                                for entries in [draw(ENTRIES)] * len(FLOOR_TYPES)))
+        for s in sorted(project.section_types)[:2]}
+    # teams may repeat, have no lane, or own a lane without being in teams;
+    # a team named like a template slot is written as its name
+    teams = draw(st.lists(st.sampled_from(["P1", "P2", "%s"]), max_size=5))
+    starts = draw(ENTRIES)
+    lanes = {t: tuple(draw(st.lists(st.tuples(st.sampled_from(sorted(project.buildings)), starts),
+                                    max_size=4)))
+             for t in draw(st.lists(st.sampled_from(["P1", "P2", "%s", "Q"]), unique=True))}
+    details = draw(st.sampled_from([DETAIL_TYPES, ("d3", "d1"), ()]))
+    entries = draw(ENTRIES)
+    months = tuple(draw(st.lists(st.integers(1, 30), max_size=4)))
+    reference = RequirementTable(months, tuple(
+        tuple(draw(st.lists(entries, min_size=len(details), max_size=len(details))))
+        for _ in months), details)
+    return _kope_with(
+        project=Project(sections, project.building_types, project.buildings, 19),
+        team_schedule=TeamSchedule(tuple(teams), lanes),
+        reference_requirements=draw(st.sampled_from(
+            [reference, RequirementTable((), (), ()), RequirementTable((), ())])),
+    )
+
+
+@given(templated_files())
+@settings(max_examples=100, deadline=None)
+def test_templates_write_the_json_bytes(path, instance):
+    expected = json.dumps(instance_to_dict(instance), indent=2, sort_keys=True) + "\n"
+    save_instance(instance, path)
+    assert path.read_text() == expected
+
+
+
+@pytest.mark.parametrize("edits", [
+    {"reference_requirements": RequirementTable((1, 2, 3), ((1.0,), (2.0, 3.0), ()), ("d1",))},
+    {"reference_requirements": RequirementTable((1, 2), [[1.0], [2.0]], ("d1",))},
+    {"team_schedule": TeamSchedule(("P1", "P2"), {"P1": (("a1", 1.0, 2.0),), "P2": (("a2",),)})},
+    {"team_schedule": TeamSchedule(("P1",), {"P1": [["a1", 1.0], ["a2", 2.0]]})},
+])
+def test_rows_and_pairs_no_template_takes_keep_their_shape(path, edits):
+    """Rows of unequal widths, rows in lists, and lane pairs that are no
+    (string, float) pair are written as their shape writes them."""
+    _assert_writes_the_oracle(_kope_with(**edits), path)
+
+# --- the one write path -----------------------------------------------------------
+
+@pytest.mark.parametrize("old, new", [("x" * 100, "short\n"), ("short\n", "y" * 100 + "\n"),
+                                      ("", "\u00e9\n")])
+def test_a_write_leaves_exactly_the_new_bytes(tmp_path, old, new):
+    target = tmp_path / "out"
+    target.write_text(old, encoding="utf-8")
+    target.chmod(0o640)
+    fileio._write(target, new)
+    assert target.read_bytes() == new.encode("utf-8")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_file_gets_the_mode_open_gives_it(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        with open(tmp_path / "by-open", "w", encoding="utf-8"):
+            pass
+        fileio._write(tmp_path / "by-write", "x")
+    finally:
+        os.umask(previous)
+    modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("by-open", "by-write")]
+    assert modes[0] == modes[1]
+
+
+def test_a_target_that_is_no_regular_file_is_written_and_not_cut():
+    fileio._write(os.devnull, "x" * 100)
+    assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
